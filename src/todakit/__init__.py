@@ -34,11 +34,7 @@ from .weight import (
 
 from .thermo import (
     ThermoField,
-    distribution,
-    entropy_field,
-    free_energy_field,
     model_free_energy_field,
-    redundancy,
     thermo_field,
     write_thermo_csv,
 )

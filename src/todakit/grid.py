@@ -11,7 +11,9 @@ Laplacian.
 
 The Laplacian is the plain five-point stencil in cartesian mode and
 w'' + w'/rho in radial mode, with 2*w''(0) -> 4*(w[1]-w[0])/h^2 at the axis.
-Both are exact on quadratics and second order on smooth fields.
+Both are exact on quadratics and second order on smooth fields.  The stencil
+is defined once, in `laplacian_operator`, as sparse rows at a set of active
+nodes; `laplacian` and the Toda solver both apply that operator.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import ConfigurationError, DomainError, ShapeError, ValidationError
 
@@ -121,27 +124,46 @@ def check_same_grid(grid: Grid, field: Field) -> None:
         )
 
 
+def laplacian_operator(grid: Grid, active: np.ndarray) -> csr_matrix:
+    """Discrete Laplacian rows at the active nodes, shape (k, nodes).
+
+    Row i is the stencil of the i-th active node; columns index every grid
+    node, so Dirichlet neighbours are the columns outside the active set.
+    Active nodes must be interior, which keeps every stencil on the grid.
+    """
+    active = np.asarray(active, dtype=bool)
+    if (active & grid.boundary).any():
+        raise ConfigurationError("laplacian rows exist at interior nodes only")
+    idx = np.flatnonzero(active)
+    h2 = grid.h * grid.h
+    if grid.mode == "cartesian":
+        offsets = np.array([-grid.n, -1, 0, 1, grid.n])
+        data = np.tile(np.array([1.0, 1.0, -4.0, 1.0, 1.0]) / h2, len(idx))
+        skip = 0
+    else:
+        offsets = np.array([-1, 0, 1])
+        with np.errstate(divide="ignore"):
+            drift = 0.5 / (grid.h * grid.x[idx])
+        data = np.column_stack([1.0 / h2 - drift, np.full(len(idx), -2.0 / h2),
+                                1.0 / h2 + drift]).ravel()
+        # lim rho->0 of w'' + w'/rho is 4*(w[1]-w[0])/h^2; the axis node is
+        # row 0 when active and its first entry, the missing left
+        # neighbour, is dropped
+        skip = int(active[0])
+        if skip:
+            data[1:3] = (-4.0 / h2, 4.0 / h2)
+    cols = (idx[:, None] + offsets).ravel()
+    indptr = len(offsets) * np.arange(len(idx) + 1) - skip
+    indptr[0] = 0
+    return csr_matrix((data[skip:], cols[skip:], indptr),
+                      shape=(len(idx), grid.nodes))
+
+
 def laplacian(grid: Grid, field: Field) -> Field:
     """Discrete Laplacian; zero at boundary nodes."""
     check_same_grid(grid, field)
-    v = field.values
-    out = np.zeros_like(v)
-    if grid.mode == "cartesian":
-        n = grid.n
-        sq = v.reshape(n, n)
-        lap = np.zeros_like(sq)
-        lap[1:-1, 1:-1] = (
-            sq[2:, 1:-1] + sq[:-2, 1:-1] + sq[1:-1, 2:] + sq[1:-1, :-2]
-            - 4.0 * sq[1:-1, 1:-1]
-        ) / (grid.h * grid.h)
-        out = lap.ravel()
-    else:
-        h = grid.h
-        rho = grid.x
-        out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h) \
-            + (v[2:] - v[:-2]) / (2.0 * h * rho[1:-1])
-        out[0] = 4.0 * (v[1] - v[0]) / (h * h)  # lim rho->0 of w'' + w'/rho
-    out[grid.boundary] = 0.0
+    out = np.zeros(grid.nodes)
+    out[grid.interior] = laplacian_operator(grid, grid.interior) @ field.values
     return Field(grid, out)
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InternalError
 from .grid import Field, Grid, inf_over, sup_norm
-from .toda import TodaSolution
+from .toda import TodaSolution, model_profile
 from .weight import _check_beta, evaluate_density, lambda_coefficients
 
 log = logging.getLogger(__name__)
@@ -80,33 +80,6 @@ def _logits(sol: TodaSolution, beta: float) -> np.ndarray:
     return logits
 
 
-def distribution(sol: TodaSolution, beta: float) -> list:
-    """Ensemble weights p_0..p_{r-1} as Fields; rows sum to one."""
-    p = _softmax(_logits(sol, beta))
-    return [Field(sol.grid, p[a]) for a in range(p.shape[0])]
-
-
-def entropy_field(sol: TodaSolution, beta: float) -> Field:
-    p = _softmax(_logits(sol, beta))
-    return Field(sol.grid, _entropy_of(p))
-
-
-def free_energy_field(sol: TodaSolution, beta: float,
-                      reference: str = "flat") -> Field:
-    beta = _check_beta(beta)
-    logits = _logits(sol, beta) - beta * _log_reference(sol.grid, reference)
-    return Field(sol.grid, -_logsumexp(logits) / beta)
-
-
-def redundancy(sol: TodaSolution, beta: float):
-    """(R field, inf over interior, sup over interior)."""
-    s = entropy_field(sol, beta)
-    logr = math.log(sol.r)
-    rfield = Field(sol.grid, 1.0 - s.values / logr)
-    return rfield, inf_over(rfield, sol.grid.interior), \
-        sup_norm(rfield, sol.grid.interior)
-
-
 def thermo_field(sol: TodaSolution, beta: float,
                  reference: str = "flat") -> ThermoField:
     beta = _check_beta(beta)
@@ -132,15 +105,8 @@ def model_free_energy_field(grid: Grid, r: int, beta: float,
                             reference: str = "flat") -> Field:
     """Closed-form free energy of the degenerate solution on a unit subdisc."""
     beta = _check_beta(beta)
-    if grid.rho_max >= 1.0:
-        raise ConfigurationError(
-            f"model free energy needs rho_max < 1, got {grid.rho_max}")
     lam = lambda_coefficients(r)
-    # corner nodes beyond the unit circle are never read by interior
-    # stencils; fill them with zero instead of a log singularity
-    base = np.zeros(grid.nodes)
-    inside = grid.r2 < 1.0
-    base[inside] = -2.0 * np.log1p(-grid.r2[inside])
+    base = model_profile(grid, "model free energy")
     logits = beta * (np.log(lam)[:, None] + base[None, :]
                      - _log_reference(grid, reference)[None, :])
     return Field(grid, -_logsumexp(logits) / beta)
@@ -185,15 +151,7 @@ def _log_reference(grid: Grid, reference: str) -> np.ndarray:
     if reference == "flat":
         return np.zeros(grid.nodes)
     if reference == "poincare":
-        if grid.rho_max >= 1.0:
-            raise ConfigurationError(
-                f"poincare reference needs rho_max < 1, got {grid.rho_max}")
-        # nodes beyond the unit circle (square corners) are never read by
-        # interior quantities; keep them finite
-        out = np.zeros(grid.nodes)
-        inside = grid.r2 < 1.0
-        out[inside] = -2.0 * np.log1p(-grid.r2[inside])
-        return out
+        return model_profile(grid, "poincare reference")
     raise ConfigurationError(
         f"reference must be one of {REFERENCES}, got {reference!r}")
 

@@ -42,7 +42,7 @@ from .errors import (
     StrategyError,
     ValidationError,
 )
-from .grid import Field, Grid, check_same_grid
+from .grid import Field, Grid, check_same_grid, laplacian_operator
 from .weight import WeightDensity, evaluate_density, lambda_coefficients, scale_weight
 
 log = logging.getLogger(__name__)
@@ -112,22 +112,30 @@ class _Stall(Exception):
 # closed-form profiles
 
 
-def model_log_densities(grid: Grid, r: int) -> np.ndarray:
-    """Degenerate-case solution w_j = log(lambda_j) - 2 log(1 - |z|^2).
+def model_profile(grid: Grid, what: str) -> np.ndarray:
+    """Blow-up profile u = -2 log(1 - |z|^2) of the degenerate system.
 
-    Rows j = 1..r-1.  Nodes at |z| >= 1 (square corners outside the unit
-    disc, never read by any interior stencil) are filled with zero to keep
-    the arrays finite.
+    Nodes at |z| >= 1 (square corners outside the unit disc, never read by
+    any interior stencil) are set to zero to keep the arrays finite.  The
+    profile needs rho_max < 1; `what` names the caller in the error.
     """
     if grid.rho_max >= 1.0:
         raise ConfigurationError(
-            f"model profile needs rho_max < 1, grid has rho_max={grid.rho_max}")
-    lam = lambda_coefficients(r)
+            f"{what} needs rho_max < 1, grid has rho_max={grid.rho_max}")
     inside = grid.r2 < 1.0
-    base = np.zeros(grid.nodes)
-    base[inside] = -2.0 * np.log1p(-grid.r2[inside])
-    w = np.log(lam)[:, None] + base[None, :]
-    w[:, ~inside] = 0.0
+    u = np.zeros(grid.nodes)
+    u[inside] = -2.0 * np.log1p(-grid.r2[inside])
+    return u
+
+
+def model_log_densities(grid: Grid, r: int) -> np.ndarray:
+    """Degenerate-case solution w_j = log(lambda_j) - 2 log(1 - |z|^2).
+
+    Rows j = 1..r-1; nodes at |z| >= 1 hold zero, as in `model_profile`.
+    """
+    w = np.log(lambda_coefficients(r))[:, None] + \
+        model_profile(grid, "model profile")[None, :]
+    w[:, grid.r2 >= 1.0] = 0.0
     return w
 
 
@@ -141,7 +149,13 @@ def compute_v0(w: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 class _System:
-    """Stencil and assembly scaffolding for one (grid, r, active-mask) triple."""
+    """Residual and Jacobian for one (grid, r, active-mask) triple.
+
+    `lap` is (1/4) times `grid.laplacian_operator` at the active nodes, the
+    package's one stencil: the residual applies it to whole fields, so its
+    columns outside the active set carry the Dirichlet data, and the
+    Jacobian's Laplacian block is its restriction to the active columns.
+    """
 
     def __init__(self, grid: Grid, r: int, active: np.ndarray):
         self.grid = grid
@@ -152,94 +166,11 @@ class _System:
         self.k = len(self.idx)
         if self.k == 0:
             raise ConfigurationError("active node set is empty")
-        loc = np.full(grid.nodes, -1, dtype=np.int64)
-        loc[self.idx] = np.arange(self.k)
-
-        # Laplacian entries (including the 1/4 prefactor) restricted to
-        # active-active couplings; Dirichlet neighbours enter the residual only.
-        rows, cols, data = [], [], []
-        if grid.mode == "cartesian":
-            n, h = grid.n, grid.h
-            c = 0.25 / (h * h)
-            rows.append(np.arange(self.k))
-            cols.append(np.arange(self.k))
-            data.append(np.full(self.k, -4.0 * c))
-            for off in (1, -1, n, -n):
-                nb = self.idx + off
-                ok = active[nb]
-                rows.append(loc[self.idx[ok]])
-                cols.append(loc[nb[ok]])
-                data.append(np.full(int(ok.sum()), c))
-        else:
-            h = grid.h
-            rho = grid.x
-            for i in self.idx:
-                li = loc[i]
-                if i == 0:
-                    rows.append([li]); cols.append([li])
-                    data.append([-1.0 / (h * h)])  # (1/4) * (-4/h^2)
-                    if active[1]:
-                        rows.append([li]); cols.append([loc[1]])
-                        data.append([1.0 / (h * h)])
-                    continue
-                cdiag = -0.5 / (h * h)
-                cup = 0.25 / (h * h) + 0.125 / (h * rho[i])
-                cdn = 0.25 / (h * h) - 0.125 / (h * rho[i])
-                rows.append([li]); cols.append([li]); data.append([cdiag])
-                for nb, cval in ((i + 1, cup), (i - 1, cdn)):
-                    if 0 <= nb < grid.nodes and active[nb]:
-                        rows.append([li]); cols.append([loc[nb]])
-                        data.append([cval])
-        self._lap_rows = np.concatenate([np.asarray(a, dtype=np.int64) for a in rows])
-        self._lap_cols = np.concatenate([np.asarray(a, dtype=np.int64) for a in cols])
-        self._lap_data = np.concatenate([np.asarray(a, dtype=float) for a in data])
-
-        # full (m x m) pointwise pattern: rows a*k+i, cols b*k+i
-        k = self.k
-        ar = np.arange(k)
-        blocks_r, blocks_c = [], []
-        for a in range(self.m):
-            for b in range(self.m):
-                blocks_r.append(a * k + ar)
-                blocks_c.append(b * k + ar)
-        self._pt_rows = np.concatenate(blocks_r)
-        self._pt_cols = np.concatenate(blocks_c)
-
-        lr = []
-        lc = []
-        ld = []
-        for a in range(self.m):
-            lr.append(self._lap_rows + a * k)
-            lc.append(self._lap_cols + a * k)
-            ld.append(self._lap_data)
-        self._rows = np.concatenate(lr + [self._pt_rows])
-        self._cols = np.concatenate(lc + [self._pt_cols])
-        self._lap_block = np.concatenate(ld)
-
-    def lap_at_active(self, w: np.ndarray) -> np.ndarray:
-        """(1/4) * five-point/radial Laplacian of each row, at active nodes."""
-        g = self.grid
-        if g.mode == "cartesian":
-            n, h = g.n, g.h
-            sq = w.reshape(self.m, n, n)
-            lap = np.zeros_like(sq)
-            lap[:, 1:-1, 1:-1] = (
-                sq[:, 2:, 1:-1] + sq[:, :-2, 1:-1]
-                + sq[:, 1:-1, 2:] + sq[:, 1:-1, :-2]
-                - 4.0 * sq[:, 1:-1, 1:-1]
-            ) / (h * h)
-            return 0.25 * lap.reshape(self.m, -1)[:, self.idx]
-        h = g.h
-        rho = g.x
-        lap = np.zeros_like(w)
-        lap[:, 1:-1] = (w[:, 2:] - 2.0 * w[:, 1:-1] + w[:, :-2]) / (h * h) \
-            + (w[:, 2:] - w[:, :-2]) / (2.0 * h * rho[1:-1])
-        lap[:, 0] = 4.0 * (w[:, 1] - w[:, 0]) / (h * h)
-        return 0.25 * lap[:, self.idx]
+        self.lap = 0.25 * laplacian_operator(grid, active)
 
     def residual(self, w: np.ndarray, q: np.ndarray) -> np.ndarray:
         """N_j at active nodes, shape (m, k)."""
-        lap = self.lap_at_active(w)
+        lap = (self.lap @ w.T).T
         e = np.exp(w[:, self.idx])
         v0 = q[self.idx] * np.exp(-w[:, self.idx].sum(axis=0))
         low = np.vstack([v0[None, :], e[:-1]])   # e^{w_{j-1}}
@@ -260,8 +191,19 @@ class _System:
         # dV0/dw_b = -V0 for every b; V0 appears in the first and last equation
         blocks[0] += -v0
         blocks[m - 1] += -v0
-        data = np.concatenate([self._lap_block, blocks.reshape(m * m, k).ravel()])
-        j = coo_matrix((data, (self._rows, self._cols)), shape=(m * k, m * k))
+        # the Laplacian block repeats down the diagonal; pointwise entry
+        # (a, b) at node i sits at row a*k+i, column b*k+i
+        lap = self.lap[:, self.idx].tocoo()
+        shift = k * np.arange(m)
+        node = np.arange(k)
+        rows = np.concatenate([
+            (shift[:, None] + lap.row).ravel(),
+            np.broadcast_to(shift[:, None, None] + node, (m, m, k)).ravel()])
+        cols = np.concatenate([
+            (shift[:, None] + lap.col).ravel(),
+            np.broadcast_to(shift[None, :, None] + node, (m, m, k)).ravel()])
+        data = np.concatenate([np.tile(lap.data, m), blocks.ravel()])
+        j = coo_matrix((data, (rows, cols)), shape=(m * k, m * k))
         return j.tocsr()
 
 
@@ -315,22 +257,18 @@ def toda_jacobian(w_fields, weight):
 # boundary data and initial guesses
 
 
-def _active_ring(grid: Grid) -> np.ndarray:
-    """Boundary nodes read by some interior stencil."""
-    ring = np.zeros(grid.nodes, dtype=bool)
-    if grid.mode == "cartesian":
-        n = grid.n
-        idx = np.flatnonzero(grid.interior)
-        for off in (1, -1, n, -n):
-            ring[idx + off] = True
-    else:
-        ring[-1] = True
-    ring &= grid.boundary
+def _active_ring(sys: _System) -> np.ndarray:
+    """Boundary nodes read by some active stencil: the operator's Dirichlet
+    columns."""
+    ring = np.zeros(sys.grid.nodes, dtype=bool)
+    ring[sys.lap.indices] = True
+    ring[sys.idx] = False
     return ring
 
 
-def _fill_boundary(grid: Grid, r: int, q: np.ndarray, strategy: str,
+def _fill_boundary(sys: _System, q: np.ndarray, strategy: str,
                    w: np.ndarray) -> None:
+    grid, r = sys.grid, sys.r
     if strategy in ("model_poincare", "exhaustion"):
         if grid.rho_max >= 1.0:
             raise ConfigurationError(
@@ -339,7 +277,7 @@ def _fill_boundary(grid: Grid, r: int, q: np.ndarray, strategy: str,
         w[:, grid.boundary] = model[:, grid.boundary]
         return
     if strategy == "weight_flat":
-        ring = _active_ring(grid)
+        ring = _active_ring(sys)
         bad = int((q[ring] <= 0.0).sum())
         if bad:
             raise StrategyError(
@@ -433,12 +371,15 @@ def _newton(sys: _System, q: np.ndarray, w: np.ndarray, cfg: SolverConfig,
     return iters
 
 
-def _solve_stage(grid: Grid, weight: WeightDensity, sys: _System, w: np.ndarray,
-                 cfg: SolverConfig, strategy: str, history: list) -> int:
-    """Newton with amplitude continuation as the stall fallback."""
-    q_full = evaluate_density(weight, grid).values
+def _solve_stage(weight: WeightDensity, sys: _System, q: np.ndarray,
+                 w: np.ndarray, cfg: SolverConfig, history: list) -> int:
+    """Newton with amplitude continuation as the stall fallback.
+
+    q is the density of `weight` on the grid; only the scaled continuation
+    stages evaluate densities of their own.
+    """
     try:
-        return _newton(sys, q_full, w, cfg, history)
+        return _newton(sys, q, w, cfg, history)
     except _Stall:
         if cfg.continuation_steps <= 0:
             raise
@@ -448,10 +389,10 @@ def _solve_stage(grid: Grid, weight: WeightDensity, sys: _System, w: np.ndarray,
     total = 0
     for p in range(cfg.continuation_steps, -1, -1):
         s = 0.5 ** p
-        staged = scale_weight(weight, np.sqrt(s))
-        q_s = evaluate_density(staged, grid).values
-        if strategy == "weight_flat":
-            _fill_boundary(grid, weight.r, q_s, strategy, w)
+        q_s = evaluate_density(scale_weight(weight, np.sqrt(s)),
+                               sys.grid).values if p else q
+        if cfg.boundary == "weight_flat":
+            _fill_boundary(sys, q_s, cfg.boundary, w)
         try:
             total += _newton(sys, q_s, w, cfg, history)
         except _Stall:
@@ -466,24 +407,23 @@ def solve_toda(weight: WeightDensity, grid: Grid,
     cfg = (config or SolverConfig()).validated()
     r = weight.r
     q = evaluate_density(weight, grid).values
+    sys = _System(grid, r, grid.interior)
     w = _initial_guess(grid, r, q, cfg)
-    _fill_boundary(grid, r, q, cfg.boundary, w)
+    _fill_boundary(sys, q, cfg.boundary, w)
     history: list = []
     drifts: tuple = ()
 
     if cfg.boundary == "exhaustion":
-        iters, drifts = _solve_exhaustion(weight, grid, w, cfg, history)
+        iters, drifts = _solve_exhaustion(weight, sys, q, w, cfg, history)
     else:
-        sys = _System(grid, r, grid.interior)
         try:
-            iters = _solve_stage(grid, weight, sys, w, cfg, cfg.boundary, history)
+            iters = _solve_stage(weight, sys, q, w, cfg, history)
         except _Stall:
             raise ConvergenceError(
                 f"newton stalled (residual {history[-1]:.3e})", history)
 
-    sys = _System(grid, r, grid.interior)
-    n_act = sys.residual(w, q)
-    res = float(np.abs(n_act).max())
+    # every path ends with Newton on the interior system and the full q
+    res = history[-1]
     v0 = compute_v0(w, q)
     sol = TodaSolution(
         grid=grid, weight=weight, r=r,
@@ -508,8 +448,8 @@ def _exhaustion_radii(grid: Grid) -> list:
     return radii
 
 
-def _solve_exhaustion(weight: WeightDensity, grid: Grid, w: np.ndarray,
-                      cfg: SolverConfig, history: list):
+def _solve_exhaustion(weight: WeightDensity, sys: _System, q: np.ndarray,
+                      w: np.ndarray, cfg: SolverConfig, history: list):
     """Nested subdisc solves with model Dirichlet data on each stage.
 
     All stages share one grid: stage rho treats every node with
@@ -521,9 +461,10 @@ def _solve_exhaustion(weight: WeightDensity, grid: Grid, w: np.ndarray,
     between the last two stages and decreases when the approximation is
     converging.  (The raw sup-difference between consecutive stages is not
     monotone for equally spaced radii: the boundary-data increment
-    2 log((1-rho^2)/(1-rho'^2)) grows as the ring recedes.)
+    2 log((1-rho^2)/(1-rho'^2)) grows as the ring recedes.)  The last stage
+    is the whole interior and runs on the interior system `sys`.
     """
-    r = weight.r
+    grid = sys.grid
     radii = _exhaustion_radii(grid)
     cut0 = radii[0] - 0.5 * grid.h
     probe = grid.interior & (grid.r2 < cut0 * cut0)
@@ -535,9 +476,10 @@ def _solve_exhaustion(weight: WeightDensity, grid: Grid, w: np.ndarray,
     for rho in radii:
         cut = rho - 0.5 * grid.h
         active = grid.interior & (grid.r2 < cut * cut)
-        sys = _System(grid, r, active)
+        stage = sys if np.array_equal(active, sys.active) \
+            else _System(grid, sys.r, active)
         try:
-            iters += _solve_stage(grid, weight, sys, w, cfg, "exhaustion", history)
+            iters += _solve_stage(weight, stage, q, w, cfg, history)
         except _Stall:
             raise ConvergenceError(
                 f"newton stalled in exhaustion stage rho={rho:g} "

@@ -24,8 +24,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .grid import (Grid, Field, build_grid, inner_mask, inf_over, laplacian,
                    sup_norm, worst_node)
-from .thermo import (entropy_field, free_energy_field, model_free_energy_field,
-                     thermo_field)
+from .thermo import model_free_energy_field, thermo_field
 from .toda import (SolverConfig, TodaSolution, energy_density,
                    model_log_densities, solve_toda, toda_jacobian,
                    toda_residual)
@@ -279,7 +278,7 @@ def check_entropy_bounds(sol: TodaSolution, beta: float,
     Constant weight attains the upper bound exactly (uniform ensemble);
     the degenerate instance attains the lower bound.
     """
-    s = entropy_field(sol, beta).values
+    s = thermo_field(sol, beta).entropy.values
     r = sol.r
     s_model = model_entropy(r, beta)
     mask = sol.grid.interior
@@ -350,7 +349,7 @@ def check_fe_inequality(sol: TodaSolution, beta: float,
         return _not_applicable(
             "fe_inequality", _instance(sol, beta),
             "slack calibration needs a unit-subdisc domain")
-    f = free_energy_field(sol, beta, reference)
+    f = thermo_field(sol, beta, reference).free_energy
     lhs = 0.25 * laplacian(grid, f).values
     rhs = _fe_rhs(sol, beta)
     gap = rhs - lhs
@@ -436,22 +435,20 @@ def check_monotonicity_in_t(weight: WeightDensity, grid: Grid, beta: float,
             worst = worst_node(grid, np.where(mask, vals, np.inf), mask)
             binding = label
 
-    for (t0, s0), (t1, s1) in zip(zip(ts, sols), zip(ts[1:], sols[1:])):
+    steps = list(zip(ts, sols, [thermo_field(s, beta) for s in sols]))
+    for (t0, s0, tf0), (t1, s1, tf1) in zip(steps, steps[1:]):
         tag = f"{t0:g}->{t1:g}"
         consider(f"w_up {tag}",
                  (s1.w_array() - s0.w_array()).min(axis=0))
         consider(f"energy_up {tag}",
                  energy_density(s1).values - energy_density(s0).values)
-        f0 = free_energy_field(s0, beta).values
-        f1 = free_energy_field(s1, beta).values
-        drop = f0 - f1
+        drop = tf0.free_energy.values - tf1.free_energy.values
         consider(f"fe_down {tag}", drop)
         cap = 2.0 * math.log(t1 / t0) + math.log(r) / beta
         consider(f"fe_drop_cap {tag}", cap - drop)
         if not skip_entropy:
             consider(f"entropy_up {tag}",
-                     entropy_field(s1, beta).values
-                     - entropy_field(s0, beta).values)
+                     tf1.entropy.values - tf0.entropy.values)
 
     inst = (f"{weight.describe()} grid={grid.mode} n={grid.n} "
             f"rho={grid.rho_max:g} beta={beta:g} t={ts}")

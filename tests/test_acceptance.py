@@ -15,7 +15,7 @@ import pytest
 
 from todakit.cli import main as cli_main
 from todakit.grid import build_grid, inner_mask
-from todakit.thermo import entropy_field, thermo_field
+from todakit.thermo import thermo_field
 from todakit.toda import (SolverConfig, energy_density, model_log_densities,
                           solve_toda)
 from todakit.verify import check_fe_inequality
@@ -122,7 +122,7 @@ def test_criterion_4_entropy_sandwich(qz_solutions):
     for r, sol in qz_solutions.items():
         mask = sol.grid.interior
         for beta in (-1.0, 1.0):
-            s = entropy_field(sol, beta).values[mask]
+            s = thermo_field(sol, beta).entropy.values[mask]
             s_model = model_entropy(r, beta)
             low = float((s - s_model).min())
             high = float((math.log(r) - s).min())

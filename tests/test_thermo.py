@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from todakit.errors import ConfigurationError
-from todakit.grid import build_grid, inner_mask
-from todakit.thermo import (distribution, entropy_field, free_energy_field,
-                            model_free_energy_field, redundancy, thermo_field,
-                            write_thermo_csv)
+from todakit.grid import build_grid, inf_over, inner_mask, sup_norm
+from todakit.thermo import model_free_energy_field, thermo_field, write_thermo_csv
 from todakit.toda import SolverConfig, solve_toda
 from todakit.weight import make_weight
 
@@ -42,7 +40,7 @@ def poly2():
 
 
 def test_degenerate_distribution_positive_beta(degenerate4):
-    p = distribution(degenerate4, 1.0)
+    p = thermo_field(degenerate4, 1.0).p
     interior = degenerate4.grid.interior
     assert np.all(p[0].values == 0.0)
     expect = [0.3, 0.4, 0.3]
@@ -51,7 +49,7 @@ def test_degenerate_distribution_positive_beta(degenerate4):
 
 
 def test_degenerate_distribution_negative_beta(degenerate4):
-    p = distribution(degenerate4, -1.0)
+    p = thermo_field(degenerate4, -1.0).p
     interior = degenerate4.grid.interior
     assert np.all(p[0].values == 0.0)
     expect = [4.0 / 11.0, 3.0 / 11.0, 4.0 / 11.0]
@@ -61,7 +59,7 @@ def test_degenerate_distribution_negative_beta(degenerate4):
 
 def test_distribution_rows_sum_to_one(poly2):
     for beta in (1.0, -1.0, 2.5):
-        p = distribution(poly2, beta)
+        p = thermo_field(poly2, beta).p
         total = sum(f.values for f in p)
         assert np.abs(total - 1.0).max() <= 1e-12
 
@@ -69,19 +67,19 @@ def test_distribution_rows_sum_to_one(poly2):
 def test_flat_entropy_counts_live_slots(flat3):
     interior = flat3.grid.interior
     # beta > 0: all three slot densities equal one, uniform over r slots
-    s_pos = entropy_field(flat3, 1.0).values
+    s_pos = thermo_field(flat3, 1.0).entropy.values
     assert np.abs(s_pos[interior] - math.log(3.0)).max() <= 1e-12
     # beta < 0: the V_0 slot is excluded, uniform over the remaining two
-    s_neg = entropy_field(flat3, -1.0).values
+    s_neg = thermo_field(flat3, -1.0).entropy.values
     assert np.abs(s_neg[interior] - math.log(2.0)).max() <= 1e-12
 
 
 def test_flat_free_energy_value(flat3):
     interior = flat3.grid.interior
     for beta in (1.0, 2.0):
-        f = free_energy_field(flat3, beta).values
+        f = thermo_field(flat3, beta).free_energy.values
         assert np.abs(f[interior] + math.log(3.0) / beta).max() <= 1e-12
-    f_neg = free_energy_field(flat3, -1.0).values
+    f_neg = thermo_field(flat3, -1.0).free_energy.values
     assert np.abs(f_neg[interior] + math.log(2.0) / -1.0).max() <= 1e-12
 
 
@@ -91,9 +89,8 @@ def test_entropy_equals_beta_times_energy_minus_free_energy(poly2):
     g = poly2.grid
     mask = g.interior & (g.r2 > 1e-3)
     for beta in (1.0, -1.0, 0.5):
-        p = distribution(poly2, beta)
-        s = entropy_field(poly2, beta).values
-        f = free_energy_field(poly2, beta).values
+        tf = thermo_field(poly2, beta)
+        p, s, f = tf.p, tf.entropy.values, tf.free_energy.values
         logd = [np.log(np.maximum(poly2.v0.values, 1e-300))] + \
                [w.values for w in poly2.w]
         mean_e = sum(pj.values * (-ld) for pj, ld in zip(p, logd))
@@ -105,8 +102,8 @@ def test_free_energy_reference_shift_is_solution_independent(poly2, flat3):
     # F_poincare - F_flat = log(reference density), the same field for
     # every solution on the same grid
     def shift(sol, beta):
-        a = free_energy_field(sol, beta, reference="poincare").values
-        b = free_energy_field(sol, beta, reference="flat").values
+        a = thermo_field(sol, beta, reference="poincare").free_energy.values
+        b = thermo_field(sol, beta, reference="flat").free_energy.values
         return a - b
 
     g = poly2.grid
@@ -125,7 +122,7 @@ def test_free_energy_reference_shift_is_solution_independent(poly2, flat3):
 def test_model_free_energy_matches_solved_degenerate_state(degenerate4):
     g = degenerate4.grid
     mf = model_free_energy_field(g, 4, 1.0)
-    f = free_energy_field(degenerate4, 1.0)
+    f = thermo_field(degenerate4, 1.0).free_energy
     mask = inner_mask(g, 3 * g.h)
     assert np.abs(mf.values - f.values)[mask].max() < 5e-3
     # closed form at the origin: u = 0, F = -log(sum lam_j)
@@ -139,14 +136,16 @@ def test_model_free_energy_requires_subunit_disc():
 
 
 def test_redundancy_flat_is_zero(flat3):
-    rfield, lo, hi = redundancy(flat3, 1.0)
+    tf = thermo_field(flat3, 1.0)
+    rfield, lo, hi = tf.redundancy, tf.lower_redundancy, tf.upper_redundancy
     interior = flat3.grid.interior
     assert np.abs(rfield.values[interior]).max() <= 1e-12
     assert abs(lo) <= 1e-12 and abs(hi) <= 1e-12
 
 
 def test_redundancy_positive_for_vanishing_weight(poly2):
-    rfield, lo, hi = redundancy(poly2, 1.0)
+    tf = thermo_field(poly2, 1.0)
+    rfield, lo, hi = tf.redundancy, tf.lower_redundancy, tf.upper_redundancy
     assert lo > 0.0
     assert hi >= lo
     # at the zero of q the V_0 slot dies, the ensemble collapses onto the
@@ -169,20 +168,29 @@ def test_thermo_field_bundles_consistently(poly2):
     tf = thermo_field(poly2, 1.0, reference="poincare")
     assert tf.r == 2 and tf.beta == 1.0 and tf.reference == "poincare"
     assert len(tf.p) == 2
-    assert np.array_equal(tf.entropy.values,
-                          entropy_field(poly2, 1.0).values)
-    assert np.array_equal(
-        tf.free_energy.values,
-        free_energy_field(poly2, 1.0, reference="poincare").values)
-    rfield, lo, hi = redundancy(poly2, 1.0)
-    assert tf.lower_redundancy == lo and tf.upper_redundancy == hi
+    # entropy of the bundled distribution
+    p = np.stack([f.values for f in tf.p])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(p > 0.0, p * np.log(p), 0.0)
+    assert np.array_equal(tf.entropy.values, -plogp.sum(axis=0))
+    # poincare free energy: the flat one shifted by the reference log-density
+    g = poly2.grid
+    flat = thermo_field(poly2, 1.0, reference="flat").free_energy.values
+    shift = -2.0 * np.log1p(-g.r2[g.interior])
+    gap = tf.free_energy.values[g.interior] - flat[g.interior] - shift
+    assert np.abs(gap).max() <= 1e-11
+    # redundancy and its interior extremes
+    assert np.array_equal(tf.redundancy.values,
+                          1.0 - tf.entropy.values / math.log(2.0))
+    assert tf.lower_redundancy == inf_over(tf.redundancy, g.interior)
+    assert tf.upper_redundancy == sup_norm(tf.redundancy, g.interior)
 
 
 def test_thermo_rejects_zero_beta(poly2):
     with pytest.raises(ConfigurationError):
         thermo_field(poly2, 0.0)
     with pytest.raises(ConfigurationError):
-        free_energy_field(poly2, 1.0, reference="uniform")
+        thermo_field(poly2, 1.0, reference="uniform")
 
 
 def test_thermo_csv_format(poly2, tmp_path):

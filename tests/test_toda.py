@@ -93,10 +93,13 @@ def test_compute_v0_vanishes_with_weight():
 # ---------------------------------------------------------------------------
 
 
-def test_jacobian_matches_finite_differences():
-    g = build_grid("cartesian", 17, 0.8)
+@pytest.mark.parametrize("mode", ["cartesian", "radial"])
+def test_jacobian_matches_finite_differences(mode):
+    g = build_grid(mode, 17, 0.8)
     r = 3
-    weight = make_weight("poly", r, coeffs=[0.3, 1.0])
+    # radial grids accept monomial weights only
+    coeffs = [0.3, 1.0] if mode == "cartesian" else [0, 1]
+    weight = make_weight("poly", r, coeffs=coeffs)
     rng = np.random.default_rng(7)
     w = model_log_densities(g, r) + 0.05 * rng.standard_normal((r - 1, g.nodes))
     w[:, g.boundary] = model_log_densities(g, r)[:, g.boundary]
@@ -252,6 +255,53 @@ def test_weight_flat_boundary_needs_positive_ring():
     cfg = SolverConfig(boundary="weight_flat", initial="model")
     with pytest.raises(StrategyError):
         solve_toda(make_weight("zero", 2), g, cfg)
+
+
+def test_weight_flat_ring_is_what_interior_stencils_read():
+    # Q = 0 at one boundary neighbour of an interior node breaks the flat
+    # Dirichlet data; Q = 0 at a square corner, which no stencil reads,
+    # does not
+    g = build_grid("cartesian", 17, 0.9)
+    cfg = SolverConfig(boundary="weight_flat")
+    row = np.flatnonzero(g.y == 0.0)
+    ring_node = row[np.flatnonzero(g.interior[row]).max() + 1]
+    assert g.boundary[ring_node]
+    for node, fails in ((ring_node, True), (0, False)):
+        samples = np.ones(g.nodes)
+        samples[node] = 0.0
+        weight = make_weight("grid", 2, samples=samples)
+        if fails:
+            with pytest.raises(StrategyError):
+                solve_toda(weight, g, cfg)
+        else:
+            sol = solve_toda(weight, g, cfg)
+            assert sol.iterations == 0 and sol.residual_sup == 0.0
+
+
+@pytest.mark.parametrize("boundary, systems", [("model_poincare", 1),
+                                               ("exhaustion", 3)])
+def test_solve_evaluates_density_once(monkeypatch, boundary, systems):
+    # one density evaluation per solve, one system per distinct active set
+    # (the last exhaustion stage shares the interior system)
+    import todakit.toda as toda
+
+    calls = {"evaluate_density": 0, "_System": 0}
+    for name in calls:
+        real = getattr(toda, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(toda, name, counted)
+    weight = make_weight("poly", 2, coeffs=[0, 1])
+    sol = solve_toda(weight, build_grid("cartesian", 33, 0.9),
+                     SolverConfig(boundary=boundary))
+    assert sol.iterations > 0 and sol.residual_sup <= 1e-10
+    assert calls == {"evaluate_density": 1, "_System": systems}
+    # the reported residual is that of the returned fields
+    res = toda_residual(sol.w, weight)
+    assert sol.residual_sup == max(float(np.abs(f.values).max()) for f in res)
 
 
 def test_radial_solve_matches_cartesian_profile():
