@@ -193,15 +193,15 @@ def solution_from_dict(doc: dict, check_residual: bool = True) -> TodaSolution:
         residual_history=(),
         exhaustion_drifts=tuple(doc.get("exhaustion_drifts", ())),
     )
-    q = evaluate_density(weight, grid).values
-    expected_v0 = compute_v0(np.stack([f.values for f in w]), q)
+    qf = evaluate_density(weight, grid)
+    expected_v0 = compute_v0(np.stack([f.values for f in w]), qf.values)
     drift = float(np.max(np.abs(expected_v0 - v0.values)))
     if drift > RELOAD_RESIDUAL_TOL:
         raise SchemaError(
             f"stored v0 deviates from recomputation by {drift:.3e}",
             pointer="/fields/v0")
     if check_residual:
-        res = toda_residual(sol.w, weight)
+        res = toda_residual(sol.w, qf)
         sup = max(float(np.abs(f.values).max()) for f in res)
         if abs(sup - sol.residual_sup) > RELOAD_RESIDUAL_TOL:
             raise SchemaError(

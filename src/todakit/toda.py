@@ -19,10 +19,9 @@ Boundary strategies:
                     completeness diagnostic
 
 Newton steps solve the exact Jacobian system with a sparse direct
-factorization (grids up to n = 257; diagonally preconditioned BiCGStab
-above), damped by Armijo backtracking on the residual sup-norm.  If the
-iteration stalls, the weight amplitude is ramped in t^2 (continuation) and
-each stage warm-starts the next.
+factorization at every grid size, damped by Armijo backtracking on the
+residual sup-norm.  If the iteration stalls, the weight amplitude is ramped
+in t^2 (continuation) and each stage warm-starts the next.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.linalg import bicgstab, spsolve
+from scipy.sparse.linalg import spsolve
 
 from .errors import (
     ConfigurationError,
@@ -49,9 +48,6 @@ log = logging.getLogger(__name__)
 
 BOUNDARY_STRATEGIES = ("model_poincare", "weight_flat", "exhaustion")
 INITIAL_STRATEGIES = ("auto", "model", "flat", "provided")
-
-# largest grid still sent to the sparse direct factorization
-DIRECT_SOLVE_MAX_N = 257
 
 _ARMIJO_SLOPE = 1e-4
 
@@ -217,8 +213,9 @@ def _as_weight_field(grid: Grid, weight) -> Field:
         f"weight must be a WeightDensity or a Field, got {type(weight).__name__}")
 
 
-def toda_residual(w_fields, weight) -> list:
-    """Residual fields N_1..N_{r-1}; zero at boundary nodes by convention."""
+def _interior_problem(w_fields, weight):
+    """Checked (system, stacked w, q values) on the interior of the fields'
+    grid."""
     if len(w_fields) < 1:
         raise ConfigurationError("need at least one field (r >= 2)")
     grid = w_fields[0].grid
@@ -228,13 +225,18 @@ def toda_residual(w_fields, weight) -> list:
     if not np.all(np.isfinite(w)):
         raise ValidationError("log-density fields contain non-finite values")
     qf = _as_weight_field(grid, weight)
-    sys = _System(grid, len(w_fields) + 1, grid.interior)
-    n_active = sys.residual(w, qf.values)
+    return _System(grid, len(w_fields) + 1, grid.interior), w, qf.values
+
+
+def toda_residual(w_fields, weight) -> list:
+    """Residual fields N_1..N_{r-1}; zero at boundary nodes by convention."""
+    sys, w, q = _interior_problem(w_fields, weight)
+    n_active = sys.residual(w, q)
     out = []
     for a in range(sys.m):
-        vals = np.zeros(grid.nodes)
+        vals = np.zeros(sys.grid.nodes)
         vals[sys.idx] = n_active[a]
-        out.append(Field(grid, vals))
+        out.append(Field(sys.grid, vals))
     return out
 
 
@@ -244,13 +246,8 @@ def toda_jacobian(w_fields, weight):
     Returns (matrix, interior_index): unknowns are stacked field-major, the
     value of field j at interior node interior_index[i] sits at j*len(...)+i.
     """
-    grid = w_fields[0].grid
-    for f in w_fields:
-        check_same_grid(grid, f)
-    w = np.stack([f.values for f in w_fields])
-    qf = _as_weight_field(grid, weight)
-    sys = _System(grid, len(w_fields) + 1, grid.interior)
-    return sys.jacobian(w, qf.values), sys.idx.copy()
+    sys, w, q = _interior_problem(w_fields, weight)
+    return sys.jacobian(w, q), sys.idx.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +318,6 @@ def _initial_guess(grid: Grid, r: int, q: np.ndarray, cfg: SolverConfig) -> np.n
 # Newton iteration
 
 
-def _linear_solve(grid: Grid, jac: csr_matrix, rhs: np.ndarray) -> np.ndarray:
-    if grid.n <= DIRECT_SOLVE_MAX_N:
-        return spsolve(jac, rhs)
-    # large grids: diagonally preconditioned BiCGStab
-    from scipy.sparse import diags
-    d = jac.diagonal()
-    d[d == 0.0] = 1.0
-    precond = diags(1.0 / d)
-    sol, info = bicgstab(jac, rhs, M=precond, rtol=1e-12, atol=0.0, maxiter=2000)
-    if info != 0:
-        raise _Stall()
-    return sol
-
-
 def _newton(sys: _System, q: np.ndarray, w: np.ndarray, cfg: SolverConfig,
             history: list) -> int:
     """Damped Newton on the active set; mutates w, returns iteration count."""
@@ -348,7 +331,7 @@ def _newton(sys: _System, q: np.ndarray, w: np.ndarray, cfg: SolverConfig,
         if iters >= cfg.max_iterations:
             raise _Stall()
         jac = sys.jacobian(w, q)
-        delta = _linear_solve(sys.grid, jac, -n_act.reshape(-1))
+        delta = spsolve(jac, -n_act.reshape(-1))
         if not np.all(np.isfinite(delta)):
             raise _Stall()
         delta = delta.reshape(sys.m, sys.k)

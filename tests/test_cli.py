@@ -128,6 +128,16 @@ def test_stalled_solve_exits_three_with_history(tmp_path, capsys):
     assert "residual history" in err
 
 
+def test_solve_past_n257_exits_zero(tmp_path):
+    out = tmp_path / "fine.json"
+    code = run_cli("solve", "--weight", WEIGHT, "--grid",
+                   '{"mode": "cartesian", "n": 289, "rho_max": 0.9}',
+                   "--out", str(out))
+    assert code == 0
+    assert out.exists()
+    assert not (tmp_path / "fine.residual_history.json").exists()
+
+
 def test_thermo_inline_and_from_solution(tmp_path, capsys):
     sol = tmp_path / "sol.json"
     assert run_cli("solve", "--weight", WEIGHT, "--grid", GRID,

@@ -77,6 +77,26 @@ def test_saving_twice_is_deterministic(solved, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_load_evaluates_density_once(solved, tmp_path, monkeypatch):
+    # the v0 check and the residual recheck share one density evaluation
+    import todakit.io as io
+    import todakit.toda as toda
+
+    path = tmp_path / "sol.json"
+    save_solution(str(path), solved)
+    calls = []
+    real = io.evaluate_density
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(io, "evaluate_density", counted)
+    monkeypatch.setattr(toda, "evaluate_density", counted)
+    load_solution(str(path))
+    assert len(calls) == 1
+
+
 def test_load_rejects_tampered_field(solved, tmp_path):
     path = tmp_path / "sol.json"
     save_solution(str(path), solved)

@@ -69,13 +69,22 @@ def test_residual_on_blowup_profile_shrinks_at_second_order():
     assert all(1.7 < o < 2.3 for o in orders)
 
 
-def test_residual_rejects_nonfinite_state():
+@pytest.mark.parametrize("fn", [toda_residual, toda_jacobian],
+                         ids=lambda fn: fn.__name__)
+def test_residual_rejects_nonfinite_state(fn):
     g = build_grid("cartesian", 9, 0.8)
     w = np.zeros((1, g.nodes))
     w[0, 5] = np.inf
     fields = [Field(g, row) for row in w]  # bypass make_field validation
     with pytest.raises(ValidationError):
-        toda_residual(fields, make_weight("constant", 2, value=1.0))
+        fn(fields, make_weight("constant", 2, value=1.0))
+
+
+@pytest.mark.parametrize("fn", [toda_residual, toda_jacobian],
+                         ids=lambda fn: fn.__name__)
+def test_residual_rejects_empty_input(fn):
+    with pytest.raises(ConfigurationError):
+        fn((), make_weight("constant", 2, value=1.0))
 
 
 def test_compute_v0_vanishes_with_weight():
@@ -302,6 +311,25 @@ def test_solve_evaluates_density_once(monkeypatch, boundary, systems):
     # the reported residual is that of the returned fields
     res = toda_residual(sol.w, weight)
     assert sol.residual_sup == max(float(np.abs(f.values).max()) for f in res)
+
+
+def test_direct_solve_converges_past_n257(monkeypatch):
+    # every Newton step is one sparse direct solve, at every grid size
+    import todakit.toda as toda
+
+    calls = []
+    real = toda.spsolve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(toda, "spsolve", counted)
+    weight = make_weight("poly", 2, coeffs=[0, 1])
+    sol = solve_toda(weight, build_grid("cartesian", 289, 0.9))
+    res = toda_residual(sol.w, weight)
+    assert max(float(np.abs(f.values).max()) for f in res) <= 1e-10
+    assert sol.iterations > 0 and len(calls) == sol.iterations
 
 
 def test_radial_solve_matches_cartesian_profile():
