@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import SchemaError, ValidationError
 from .grid import build_grid, make_field
-from .toda import TodaSolution, compute_v0, toda_residual
+from .toda import (BOUNDARY_STRATEGIES, TodaSolution, compute_v0,
+                   toda_residual)
 from .weight import evaluate_density, weight_from_dict
 
 SOLUTION_SCHEMA = "toda-solution/1"
@@ -179,6 +180,22 @@ def solution_from_dict(doc: dict, check_residual: bool = True) -> TodaSolution:
         if isinstance(exc, SchemaError):
             raise
         raise SchemaError(f"bad field data: {exc}", pointer="/fields") from exc
+    iterations = _pointer_get(doc, "iterations", "/iterations", int)
+    if iterations < 0:
+        raise SchemaError(f"iterations must be >= 0, got {iterations}",
+                          pointer="/iterations")
+    strategy = _pointer_get(doc, "boundary_strategy", "/boundary_strategy",
+                            str)
+    if strategy not in BOUNDARY_STRATEGIES:
+        raise SchemaError(
+            f"boundary_strategy must be one of {BOUNDARY_STRATEGIES}, "
+            f"got {strategy!r}", pointer="/boundary_strategy")
+    drifts = doc.get("exhaustion_drifts", [])
+    if not (isinstance(drifts, list) and all(
+            isinstance(d, (int, float)) and not isinstance(d, bool)
+            and math.isfinite(d) for d in drifts)):
+        raise SchemaError("exhaustion_drifts must be a list of finite numbers",
+                          pointer="/exhaustion_drifts")
     sol = TodaSolution(
         grid=grid,
         weight=weight,
@@ -187,11 +204,10 @@ def solution_from_dict(doc: dict, check_residual: bool = True) -> TodaSolution:
         v0=v0,
         residual_sup=float(_pointer_get(doc, "residual_sup", "/residual_sup",
                                         (int, float))),
-        iterations=int(_pointer_get(doc, "iterations", "/iterations", int)),
-        boundary_strategy=str(_pointer_get(doc, "boundary_strategy",
-                                           "/boundary_strategy", str)),
+        iterations=int(iterations),
+        boundary_strategy=strategy,
         residual_history=(),
-        exhaustion_drifts=tuple(doc.get("exhaustion_drifts", ())),
+        exhaustion_drifts=tuple(drifts),
     )
     qf = evaluate_density(weight, grid)
     expected_v0 = compute_v0(np.stack([f.values for f in w]), qf.values)

@@ -1,7 +1,10 @@
 """Canonical-ensemble functionals over the metric densities of a solution.
 
 At every node the r slot densities are D_0 = V_0 (the wrap-around slot) and
-D_j = e^{w_j} for j = 1..r-1.  The ensemble at inverse temperature beta is
+D_j = e^{w_j} for j = 1..r-1, read from the solution's stored v0 and w
+(`TodaSolution.log_densities`); a V_0 that underflowed to zero in the
+stored field counts as a vanishing slot.  The ensemble at inverse
+temperature beta is
 
     p_j = D_j^beta / sum_k D_k^beta
     S   = -sum_j p_j log p_j                      (entropy, in [0, log r])
@@ -32,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InternalError
+from .errors import ConfigurationError
 from .grid import Field, Grid, inf_over, sup_norm
 from .toda import TodaSolution, model_profile
-from .weight import _check_beta, evaluate_density, lambda_coefficients
+from .weight import _check_beta, _ensemble, _entropy_of, lambda_coefficients
 
 log = logging.getLogger(__name__)
 
@@ -56,37 +59,16 @@ class ThermoField:
     upper_redundancy: float
 
 
-def _log_densities(sol: TodaSolution) -> np.ndarray:
-    """Stacked log D_j, j = 0..r-1; -inf marks a vanishing V_0.
-
-    log V_0 = log Q - sum w is formed from the weight directly so no
-    exp/log round trip degrades tiny densities.
-    """
-    w = sol.w_array()
-    q = evaluate_density(sol.weight, sol.grid).values
-    log_v0 = np.full(sol.grid.nodes, -np.inf)
-    pos = q > 0.0
-    log_v0[pos] = np.log(q[pos]) - w[:, pos].sum(axis=0)
-    return np.vstack([log_v0[None, :], w])
-
-
-def _logits(sol: TodaSolution, beta: float) -> np.ndarray:
-    """beta * log D_j with excluded slots at -inf."""
-    beta = _check_beta(beta)
-    logd = _log_densities(sol)
-    logits = np.where(np.isfinite(logd), beta * logd, -np.inf)
-    if beta < 0.0:
-        logits[0, :] = -np.inf  # degenerate slot never competes for beta < 0
-    return logits
-
-
 def thermo_field(sol: TodaSolution, beta: float,
                  reference: str = "flat") -> ThermoField:
     beta = _check_beta(beta)
-    logits = _logits(sol, beta)
-    p = _softmax(logits)
+    log_ref = _log_reference(sol.grid, reference)
+    logits = beta * sol.log_densities()
+    if beta < 0.0:
+        logits[0] = -np.inf  # degenerate slot never competes for beta < 0
+    p, log_z = _ensemble(logits)
     s = _entropy_of(p)
-    f = -(_logsumexp(logits - beta * _log_reference(sol.grid, reference))) / beta
+    f = log_ref - log_z / beta
     logr = math.log(sol.r)
     rvals = 1.0 - s / logr
     rfield = Field(sol.grid, rvals)
@@ -103,13 +85,16 @@ def thermo_field(sol: TodaSolution, beta: float,
 
 def model_free_energy_field(grid: Grid, r: int, beta: float,
                             reference: str = "flat") -> Field:
-    """Closed-form free energy of the degenerate solution on a unit subdisc."""
+    """Closed-form free energy of the degenerate solution on a unit subdisc.
+
+    Its slot densities lambda_j e^u share the profile u, so
+    F = log D_ref - u - (1/beta) log sum_j lambda_j^beta.
+    """
     beta = _check_beta(beta)
-    lam = lambda_coefficients(r)
-    base = model_profile(grid, "model free energy")
-    logits = beta * (np.log(lam)[:, None] + base[None, :]
-                     - _log_reference(grid, reference)[None, :])
-    return Field(grid, -_logsumexp(logits) / beta)
+    u = model_profile(grid, "model free energy")
+    log_ref = _log_reference(grid, reference)
+    _, log_z = _ensemble(beta * np.log(lambda_coefficients(r)))
+    return Field(grid, log_ref - u - log_z / beta)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +129,7 @@ def write_thermo_csv(path: str, sol: TodaSolution, tf: ThermoField) -> None:
 
 
 # ---------------------------------------------------------------------------
-# log-space helpers
+# reference densities
 
 
 def _log_reference(grid: Grid, reference: str) -> np.ndarray:
@@ -154,29 +139,3 @@ def _log_reference(grid: Grid, reference: str) -> np.ndarray:
         return model_profile(grid, "poincare reference")
     raise ConfigurationError(
         f"reference must be one of {REFERENCES}, got {reference!r}")
-
-
-def _logsumexp(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=0)
-    if not np.all(np.isfinite(m)):
-        raise InternalError("every ensemble slot is excluded at some node")
-    with np.errstate(invalid="ignore"):
-        spread = np.exp(logits - m)
-    spread[~np.isfinite(logits)] = 0.0
-    return m + np.log(spread.sum(axis=0))
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=0)
-    if not np.all(np.isfinite(m)):
-        raise InternalError("every ensemble slot is excluded at some node")
-    with np.errstate(invalid="ignore"):
-        z = np.exp(logits - m)
-    z[~np.isfinite(logits)] = 0.0
-    return z / z.sum(axis=0)
-
-
-def _entropy_of(p: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(p > 0.0, p * np.log(p), 0.0)
-    return -plogp.sum(axis=0)

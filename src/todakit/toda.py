@@ -99,6 +99,15 @@ class TodaSolution:
     def w_array(self) -> np.ndarray:
         return np.stack([f.values for f in self.w])
 
+    def log_densities(self) -> np.ndarray:
+        """Rows log D_j, j = 0..r-1, of the slot densities D_0 = V_0 and
+        D_j = e^{w_j}, read from the stored fields; -inf where V_0 = 0."""
+        v0 = self.v0.values
+        log_v0 = np.full(self.grid.nodes, -np.inf)
+        pos = v0 > 0.0
+        log_v0[pos] = np.log(v0[pos])
+        return np.vstack([log_v0[None, :], self.w_array()])
+
 
 class _Stall(Exception):
     pass

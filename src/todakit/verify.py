@@ -28,8 +28,8 @@ from .thermo import model_free_energy_field, thermo_field
 from .toda import (SolverConfig, TodaSolution, energy_density,
                    model_log_densities, solve_toda, toda_jacobian,
                    toda_residual)
-from .weight import (WeightDensity, lambda_coefficients, make_weight,
-                     model_constants, model_entropy)
+from .weight import (WeightDensity, evaluate_density, lambda_coefficients,
+                     make_weight, model_constants, model_entropy)
 
 log = logging.getLogger(__name__)
 
@@ -155,14 +155,15 @@ def check_jacobian(weight: WeightDensity, grid: Grid,
         base = np.zeros((r - 1, grid.nodes))
     w = base + 0.05 * rng.standard_normal(base.shape)
     w_fields = tuple(Field(grid, w[a]) for a in range(r - 1))
-    jac, idx = toda_jacobian(w_fields, weight)
+    q = evaluate_density(weight, grid)
+    jac, idx = toda_jacobian(w_fields, q)
     k = idx.size
     d = rng.standard_normal((r - 1) * k)
     d /= np.abs(d).max()
 
     def residual_vec(wmat):
         fields = tuple(Field(grid, wmat[a]) for a in range(r - 1))
-        res = toda_residual(fields, weight)
+        res = toda_residual(fields, q)
         return np.concatenate([f.values[idx] for f in res])
 
     eps = 1e-6
@@ -236,19 +237,16 @@ def check_density_band(sol: TodaSolution,
     lam = lambda_coefficients(r)
     mask = grid.interior
     parts = []
-    w = sol.w_array()
+    logd = sol.log_densities()
+    w = logd[1:]
     for j in range(2, r // 2 + 1):
         # lam[0] holds the first live coefficient, so lambda_j = lam[j - 1]
         diff = w[j - 2] - w[j - 1]
         gap_low = diff - math.log(lam[j - 2] / lam[j - 1])
         parts.append((f"ratio_low j={j}", gap_low))
         parts.append((f"ratio_high j={j}", -diff))
-    v0 = sol.v0.values
-    top = np.zeros(grid.nodes)
-    pos = v0 > 0.0
-    top[pos] = w[0][pos] - np.log(v0[pos])
-    top[~pos] = np.inf
-    parts.append(("degenerate_below", top))
+    # +inf where V_0 vanishes: the part is vacuous there
+    parts.append(("degenerate_below", logd[1] - logd[0]))
 
     margin = math.inf
     worst = {}
@@ -265,7 +263,7 @@ def check_density_band(sol: TodaSolution,
                        notes="all applicable parts vacuous: degenerate "
                              "density vanishes and rank < 4 has no ratios")
     notes = f"binding part {worst_part}"
-    if not pos.any():
+    if np.all(np.isinf(logd[0])):
         notes += "; degenerate density vanishes identically"
     return _report("density_band", _instance(sol), margin, slack,
                    worst=worst, notes=notes)
@@ -301,13 +299,12 @@ def _fe_rhs(sol: TodaSolution, beta: float) -> np.ndarray:
     """-(sum over adjacent pairs of (D_{j-1}-D_j)(D_{j-1}^b - D_j^b)) / sum D^b.
 
     Densities are D_0 = V_0 and D_j = e^{w_j}; each adjacent pair is
-    counted once and the chain does not wrap.
+    counted once and the chain does not wrap.  Needs beta > 0, so that a
+    vanishing V_0 carries weight 0.
     """
-    w = sol.w_array()
-    d = np.vstack([sol.v0.values[None, :], np.exp(w)])
-    db = np.zeros_like(d)
-    posd = d > 0.0
-    db[posd] = d[posd] ** beta
+    logd = sol.log_densities()
+    d = np.exp(logd)
+    db = np.exp(beta * logd)
     num = ((d[:-1] - d[1:]) * (db[:-1] - db[1:])).sum(axis=0)
     return -num / db.sum(axis=0)
 

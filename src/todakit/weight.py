@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import ConfigurationError, ShapeError, ValidationError
+from .errors import ConfigurationError, InternalError, ShapeError, ValidationError
 from .grid import Field, Grid
 
 log = logging.getLogger(__name__)
@@ -236,12 +236,29 @@ def model_entropy(r: int, beta: float) -> float:
     so the distribution ranges over j = 1..r-1 for either sign of beta.
     """
     beta = _check_beta(beta)
-    loglam = np.log(lambda_coefficients(r))
-    logits = beta * loglam
-    logits -= logits.max()
-    z = np.exp(logits)
-    p = z / z.sum()
-    return float(-(p * np.log(p)).sum())
+    p, _ = _ensemble(beta * np.log(lambda_coefficients(r)))
+    return float(_entropy_of(p))
+
+
+def _ensemble(logits: np.ndarray) -> tuple:
+    """Softmax over slots (axis 0) and its log-partition log sum exp.
+
+    Logits of -inf are excluded slots with probability exactly zero; the
+    max shift keeps every exponent <= 0.
+    """
+    m = logits.max(axis=0)
+    if not np.all(np.isfinite(m)):
+        raise InternalError("every ensemble slot is excluded at some node")
+    z = np.exp(logits - m)
+    total = z.sum(axis=0)
+    return z / total, m + np.log(total)
+
+
+def _entropy_of(p: np.ndarray) -> np.ndarray:
+    """-sum p log p over slots (axis 0), with 0 log 0 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(p > 0.0, p * np.log(p), 0.0)
+    return -plogp.sum(axis=0)
 
 
 def beta_integrals(beta: float) -> tuple[float, float]:

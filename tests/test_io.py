@@ -152,6 +152,15 @@ def test_load_rejects_schema_mismatches(solved):
         solution_from_dict(doc)
     assert err.value.pointer == "/grid"
 
+    for key, bad in (("boundary_strategy", "bogus"), ("iterations", -5),
+                     ("exhaustion_drifts", "abc"),
+                     ("exhaustion_drifts", [0.1, "inf"]),
+                     ("exhaustion_drifts", [True])):
+        doc = {**base, key: bad}
+        with pytest.raises(SchemaError) as err:
+            solution_from_dict(doc)
+        assert err.value.pointer == "/" + key
+
 
 def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"

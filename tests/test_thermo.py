@@ -5,6 +5,7 @@ import pytest
 
 from todakit.errors import ConfigurationError
 from todakit.grid import build_grid, inf_over, inner_mask, sup_norm
+from todakit.io import load_solution, save_solution
 from todakit.thermo import model_free_energy_field, thermo_field, write_thermo_csv
 from todakit.toda import SolverConfig, solve_toda
 from todakit.weight import make_weight
@@ -119,15 +120,20 @@ def test_free_energy_reference_shift_is_solution_independent(poly2, flat3):
     assert np.abs(d1 - d2)[g.interior].max() <= 1e-11
 
 
-def test_model_free_energy_matches_solved_degenerate_state(degenerate4):
+@pytest.mark.parametrize("reference", ["flat", "poincare"])
+@pytest.mark.parametrize("beta", [1.0, -1.0])
+def test_model_free_energy_matches_solved_degenerate_state(degenerate4, beta,
+                                                           reference):
     g = degenerate4.grid
-    mf = model_free_energy_field(g, 4, 1.0)
-    f = thermo_field(degenerate4, 1.0).free_energy
+    mf = model_free_energy_field(g, 4, beta, reference)
+    f = thermo_field(degenerate4, beta, reference).free_energy
     mask = inner_mask(g, 3 * g.h)
     assert np.abs(mf.values - f.values)[mask].max() < 5e-3
-    # closed form at the origin: u = 0, F = -log(sum lam_j)
+    # closed form at the origin, where u = 0 and both references are 1:
+    # F = -(1/beta) log(sum lam_j^beta), lam = (3, 4, 3)
     center = int(np.argmin(g.r2))
-    assert mf.values[center] == pytest.approx(-math.log(10.0), abs=1e-14)
+    z = sum(lam ** beta for lam in (3.0, 4.0, 3.0))
+    assert mf.values[center] == pytest.approx(-math.log(z) / beta, abs=1e-14)
 
 
 def test_model_free_energy_requires_subunit_disc():
@@ -228,3 +234,31 @@ def test_csv_bytes_are_deterministic(poly2, tmp_path):
     write_thermo_csv(str(p1), poly2, tf)
     write_thermo_csv(str(p2), poly2, thermo_field(poly2, 1.0))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_thermo_field_reads_stored_densities(poly2, monkeypatch):
+    # the solution's v0 and w fix the ensemble; the weight is not evaluated
+    import todakit.thermo as thermo
+    import todakit.toda as toda
+    import todakit.weight as weight
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("thermo_field evaluated the weight density")
+
+    for mod in (weight, toda):
+        monkeypatch.setattr(mod, "evaluate_density", forbidden)
+    monkeypatch.setattr(thermo, "evaluate_density", forbidden, raising=False)
+    for beta in (1.0, -1.0):
+        for reference in ("flat", "poincare"):
+            thermo_field(poly2, beta, reference)
+
+
+def test_thermo_csv_survives_solution_round_trip(poly2, tmp_path):
+    path = tmp_path / "sol.json"
+    save_solution(str(path), poly2)
+    back = load_solution(str(path))
+    for beta in (1.0, -1.0):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_thermo_csv(str(a), poly2, thermo_field(poly2, beta))
+        write_thermo_csv(str(b), back, thermo_field(back, beta))
+        assert a.read_bytes() == b.read_bytes()

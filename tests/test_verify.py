@@ -74,6 +74,27 @@ def test_jacobian_check_reproducible():
     assert "seed=0" in rep1.instance
 
 
+def test_jacobian_check_evaluates_density_once(monkeypatch):
+    # the Jacobian and both finite-difference residuals share one density
+    import todakit.toda as toda
+    import todakit.verify as verify
+    import todakit.weight as weight
+
+    calls = []
+    real = weight.evaluate_density
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(toda, "evaluate_density", counted)
+    monkeypatch.setattr(verify, "evaluate_density", counted, raising=False)
+    rep = check_jacobian(make_weight("poly", 3, coeffs=[0, 1]),
+                         build_grid("cartesian", 17, 0.9))
+    assert rep.passed
+    assert len(calls) == 1
+
+
 def test_model_constants_check():
     rep = check_model_constants()
     assert rep.passed
