@@ -137,7 +137,9 @@ def _pointer_get(doc: dict, key: str, pointer: str, typ=None):
     if key not in doc:
         raise SchemaError(f"missing key {key!r}", pointer=pointer)
     val = doc[key]
-    if typ is not None and not isinstance(val, typ):
+    # JSON true/false load as bool, a subclass of int: never a number here
+    if typ is not None and (not isinstance(val, typ)
+                            or (isinstance(val, bool) and typ is not bool)):
         raise SchemaError(
             f"expected {getattr(typ, '__name__', typ)} at {key!r}, "
             f"got {type(val).__name__}", pointer=pointer)

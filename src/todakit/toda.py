@@ -18,10 +18,17 @@ Boundary strategies:
                     the interior drift between stages reported as a
                     completeness diagnostic
 
-Newton steps solve the exact Jacobian system with a sparse direct
-factorization at every grid size, damped by Armijo backtracking on the
-residual sup-norm.  If the iteration stalls, the weight amplitude is ramped
-in t^2 (continuation) and each stage warm-starts the next.
+Each Newton step solves the exact Jacobian system with GMRES, preconditioned
+by the Jacobian of the degenerate (Q = 0) system at a state of the model form
+w_j = log(lambda_j) + u.  There the Jacobian decouples: its pointwise block
+is -e^u * C Lambda (C the A_{r-1} Cartan matrix, Lambda = diag(lambda_j)),
+whose eigenvalues are k(k+1), k = 1..r-1, so in the eigenbasis of C Lambda it
+is r-1 scalar Helmholtz operators (1/4) Lap - k(k+1) e^u.  Their sparse LU
+factors are computed once per active node set, with e^u fitted to the first
+iterate, and reused by every Newton step, continuation stage and exhaustion
+stage on that set.  Steps are damped by Armijo backtracking on the residual
+sup-norm.  If the iteration stalls, the weight amplitude is ramped in t^2
+(continuation) and each stage warm-starts the next.
 """
 
 from __future__ import annotations
@@ -30,8 +37,8 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.linalg import spsolve
+from scipy.sparse import coo_matrix, csr_matrix, diags
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import (
     ConfigurationError,
@@ -50,6 +57,16 @@ BOUNDARY_STRATEGIES = ("model_poincare", "weight_flat", "exhaustion")
 INITIAL_STRATEGIES = ("auto", "model", "flat", "provided")
 
 _ARMIJO_SLOPE = 1e-4
+# GMRES on the left-preconditioned Newton system P^-1 J x = P^-1 b: the
+# relative 2-norm tolerance bounds the step's error relative to the step.  On
+# J x = b itself the tolerance would sit under the roundoff floor
+# eps*|J|*|x| of the residual once the stencil's 1/h^2 grows (n ~ 513).
+_GMRES_RTOL = 1e-12
+_GMRES_ATOL = 0.0
+_GMRES_RESTART = 60
+# restart cycles before a Krylov failure stalls the Newton iteration; scipy's
+# default (ten times the unknowns) is no bound at all
+_GMRES_MAXITER = 10
 
 
 @dataclass(frozen=True)
@@ -160,6 +177,8 @@ class _System:
     package's one stencil: the residual applies it to whole fields, so its
     columns outside the active set carry the Dirichlet data, and the
     Jacobian's Laplacian block is its restriction to the active columns.
+    The Newton preconditioner is built from the first iterate that asks for
+    it and kept for the life of the system.
     """
 
     def __init__(self, grid: Grid, r: int, active: np.ndarray):
@@ -172,6 +191,7 @@ class _System:
         if self.k == 0:
             raise ConfigurationError("active node set is empty")
         self.lap = 0.25 * laplacian_operator(grid, active)
+        self._precond = None
 
     def residual(self, w: np.ndarray, q: np.ndarray) -> np.ndarray:
         """N_j at active nodes, shape (m, k)."""
@@ -210,6 +230,46 @@ class _System:
         data = np.concatenate([np.tile(lap.data, m), blocks.ravel()])
         j = coo_matrix((data, (rows, cols)), shape=(m * k, m * k))
         return j.tocsr()
+
+    def preconditioner(self, w: np.ndarray, q: np.ndarray):
+        """x -> P^{-1} x for P the exact Q = 0 Jacobian at
+        w_j = log(lambda_j) + u, on stacked active unknowns.
+
+        The pointwise block of P is -e^u C Lambda.  With
+        Lambda^{1/2} C Lambda^{1/2} = V D V^T, C Lambda = S D S^-1 for
+        S = Lambda^{-1/2} V and S^-1 = V^T Lambda^{1/2}, so
+        P^{-1} = (S x I) blockdiag((1/4) L - d_k diag(e^u))^{-1} (S^-1 x I).
+        The scale e^u matches the trace of the true pointwise block at the
+        active nodes of the first (w, q) passed in,
+        e^u = (sum_j e^{w_j} + V_0) / sum_j lambda_j: the model profile at
+        the Q = 0 model state, the exact Jacobian for r = 2, and it keeps
+        the V_0 coupling that dominates at large amplitude.
+        """
+        if self._precond is None:
+            m, k = self.m, self.k
+            lam = lambda_coefficients(self.r)
+            sqrt_lam = np.sqrt(lam)
+            cartan = 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+            d, v = np.linalg.eigh(sqrt_lam[:, None] * cartan * sqrt_lam[None, :])
+            s = v / sqrt_lam[:, None]
+            s_inv = v.T * sqrt_lam[None, :]
+            wa = w[:, self.idx]
+            v0 = q[self.idx] * np.exp(-wa.sum(axis=0))
+            e_u = (np.exp(wa).sum(axis=0) + v0) / lam.sum()
+            lap = self.lap[:, self.idx]
+            # the blocks are diagonally dominant, so diagonal pivots are
+            # stable and SymmetricMode factors them about a quarter faster
+            lus = [splu((lap - diags(dk * e_u)).tocsc(),
+                        permc_spec="MMD_AT_PLUS_A",
+                        options={"SymmetricMode": True}) for dk in d]
+
+            def apply(x):
+                y = s_inv @ x.reshape(m, k)
+                return (s @ np.stack([lu.solve(row) for lu, row in zip(lus, y)])
+                        ).reshape(-1)
+
+            self._precond = apply
+        return self._precond
 
 
 def _as_weight_field(grid: Grid, weight) -> Field:
@@ -340,8 +400,13 @@ def _newton(sys: _System, q: np.ndarray, w: np.ndarray, cfg: SolverConfig,
         if iters >= cfg.max_iterations:
             raise _Stall()
         jac = sys.jacobian(w, q)
-        delta = spsolve(jac, -n_act.reshape(-1))
-        if not np.all(np.isfinite(delta)):
+        p_inv = sys.preconditioner(w, q)
+        op = LinearOperator(jac.shape, matvec=lambda x: p_inv(jac @ x),
+                            dtype=float)
+        delta, info = gmres(op, p_inv(-n_act.reshape(-1)), rtol=_GMRES_RTOL,
+                            atol=_GMRES_ATOL, restart=_GMRES_RESTART,
+                            maxiter=_GMRES_MAXITER)
+        if info != 0:
             raise _Stall()
         delta = delta.reshape(sys.m, sys.k)
         step = 1.0

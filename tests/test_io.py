@@ -155,7 +155,8 @@ def test_load_rejects_schema_mismatches(solved):
     for key, bad in (("boundary_strategy", "bogus"), ("iterations", -5),
                      ("exhaustion_drifts", "abc"),
                      ("exhaustion_drifts", [0.1, "inf"]),
-                     ("exhaustion_drifts", [True])):
+                     ("exhaustion_drifts", [True]), ("iterations", True),
+                     ("residual_sup", True)):
         doc = {**base, key: bad}
         with pytest.raises(SchemaError) as err:
             solution_from_dict(doc)

@@ -313,23 +313,101 @@ def test_solve_evaluates_density_once(monkeypatch, boundary, systems):
     assert sol.residual_sup == max(float(np.abs(f.values).max()) for f in res)
 
 
-def test_direct_solve_converges_past_n257(monkeypatch):
-    # every Newton step is one sparse direct solve, at every grid size
+def test_solve_converges_past_n257(monkeypatch):
+    # every Newton step is one preconditioned GMRES solve, at every grid size
     import todakit.toda as toda
 
     calls = []
-    real = toda.spsolve
+    real = toda.gmres
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(toda, "spsolve", counted)
+    monkeypatch.setattr(toda, "gmres", counted)
     weight = make_weight("poly", 2, coeffs=[0, 1])
     sol = solve_toda(weight, build_grid("cartesian", 289, 0.9))
     res = toda_residual(sol.w, weight)
     assert max(float(np.abs(f.values).max()) for f in res) <= 1e-10
     assert sol.iterations > 0 and len(calls) == sol.iterations
+
+
+@pytest.mark.parametrize("mode, n", [("cartesian", 33), ("radial", 65)])
+@pytest.mark.parametrize("r", [2, 3, 8])
+def test_preconditioner_inverts_degenerate_jacobian(mode, n, r):
+    # at Q = 0 and the model state the preconditioner is the exact inverse
+    # of the Newton Jacobian
+    import todakit.toda as toda
+
+    g = build_grid(mode, n, 0.9)
+    sys = toda._System(g, r, g.interior)
+    w = model_log_densities(g, r)
+    jac = sys.jacobian(w, np.zeros(g.nodes))
+    x = np.random.default_rng(r).standard_normal(jac.shape[0])
+    back = sys.preconditioner(w, np.zeros(g.nodes))(jac @ x)
+    assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
+
+
+def test_gmres_step_matches_direct_solve(monkeypatch):
+    # the solver's first Newton step equals a sparse direct solve of the
+    # Jacobian system at a state away from the model, with Q != 0
+    from scipy.sparse.linalg import spsolve
+
+    import todakit.toda as toda
+
+    steps = []
+    real = toda.gmres
+
+    def recorded(*args, **kwargs):
+        delta, info = real(*args, **kwargs)
+        steps.append((delta, info))
+        return delta, info
+
+    monkeypatch.setattr(toda, "gmres", recorded)
+    g = build_grid("cartesian", 33, 0.9)
+    weight = make_weight("poly", 3, coeffs=[0, 1])
+    w = model_log_densities(g, 3)
+    w[:, g.interior] += 0.3 * g.x[g.interior] * g.y[g.interior] + 0.1
+    fields = _fields(g, w)
+    jac, idx = toda_jacobian(fields, weight)
+    res = toda_residual(fields, weight)
+    direct = spsolve(jac.tocsc(), -np.concatenate([f.values[idx] for f in res]))
+    solve_toda(weight, g, SolverConfig(initial="provided",
+                                       provided_w=tuple(fields)))
+    delta, info = steps[0]
+    assert info == 0 and np.abs(direct).max() > 1e-3
+    assert np.abs(delta - direct).max() <= 1e-12
+
+
+def test_weight_flat_converges_past_unit_disc():
+    # the preconditioner's scale comes from the iterate, so it needs no
+    # model profile and works where that is undefined (rho_max >= 1)
+    weight = make_weight("poly", 3, coeffs=[1, 0.5])
+    sol = solve_toda(weight, build_grid("cartesian", 33, 1.2),
+                     SolverConfig(boundary="weight_flat"))
+    assert sol.iterations > 0 and sol.residual_sup <= 1e-10
+
+
+def test_large_amplitude_converges_without_continuation():
+    # the preconditioner's scale keeps the V_0 coupling, which dominates at
+    # large amplitude; fitted to the e^{w_j} alone, GMRES fails here
+    sol = solve_toda(make_weight("poly", 2, t=1e4, coeffs=[0, 1]),
+                     build_grid("cartesian", 33, 0.9),
+                     SolverConfig(continuation_steps=0))
+    assert sol.residual_sup <= 1e-10
+
+
+def test_krylov_failure_is_a_convergence_error(monkeypatch):
+    import todakit.toda as toda
+
+    def failing(jac, rhs, **kwargs):
+        return np.zeros_like(rhs), 1
+
+    monkeypatch.setattr(toda, "gmres", failing)
+    with pytest.raises(ConvergenceError) as err:
+        solve_toda(make_weight("poly", 2, coeffs=[0, 1]),
+                   build_grid("cartesian", 17, 0.9))
+    assert err.value.residual_history
 
 
 def test_radial_solve_matches_cartesian_profile():
