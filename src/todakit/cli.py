@@ -23,7 +23,8 @@ import numpy as np
 from .errors import (ConfigurationError, ConvergenceError, SchemaError,
                      TodaKitError)
 from .grid import build_grid, inf_over, sup_norm
-from .io import dumps_json, format_float, load_solution, save_solution, write_json
+from .io import (dumps_json, format_float, load_solution, save_solution,
+                 write_float_rows, write_json)
 from .plot import plot_csv
 from .thermo import REFERENCES, thermo_field, write_thermo_csv
 from .toda import SolverConfig, solve_toda
@@ -310,10 +311,9 @@ def cmd_sweep(args) -> int:
         f"# reference={reference}",
         "t,beta,inf_S,sup_S,inf_F,sup_F,lower_redundancy",
     ]
-    for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+        write_float_rows(fh, np.asarray(rows, dtype=float))
     print(f"sweep over {len(ts)} amplitudes x {len(betas)} betas -> {out}")
     return 0
 

@@ -27,8 +27,15 @@ SOLUTION_SCHEMA = "toda-solution/1"
 RELOAD_RESIDUAL_TOL = 1e-12
 
 
+#: rows formatted per block by `write_float_rows`; bounds the Python floats
+#: and text held at once while a large table is written
+FLOAT_BLOCK_ROWS = 4096
+
+
 def format_float(x: float) -> str:
-    """Shortest-faithful decimal form, stable across runs and platforms."""
+    """17 significant digits (0.1 -> "0.10000000000000001"), stable across
+    runs and platforms; -0.0 is written "0", non-finite values as "nan",
+    "inf" and "-inf"."""
     x = float(x)
     if math.isnan(x):
         return "nan"
@@ -37,6 +44,28 @@ def format_float(x: float) -> str:
     if x == 0.0:
         return "0"
     return format(x, ".17g")
+
+
+def format_floats(values, sep: str = ", ", end: str = "") -> str:
+    """Every element of a 1-D or 2-D float array, each as `format_float`
+    writes it: one `sep`-joined row per array row, each followed by `end`.
+
+    One "%.17g" template formats the whole block in C.  It calls the same
+    PyOS_double_to_string(x, 'g', 17) as format(x, ".17g"), which already
+    writes nan, inf and -inf as format_float does; adding 0.0 turns -0.0
+    into 0.0, the one value where the two differ.
+    """
+    with np.errstate(invalid="ignore"):  # a signalling NaN stays a NaN
+        rows = np.atleast_2d(np.asarray(values, dtype=float)) + 0.0
+    template = (sep.join(["%.17g"] * rows.shape[1]) + end) * rows.shape[0]
+    return template % tuple(rows.ravel().tolist())
+
+
+def write_float_rows(fh, rows) -> None:
+    """Write a 2-D float array as comma-separated lines, block by block."""
+    for start in range(0, len(rows), FLOAT_BLOCK_ROWS):
+        block = rows[start:start + FLOAT_BLOCK_ROWS]
+        fh.write(format_floats(block, ",", "\n"))
 
 
 def _emit(obj: Any, parts: list, indent: int, level: int) -> None:
@@ -65,6 +94,11 @@ def _emit(obj: Any, parts: list, indent: int, level: int) -> None:
         if len(obj) == 0:
             parts.append("[]")
             return
+        if all(isinstance(v, float) for v in obj):
+            arr = np.asarray(obj, dtype=float)
+            if np.isfinite(arr).all():
+                parts.append("[" + format_floats(arr) + "]")
+                return
         scalars = all(not isinstance(v, (list, tuple, dict, np.ndarray))
                       for v in obj)
         if scalars:

@@ -190,36 +190,34 @@ def render_heatmap(values: np.ndarray, extent, title: str = "") -> str:
 
 
 def read_csv(path: str) -> tuple:
-    """Parse a '#'-annotated CSV into (metadata dict, column dict)."""
-    meta: dict = {}
-    header: list = []
-    rows: list = []
+    """Parse a '#'-annotated CSV into (metadata dict, column dict).
+
+    The first line that is neither blank nor a '#' comment is the header.
+    Data fields are parsed in bulk by numpy's C float parser, so a field is
+    accepted exactly when `np.loadtxt` accepts it.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    meta[key.strip()] = val.strip()
-                continue
-            if not header:
-                header = [c.strip() for c in line.split(",")]
-                continue
-            try:
-                row = [float(v) for v in line.split(",")]
-            except ValueError as exc:
-                raise ValidationError(f"{path}: bad row {line!r} ({exc})")
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{path}: row has {len(row)} fields, header has "
-                    f"{len(header)}")
-            rows.append(row)
-    if not header or not rows:
+        lines = [ln for ln in map(str.strip, fh) if ln]
+    meta: dict = {}
+    for body in (ln[1:].strip() for ln in lines if ln[0] == "#"):
+        if "=" in body:
+            key, _, val = body.partition("=")
+            meta[key.strip()] = val.strip()
+    table = [ln for ln in lines if ln[0] != "#"]
+    if len(table) < 2:
         raise ValidationError(f"{path}: no tabular data found")
-    data = np.asarray(rows, dtype=float)
+    header = [c.strip() for c in table[0].split(",")]
+    rows = table[1:]
+    bad = next((ln for ln in rows if ln.count(",") + 1 != len(header)), None)
+    if bad is not None:
+        raise ValidationError(
+            f"{path}: row {bad!r} has {bad.count(',') + 1} fields, header "
+            f"has {len(header)}")
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        # numpy counts rows from the first data line, not the file's first
+        raise ValidationError(f"{path}: bad data row ({exc})") from exc
     return meta, {name: data[:, k] for k, name in enumerate(header)}
 
 

@@ -103,7 +103,7 @@ def model_free_energy_field(grid: Grid, r: int, beta: float,
 
 def write_thermo_csv(path: str, sol: TodaSolution, tf: ThermoField) -> None:
     """One row per node: coordinates, p_0..p_{r-1}, S, F, R."""
-    from .io import format_float as ff
+    from .io import format_float as ff, write_float_rows
 
     grid = sol.grid
     coords = ["x", "y"] if grid.mode == "cartesian" else ["rho"]
@@ -121,10 +121,9 @@ def write_thermo_csv(path: str, sol: TodaSolution, tf: ThermoField) -> None:
         ",".join(header),
     ]
     body = np.column_stack(cols)
-    for row in body:
-        lines.append(",".join(ff(v) for v in row))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+        write_float_rows(fh, body)
     log.info("wrote thermo csv %s (%d rows)", path, body.shape[0])
 
 

@@ -1,15 +1,17 @@
+import io
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from todakit.errors import SchemaError, ValidationError
 from todakit.grid import build_grid
-from todakit.io import (dumps_json, format_float, load_solution,
-                        save_solution, solution_from_dict, solution_to_dict,
-                        write_json)
+from todakit.io import (FLOAT_BLOCK_ROWS, dumps_json, format_float,
+                        format_floats, load_solution, save_solution,
+                        solution_from_dict, solution_to_dict,
+                        write_float_rows, write_json)
 from todakit.toda import SolverConfig, solve_toda
 from todakit.weight import make_weight
 
@@ -27,6 +29,67 @@ def test_format_float_special_cases():
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_format_float_is_faithful(x):
     assert float(format_float(x)) == x
+
+
+def _nan_with_bits(bits):
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+FINFO = np.finfo(np.float64)
+# values the block codec must write exactly as format_float does: signed
+# zeros, NaNs with either sign and a payload, infinities, subnormals and
+# the extremes of the finite range
+SPECIAL = [0.0, -0.0, math.nan, -math.nan,
+           _nan_with_bits(0x7FF8000000000001),
+           _nan_with_bits(0xFFF4000000000000),
+           math.inf, -math.inf, 5e-324, -5e-324,
+           float(FINFO.smallest_normal) * (1 - FINFO.eps), float(FINFO.max),
+           -float(FINFO.max), 0.1, 1.0, -1e16, 123456789.0]
+
+
+def _reference_rows(arr) -> str:
+    return "".join(",".join(format_float(v) for v in row) + "\n"
+                   for row in arr)
+
+
+def _assert_same_lines(got: str, want: str) -> None:
+    # name the first differing line; a diff of two large tables is slow
+    got, want = got.split("\n"), want.split("\n")
+    bad = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert bad is None, f"line {bad}: {got[bad]!r} != {want[bad]!r}"
+    assert len(got) == len(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(), max_size=12),
+       st.sampled_from([1, 8, FLOAT_BLOCK_ROWS + 1]), st.integers(1, 5))
+def test_block_rows_match_format_float(drawn, nrows, ncol):
+    # 4097 rows cross the block boundary; the pool is tiled over the table
+    arr = np.resize(np.array(drawn + SPECIAL), (nrows, ncol))
+    buf = io.StringIO()
+    write_float_rows(buf, arr)
+    _assert_same_lines(buf.getvalue(), _reference_rows(arr))
+
+
+def test_block_codec_covers_every_special_value():
+    arr = np.array(SPECIAL)
+    assert format_floats(arr) == ", ".join(format_float(v) for v in SPECIAL)
+    assert format_floats(arr[None, :], ",", "\n") == _reference_rows([arr])
+    finite = [v for v in SPECIAL if math.isfinite(v)]
+    expected = "[" + ", ".join(map(format_float, finite)) + "]\n"
+    assert dumps_json(finite) == expected
+    buf = io.StringIO()
+    write_float_rows(buf, np.empty((0, 3)))
+    assert buf.getvalue() == ""
+
+
+@given(st.lists(st.floats(), max_size=40))
+def test_json_float_lists_match_per_element_emission(xs):
+    # finite lists take the block codec, the rest the quoted-string path
+    items = [format_float(v) if math.isfinite(v)
+             else json.dumps(format_float(v)) for v in xs]
+    expected = '{\n  "v": [' + ", ".join(items) + "]\n}\n"
+    assert dumps_json({"v": xs}) == expected
 
 
 def test_dumps_json_layout():

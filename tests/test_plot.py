@@ -69,6 +69,25 @@ def test_read_csv_rejects_ragged_rows(tmp_path):
         read_csv(str(empty))
 
 
+@pytest.mark.parametrize("token", ["abc", "1_0"])
+def test_read_csv_rejects_non_numeric_tokens(tmp_path, token):
+    # Python's float() would read "1_0" as 10; numpy's parser rejects it
+    path = tmp_path / "tokens.csv"
+    path.write_text(f"x,y\n0,1\n2,{token}\n")
+    with pytest.raises(ValidationError) as err:
+        read_csv(str(path))
+    assert str(path) in str(err.value) and token in str(err.value)
+
+
+def test_read_csv_keeps_comments_between_rows(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("\n# a=1\n x , y \n\n0, 1\n# b = 2\n  2,3  \n")
+    meta, cols = read_csv(str(path))
+    assert meta == {"a": "1", "b": "2"}
+    assert list(cols) == ["x", "y"]
+    assert cols["y"].tolist() == [1.0, 3.0]
+
+
 def test_plot_csv_rejects_unknown_layout(tmp_path):
     path = tmp_path / "odd.csv"
     path.write_text("a,b\n1,2\n3,4\n")

@@ -6,6 +6,7 @@ import pytest
 from todakit.errors import ConfigurationError
 from todakit.grid import build_grid, inf_over, inner_mask, sup_norm
 from todakit.io import load_solution, save_solution
+from todakit.plot import read_csv
 from todakit.thermo import model_free_energy_field, thermo_field, write_thermo_csv
 from todakit.toda import SolverConfig, solve_toda
 from todakit.weight import make_weight
@@ -215,6 +216,40 @@ def test_thermo_csv_format(poly2, tmp_path):
     row = lines[6].split(",")
     assert len(row) == 7
     assert float(row[0]) == poly2.grid.x[0]
+
+
+@pytest.mark.parametrize("reference", ["flat", "poincare"])
+@pytest.mark.parametrize("beta", [1.0, -1.0])
+def test_thermo_csv_reads_back_bit_identical(poly2, tmp_path, beta,
+                                             reference):
+    tf = thermo_field(poly2, beta, reference)
+    path = tmp_path / "thermo.csv"
+    write_thermo_csv(str(path), poly2, tf)
+    meta, cols = read_csv(str(path))
+    assert float(meta["beta"]) == beta and meta["reference"] == reference
+    expected = [poly2.grid.x, poly2.grid.y] + [f.values for f in tf.p] + [
+        tf.entropy.values, tf.free_energy.values, tf.redundancy.values]
+    assert len(cols) == len(expected)
+    for got, want in zip(cols.values(), expected):
+        # -0.0 (an all-zero entropy sum) is written "0" by design
+        assert np.array_equal(got.view(np.uint64),
+                              (want + 0.0).view(np.uint64))
+
+
+def test_thermo_csv_is_utf8_with_unix_newlines(poly2, tmp_path, monkeypatch):
+    # the platform's locale encoding and newline would break byte identity
+    import builtins
+    import todakit.thermo as thermo
+
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs)
+        return builtins.open(*args, **kwargs)
+
+    monkeypatch.setattr(thermo, "open", spy, raising=False)
+    write_thermo_csv(str(tmp_path / "t.csv"), poly2, thermo_field(poly2, 1.0))
+    assert seen == [{"encoding": "utf-8", "newline": "\n"}]
 
 
 def test_thermo_csv_radial_coordinates(tmp_path):
