@@ -22,12 +22,12 @@ import numpy as np
 
 from .errors import (ConfigurationError, ConvergenceError, SchemaError,
                      TodaKitError)
-from .grid import build_grid, inf_over, sup_norm
+from .grid import MODES, build_grid, inf_over, sup_norm
 from .io import (dumps_json, format_float, load_solution, save_solution,
                  write_float_rows, write_json)
 from .plot import plot_csv
 from .thermo import REFERENCES, thermo_field, write_thermo_csv
-from .toda import SolverConfig, solve_toda
+from .toda import BOUNDARY_STRATEGIES, SolverConfig, solve_toda
 from .verify import SUITES, render_table, reports_to_dict, run_suite, suite_passed
 from .weight import KINDS, model_constants, weight_from_dict
 
@@ -53,7 +53,7 @@ _WEIGHT_SCHEMA = {
 _GRID_SCHEMA = {
     "type": "object",
     "properties": {
-        "mode": {"enum": ["cartesian", "radial"]},
+        "mode": {"enum": list(MODES)},
         "n": {"type": "integer", "minimum": 8},
         "rho_max": {"type": "number", "exclusiveMinimum": 0},
     },
@@ -70,7 +70,7 @@ _SOLVER_SCHEMA = {
                           "exclusiveMaximum": 1},
         "max_halvings": {"type": "integer", "minimum": 0},
         "continuation_steps": {"type": "integer", "minimum": 0},
-        "boundary": {"enum": ["model_poincare", "weight_flat", "exhaustion"]},
+        "boundary": {"enum": list(BOUNDARY_STRATEGIES)},
         "initial": {"enum": ["auto", "model", "flat"]},
     },
     "additionalProperties": False,
@@ -343,8 +343,7 @@ def cmd_plot(args) -> int:
 # argument wiring
 
 
-def _add_common(sub, *, weight=False, grid=False, solver=False, beta=False,
-                out=True):
+def _add_common(sub, *, weight=False, grid=False, solver=False, beta=False):
     sub.add_argument("--config", help="JSON config file; flags override it")
     if weight:
         sub.add_argument("--weight", type=lambda s: _json_arg(s, "weight"),
@@ -353,15 +352,12 @@ def _add_common(sub, *, weight=False, grid=False, solver=False, beta=False,
         sub.add_argument("--grid", type=lambda s: _json_arg(s, "grid"),
                          help="grid JSON (inline or a file path)")
     if solver:
-        sub.add_argument("--boundary",
-                         choices=["model_poincare", "weight_flat",
-                                  "exhaustion"],
+        sub.add_argument("--boundary", choices=list(BOUNDARY_STRATEGIES),
                          help="boundary strategy (shorthand for solver config)")
     if beta:
         sub.add_argument("--beta", type=lambda s: _floats(s, "beta"),
                          help="slot exponent(s), comma separated")
-    if out:
-        sub.add_argument("--out", help="output path")
+    sub.add_argument("--out", help="output path")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -71,10 +71,10 @@ class Field:
         object.__setattr__(self, "values", vals)
 
 
-def make_field(grid: Grid, values, *, validate: bool = True) -> Field:
-    """Wrap node values as a Field; by default reject non-finite entries."""
+def make_field(grid: Grid, values) -> Field:
+    """Wrap node values as a Field, rejecting non-finite entries."""
     field = Field(grid, values)
-    if validate and not np.all(np.isfinite(field.values)):
+    if not np.all(np.isfinite(field.values)):
         bad = int(np.flatnonzero(~np.isfinite(field.values))[0])
         raise ValidationError(f"field value at node {bad} is not finite")
     return field

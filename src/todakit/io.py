@@ -68,9 +68,9 @@ def write_float_rows(fh, rows) -> None:
         fh.write(format_floats(block, ",", "\n"))
 
 
-def _emit(obj: Any, parts: list, indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _emit(obj: Any, parts: list, level: int) -> None:
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
     if obj is None:
         parts.append("null")
     elif obj is True:
@@ -89,7 +89,7 @@ def _emit(obj: Any, parts: list, indent: int, level: int) -> None:
     elif isinstance(obj, str):
         parts.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), parts, indent, level)
+        _emit(obj.tolist(), parts, level)
     elif isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             parts.append("[]")
@@ -106,13 +106,13 @@ def _emit(obj: Any, parts: list, indent: int, level: int) -> None:
             for i, v in enumerate(obj):
                 if i:
                     parts.append(", ")
-                _emit(v, parts, indent, level)
+                _emit(v, parts, level)
             parts.append("]")
         else:
             parts.append("[\n")
             for i, v in enumerate(obj):
                 parts.append(pad_in)
-                _emit(v, parts, indent, level + 1)
+                _emit(v, parts, level + 1)
                 parts.append(",\n" if i + 1 < len(obj) else "\n")
             parts.append(pad + "]")
     elif isinstance(obj, dict):
@@ -125,17 +125,18 @@ def _emit(obj: Any, parts: list, indent: int, level: int) -> None:
             if not isinstance(k, str):
                 raise ValidationError(f"non-string key {k!r} in JSON object")
             parts.append(pad_in + json.dumps(k, ensure_ascii=False) + ": ")
-            _emit(v, parts, indent, level + 1)
+            _emit(v, parts, level + 1)
             parts.append(",\n" if i + 1 < len(items) else "\n")
         parts.append(pad + "}")
     else:
         raise ValidationError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps_json(obj: Any, indent: int = 2) -> str:
-    """Serialize with insertion-ordered keys and 17-digit floats."""
+def dumps_json(obj: Any) -> str:
+    """Serialize with insertion-ordered keys, two-space indent and 17-digit
+    floats."""
     parts: list = []
-    _emit(obj, parts, indent, 0)
+    _emit(obj, parts, 0)
     parts.append("\n")
     return "".join(parts)
 
@@ -180,7 +181,12 @@ def _pointer_get(doc: dict, key: str, pointer: str, typ=None):
     return val
 
 
-def solution_from_dict(doc: dict, check_residual: bool = True) -> TodaSolution:
+def solution_from_dict(doc: dict) -> TodaSolution:
+    """Validate a solution document and rebuild the solution.
+
+    The stored v0 and residual_sup are recomputed from the stored fields,
+    and a drift beyond RELOAD_RESIDUAL_TOL in either is a SchemaError.
+    """
     if not isinstance(doc, dict):
         raise SchemaError("solution document must be an object", pointer="")
     schema = _pointer_get(doc, "schema", "/schema", str)
@@ -252,17 +258,16 @@ def solution_from_dict(doc: dict, check_residual: bool = True) -> TodaSolution:
         raise SchemaError(
             f"stored v0 deviates from recomputation by {drift:.3e}",
             pointer="/fields/v0")
-    if check_residual:
-        res = toda_residual(sol.w, qf)
-        sup = max(float(np.abs(f.values).max()) for f in res)
-        if abs(sup - sol.residual_sup) > RELOAD_RESIDUAL_TOL:
-            raise SchemaError(
-                f"stored residual_sup {sol.residual_sup:.17g} disagrees with "
-                f"recomputed {sup:.17g}", pointer="/residual_sup")
+    res = toda_residual(sol.w, qf)
+    sup = max(float(np.abs(f.values).max()) for f in res)
+    if abs(sup - sol.residual_sup) > RELOAD_RESIDUAL_TOL:
+        raise SchemaError(
+            f"stored residual_sup {sol.residual_sup:.17g} disagrees with "
+            f"recomputed {sup:.17g}", pointer="/residual_sup")
     return sol
 
 
-def load_solution(path: str, check_residual: bool = True) -> TodaSolution:
+def load_solution(path: str) -> TodaSolution:
     if not os.path.exists(path):
         raise ValidationError(f"no such file: {path}")
     with open(path, "r", encoding="utf-8") as fh:
@@ -270,4 +275,4 @@ def load_solution(path: str, check_residual: bool = True) -> TodaSolution:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc}", pointer="") from exc
-    return solution_from_dict(doc, check_residual=check_residual)
+    return solution_from_dict(doc)

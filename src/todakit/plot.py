@@ -40,8 +40,8 @@ def _range(vals: np.ndarray) -> tuple:
     return lo - pad, hi + pad
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list:
-    return [lo + (hi - lo) * k / (count - 1) for k in range(count)]
+def _ticks(lo: float, hi: float) -> list:
+    return [lo + (hi - lo) * k / 4 for k in range(5)]
 
 
 def _esc(text: str) -> str:

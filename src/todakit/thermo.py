@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import Field, Grid, inf_over, sup_norm
+from .io import format_float, write_float_rows
 from .toda import TodaSolution, model_profile
 from .weight import _check_beta, _ensemble, _entropy_of, lambda_coefficients
 
@@ -103,8 +104,6 @@ def model_free_energy_field(grid: Grid, r: int, beta: float,
 
 def write_thermo_csv(path: str, sol: TodaSolution, tf: ThermoField) -> None:
     """One row per node: coordinates, p_0..p_{r-1}, S, F, R."""
-    from .io import format_float as ff, write_float_rows
-
     grid = sol.grid
     coords = ["x", "y"] if grid.mode == "cartesian" else ["rho"]
     header = coords + [f"p_{j}" for j in range(sol.r)] + ["S", "F", "R"]
@@ -114,10 +113,10 @@ def write_thermo_csv(path: str, sol: TodaSolution, tf: ThermoField) -> None:
                                         tf.redundancy.values]
     lines = [
         f"# r={sol.r}",
-        f"# beta={ff(tf.beta)}",
+        f"# beta={format_float(tf.beta)}",
         f"# reference={tf.reference}",
         f"# weight={sol.weight.describe()}",
-        f"# residual_sup={ff(sol.residual_sup)}",
+        f"# residual_sup={format_float(sol.residual_sup)}",
         ",".join(header),
     ]
     body = np.column_stack(cols)

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
-from .grid import (Grid, Field, build_grid, inner_mask, inf_over, laplacian,
-                   sup_norm, worst_node)
+from .errors import ConfigurationError
+from .grid import Grid, Field, build_grid, inner_mask, laplacian, worst_node
 from .thermo import model_free_energy_field, thermo_field
 from .toda import (SolverConfig, TodaSolution, energy_density,
                    model_log_densities, solve_toda, toda_jacobian,
@@ -39,6 +38,8 @@ JACOBIAN_TOL = 1e-6
 STRICT_SLACK = 1e-9
 #: slack for pointwise monotonicity comparisons between solves
 MONOTONE_SLACK = 1e-8
+#: deviation allowed between a solved redundancy floor and its closed form
+CLOSED_FORM_TOL = 1e-10
 #: acceptable second-order convergence window
 ORDER_WINDOW = (1.7, 2.3)
 
@@ -78,33 +79,47 @@ def _report(name, instance, margin, slack, worst=None, notes=""):
                        worst=worst or {}, notes=notes)
 
 
-def _instance(sol: TodaSolution, beta: float | None = None,
-              extra: str = "") -> str:
+def _instance(sol: TodaSolution, beta: float | None = None) -> str:
     bits = [sol.weight.describe(),
             f"grid={sol.grid.mode} n={sol.grid.n} rho={sol.grid.rho_max:g}"]
     if beta is not None:
         bits.append(f"beta={beta:g}")
-    if extra:
-        bits.append(extra)
     return " ".join(bits)
+
+
+def _binding(grid: Grid, parts) -> tuple:
+    """(margin, worst, label) of the part with the smallest interior minimum.
+
+    `parts` yields (label, node values); the first part wins ties.  With no
+    part, or only parts whose minimum is +inf, the margin is +inf, the worst
+    node {} and the label "".
+    """
+    mask = grid.interior
+    margin, worst, binding = math.inf, {}, ""
+    for label, vals in parts:
+        m = float(vals[mask].min())
+        if m < margin:
+            margin = m
+            worst = worst_node(grid, np.where(mask, vals, np.inf), mask)
+            binding = label
+    return margin, worst, binding
 
 
 # ---------------------------------------------------------------------------
 # closed-form and structural checks
 
 
-def check_flat_exactness(r: int, grid: Grid,
-                         tolerance: float = 1e-10) -> CheckReport:
+def check_flat_exactness(r: int, grid: Grid) -> CheckReport:
     """Constant weight: the zero log-density field solves the system exactly.
 
     The initial guess already satisfies the equations, so the solver must
-    accept it without a single Newton step and with residual at rounding
-    level.
+    accept it without a single Newton step and with residual below the
+    solver tolerance.
     """
     weight = make_weight("constant", r, value=1.0)
-    cfg = SolverConfig(boundary="weight_flat", tolerance=tolerance)
+    cfg = SolverConfig(boundary="weight_flat")
     sol = solve_toda(weight, grid, cfg)
-    margin = tolerance - sol.residual_sup
+    margin = cfg.tolerance - sol.residual_sup
     notes = f"residual {sol.residual_sup:.3e} in {sol.iterations} iterations"
     if sol.iterations > 0:
         notes += " (expected 0)"
@@ -112,9 +127,9 @@ def check_flat_exactness(r: int, grid: Grid,
                    notes=notes)
 
 
-def check_model_order(r: int, ns: tuple, rho_max: float,
-                      mode: str = "cartesian") -> CheckReport:
-    """Solved fields converge to the closed-form blow-up profile at O(h^2).
+def check_model_order(r: int, ns: tuple, rho_max: float) -> CheckReport:
+    """Solved fields converge to the closed-form blow-up profile at O(h^2)
+    on a ladder of cartesian grids.
 
     Errors are measured on a region fixed across the ladder (three coarse
     mesh widths inside the rim) so the comparison set does not shrink with h.
@@ -123,11 +138,11 @@ def check_model_order(r: int, ns: tuple, rho_max: float,
         raise ConfigurationError("order study needs at least 3 grid sizes")
     ns = tuple(sorted(int(n) for n in ns))
     weight = make_weight("zero", r)
-    coarse = build_grid(mode, ns[0], rho_max)
+    coarse = build_grid("cartesian", ns[0], rho_max)
     margin_in = 3.0 * coarse.h
     errs = []
     for n in ns:
-        grid = build_grid(mode, n, rho_max)
+        grid = build_grid("cartesian", n, rho_max)
         sol = solve_toda(weight, grid, SolverConfig(boundary="model_poincare"))
         exact = model_log_densities(grid, r)
         mask = inner_mask(grid, margin_in)
@@ -139,7 +154,7 @@ def check_model_order(r: int, ns: tuple, rho_max: float,
     margin = min(min(o - lo for o in orders), min(hi - o for o in orders))
     notes = ("errors " + " ".join(f"{e:.3e}" for e in errs)
              + " orders " + " ".join(f"{o:.3f}" for o in orders))
-    inst = (f"kind=zero r={r} grid={mode} n={ns} rho={rho_max:g}")
+    inst = f"kind=zero r={r} grid=cartesian n={ns} rho={rho_max:g}"
     return _report("model_order", inst, margin, 0.0, notes=notes)
 
 
@@ -219,8 +234,7 @@ def check_model_constants() -> CheckReport:
 # solved-instance inequality checks
 
 
-def check_density_band(sol: TodaSolution,
-                       slack: float = STRICT_SLACK) -> CheckReport:
+def check_density_band(sol: TodaSolution) -> CheckReport:
     """Ordering band for the solved densities.
 
     For ranks >= 4 the ratio e^{w_{j-1} - w_j} of adjacent densities in the
@@ -235,7 +249,6 @@ def check_density_band(sol: TodaSolution,
             "density_band", _instance(sol),
             "constant weight collapses the band to equalities")
     lam = lambda_coefficients(r)
-    mask = grid.interior
     parts = []
     logd = sol.log_densities()
     w = logd[1:]
@@ -248,29 +261,19 @@ def check_density_band(sol: TodaSolution,
     # +inf where V_0 vanishes: the part is vacuous there
     parts.append(("degenerate_below", logd[1] - logd[0]))
 
-    margin = math.inf
-    worst = {}
-    worst_part = ""
-    for label, vals in parts:
-        arr = np.asarray(vals, dtype=float)
-        m = float(arr[mask].min())
-        if m < margin:
-            margin = m
-            worst = worst_node(grid, np.where(mask, arr, np.inf), mask)
-            worst_part = label
+    margin, worst, binding = _binding(grid, parts)
     if not math.isfinite(margin):
-        return _report("density_band", _instance(sol), 0.0, slack,
+        return _report("density_band", _instance(sol), 0.0, STRICT_SLACK,
                        notes="all applicable parts vacuous: degenerate "
                              "density vanishes and rank < 4 has no ratios")
-    notes = f"binding part {worst_part}"
+    notes = f"binding part {binding}"
     if np.all(np.isinf(logd[0])):
         notes += "; degenerate density vanishes identically"
-    return _report("density_band", _instance(sol), margin, slack,
+    return _report("density_band", _instance(sol), margin, STRICT_SLACK,
                    worst=worst, notes=notes)
 
 
-def check_entropy_bounds(sol: TodaSolution, beta: float,
-                         slack: float = STRICT_SLACK) -> CheckReport:
+def check_entropy_bounds(sol: TodaSolution, beta: float) -> CheckReport:
     """Pointwise sandwich: S_model(r, beta) <= S <= log r on the interior.
 
     Constant weight attains the upper bound exactly (uniform ensemble);
@@ -279,20 +282,12 @@ def check_entropy_bounds(sol: TodaSolution, beta: float,
     s = thermo_field(sol, beta).entropy.values
     r = sol.r
     s_model = model_entropy(r, beta)
-    mask = sol.grid.interior
-    low = s - s_model
-    high = math.log(r) - s
-    m_low = float(low[mask].min())
-    m_high = float(high[mask].min())
-    if m_low <= m_high:
-        margin, vals, which = m_low, low, "lower"
-    else:
-        margin, vals, which = m_high, high, "upper"
-    worst = worst_node(sol.grid, np.where(mask, vals, np.inf), mask)
+    margin, worst, which = _binding(
+        sol.grid, (("lower", s - s_model), ("upper", math.log(r) - s)))
     notes = (f"binding bound {which}; S_model={s_model:.12g} "
              f"log r={math.log(r):.12g}")
-    return _report("entropy_bounds", _instance(sol, beta), margin, slack,
-                   worst=worst, notes=notes)
+    return _report("entropy_bounds", _instance(sol, beta), margin,
+                   STRICT_SLACK, worst=worst, notes=notes)
 
 
 def _fe_rhs(sol: TodaSolution, beta: float) -> np.ndarray:
@@ -309,10 +304,9 @@ def _fe_rhs(sol: TodaSolution, beta: float) -> np.ndarray:
     return -num / db.sum(axis=0)
 
 
-def calibrate_laplacian_slack(grid: Grid, r: int, beta: float,
-                              reference: str = "flat") -> float:
+def calibrate_laplacian_slack(grid: Grid, r: int, beta: float) -> float:
     """Constant c such that c*h^2 bounds |(1/4) Lap_h F - (1/4) Lap F| for
-    the closed-form degenerate free energy on this grid.
+    the closed-form degenerate free energy (flat reference) on this grid.
 
     The degenerate F differs from 2*log(1 - rho^2) by a constant, so its
     exact quarter-Laplacian is -2/(1 - rho^2)^2.
@@ -320,7 +314,7 @@ def calibrate_laplacian_slack(grid: Grid, r: int, beta: float,
     if grid.rho_max >= 1.0:
         raise ConfigurationError(
             "laplacian slack calibration needs rho_max < 1")
-    f_model = model_free_energy_field(grid, r, beta, reference)
+    f_model = model_free_energy_field(grid, r, beta)
     lap = laplacian(grid, f_model).values
     mask = grid.interior
     exact = -2.0 / (1.0 - grid.r2[mask]) ** 2
@@ -328,14 +322,21 @@ def calibrate_laplacian_slack(grid: Grid, r: int, beta: float,
     return float(err) / grid.h ** 2
 
 
-def check_fe_inequality(sol: TodaSolution, beta: float,
-                        reference: str = "flat") -> CheckReport:
-    """Discrete quarter-Laplacian of F against the pair-interaction bound.
+def check_fe_inequality(sol: TodaSolution, beta: float) -> CheckReport:
+    """Discrete quarter-Laplacian of F against the pair-interaction bound,
+
+        (1/4) Lap F <= -sum_j (D_{j-1} - D_j)(D_{j-1}^b - D_j^b) / sum_j D_j^b,
+
+    with F the free energy against the flat reference D_ref = 1.
 
     Requires beta > 0 (negative beta sends the degenerate density weight
     to infinity at interior zeros).  The slack is the calibrated O(h^2)
     discretization error of the five-point Laplacian on the closed-form
-    degenerate free energy over the same grid.
+    degenerate free energy over the same grid, also against the flat
+    reference.  The Poincare reference is not offered: it cancels the
+    degenerate profile, so the closed-form F is constant, the calibration
+    absorbs the whole Laplacian of the Poincare density, and the slack
+    (41.3 on r=3, q=z, n=65, rho=0.9) swallows a margin of -21.66.
     """
     if beta <= 0.0:
         return _not_applicable(
@@ -346,22 +347,19 @@ def check_fe_inequality(sol: TodaSolution, beta: float,
         return _not_applicable(
             "fe_inequality", _instance(sol, beta),
             "slack calibration needs a unit-subdisc domain")
-    f = thermo_field(sol, beta, reference).free_energy
+    f = thermo_field(sol, beta).free_energy
     lhs = 0.25 * laplacian(grid, f).values
     rhs = _fe_rhs(sol, beta)
     gap = rhs - lhs
-    c = calibrate_laplacian_slack(grid, sol.r, beta, reference)
+    c = calibrate_laplacian_slack(grid, sol.r, beta)
     slack = c * grid.h ** 2
-    mask = grid.interior
-    margin = float(gap[mask].min())
-    worst = worst_node(grid, np.where(mask, gap, np.inf), mask)
+    margin, worst, _ = _binding(grid, (("gap", gap),))
     notes = f"calibration c={c:.6g}, slack c*h^2={slack:.3e}"
     return _report("fe_inequality", _instance(sol, beta), margin, slack,
                    worst=worst, notes=notes)
 
 
-def check_redundancy(sol: TodaSolution, beta: float,
-                     closed_form_tol: float = 1e-10) -> CheckReport:
+def check_redundancy(sol: TodaSolution, beta: float) -> CheckReport:
     """Dichotomy for the redundancy floor.
 
     Constant weight is the plane-like branch: redundancy vanishes
@@ -384,7 +382,7 @@ def check_redundancy(sol: TodaSolution, beta: float,
     if sol.weight.kind == "zero":
         expected = 1.0 - model_entropy(r, beta) / math.log(r)
         err = abs(lo - expected)
-        margin = closed_form_tol - err
+        margin = CLOSED_FORM_TOL - err
         return _report("redundancy_floor", inst, margin, 0.0,
                        notes=f"degenerate closed form {expected:.12g}, "
                              f"deviation {err:.3e}")
@@ -394,9 +392,7 @@ def check_redundancy(sol: TodaSolution, beta: float,
 
 
 def check_monotonicity_in_t(weight: WeightDensity, grid: Grid, beta: float,
-                            t_values: tuple,
-                            config: SolverConfig | None = None,
-                            slack: float = MONOTONE_SLACK) -> CheckReport:
+                            t_values: tuple) -> CheckReport:
     """Pointwise monotonicity of the solved family in the amplitude t.
 
     As t grows with everything else fixed: log-densities and the energy
@@ -411,48 +407,37 @@ def check_monotonicity_in_t(weight: WeightDensity, grid: Grid, beta: float,
     ts = tuple(sorted(float(t) for t in t_values))
     if len(ts) < 2:
         raise ConfigurationError("need at least two amplitudes")
-    cfg = config or SolverConfig(boundary="model_poincare")
+    cfg = SolverConfig(boundary="model_poincare")
     r = weight.r
     sols = [solve_toda(make_weight(weight.kind, r, t=t,
                                    coeffs=weight.coeffs,
                                    samples=weight.samples,
                                    value=weight.value), grid, cfg)
             for t in ts]
-    mask = grid.interior
-    margin = math.inf
-    worst = {}
-    binding = ""
     skip_entropy = r > 3
-
-    def consider(label, vals):
-        nonlocal margin, worst, binding
-        m = float(vals[mask].min())
-        if m < margin:
-            margin = m
-            worst = worst_node(grid, np.where(mask, vals, np.inf), mask)
-            binding = label
-
+    parts = []
     steps = list(zip(ts, sols, [thermo_field(s, beta) for s in sols]))
     for (t0, s0, tf0), (t1, s1, tf1) in zip(steps, steps[1:]):
         tag = f"{t0:g}->{t1:g}"
-        consider(f"w_up {tag}",
-                 (s1.w_array() - s0.w_array()).min(axis=0))
-        consider(f"energy_up {tag}",
-                 energy_density(s1).values - energy_density(s0).values)
+        parts.append((f"w_up {tag}",
+                      (s1.w_array() - s0.w_array()).min(axis=0)))
+        parts.append((f"energy_up {tag}",
+                      energy_density(s1).values - energy_density(s0).values))
         drop = tf0.free_energy.values - tf1.free_energy.values
-        consider(f"fe_down {tag}", drop)
+        parts.append((f"fe_down {tag}", drop))
         cap = 2.0 * math.log(t1 / t0) + math.log(r) / beta
-        consider(f"fe_drop_cap {tag}", cap - drop)
+        parts.append((f"fe_drop_cap {tag}", cap - drop))
         if not skip_entropy:
-            consider(f"entropy_up {tag}",
-                     tf1.entropy.values - tf0.entropy.values)
+            parts.append((f"entropy_up {tag}",
+                          tf1.entropy.values - tf0.entropy.values))
+    margin, worst, binding = _binding(grid, parts)
 
     inst = (f"{weight.describe()} grid={grid.mode} n={grid.n} "
             f"rho={grid.rho_max:g} beta={beta:g} t={ts}")
     notes = f"binding part {binding}"
     if skip_entropy:
         notes += "; entropy comparison skipped for r > 3"
-    return _report("monotone_in_t", inst, margin, slack, worst=worst,
+    return _report("monotone_in_t", inst, margin, MONOTONE_SLACK, worst=worst,
                    notes=notes)
 
 

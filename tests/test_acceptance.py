@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from todakit.cli import main as cli_main
-from todakit.grid import build_grid, inner_mask
+from todakit.grid import build_grid
 from todakit.thermo import thermo_field
-from todakit.toda import (SolverConfig, energy_density, model_log_densities,
-                          solve_toda)
-from todakit.verify import check_fe_inequality
+from todakit.toda import SolverConfig, solve_toda
+from todakit.verify import (check_fe_inequality, check_model_order,
+                            check_monotonicity_in_t)
 from todakit.weight import (beta_integrals, lambda_coefficients, make_weight,
                             model_entropy)
 
@@ -66,27 +66,14 @@ def test_criterion_2_blowup_profile_convergence_order():
     # degenerate weight: solved fields approach the closed form at an
     # observed order in [1.7, 2.3] across n in {65, 129, 257}
     t0 = time.monotonic()
-    ns = (65, 129, 257)
-    margin_in = 3.0 * (2.0 * RHO / (ns[0] - 1))
-    all_orders = {}
+    notes = []
     for r in (2, 3, 4):
-        errs = []
-        for n in ns:
-            g = _grid(n)
-            sol = solve_toda(make_weight("zero", r), g)
-            exact = model_log_densities(g, r)
-            mask = inner_mask(g, margin_in)
-            errs.append(max(float(np.abs(sol.w_array()[a] - exact[a])[mask].max())
-                            for a in range(r - 1)))
-        orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
-        for o in orders:
-            assert 1.7 <= o <= 2.3
-        all_orders[r] = orders
+        rep = check_model_order(r, (65, 129, 257), RHO)
+        assert rep.passed, f"r={r}: {rep.notes}"
+        notes.append(f"r={r}: {rep.notes}")
     dt = time.monotonic() - t0
     assert dt < 120.0
-    summary = " ".join(f"r={r}:{o[0]:.2f},{o[1]:.2f}"
-                       for r, o in all_orders.items())
-    print(f"criterion 2: PASS (orders {summary}, {dt:.1f}s)")
+    print(f"criterion 2: PASS ({'; '.join(notes)}, {dt:.1f}s)")
 
 
 def test_criterion_3_density_ratio_band():
@@ -161,30 +148,12 @@ def test_criterion_6_monotone_in_amplitude():
     # density rise, F falls, S rises, and the free-energy drop obeys
     # 0 < F(t) - F(t') < 2 log(t'/t) + log 2, all pointwise with slack 1e-8
     t0 = time.monotonic()
-    slack = 1e-8
-    g = _grid()
-    mask = g.interior
-    ts = (0.5, 1.0, 2.0)
-    sols = {t: solve_toda(_poly_z(2, t=t), g) for t in ts}
-    worst = math.inf
-    for t, tp in zip(ts, ts[1:]):
-        a, b = sols[t], sols[tp]
-        w_step = (b.w_array() - a.w_array())[:, mask]
-        e_step = (energy_density(b).values - energy_density(a).values)[mask]
-        tf_a = thermo_field(a, 1.0)
-        tf_b = thermo_field(b, 1.0)
-        s_step = (tf_b.entropy.values - tf_a.entropy.values)[mask]
-        drop = (tf_a.free_energy.values - tf_b.free_energy.values)[mask]
-        cap = 2.0 * math.log(tp / t) + math.log(2.0)
-        checks = [float(w_step.min()), float(e_step.min()),
-                  float(s_step.min()), float(drop.min()),
-                  float((cap - drop).min())]
-        for c in checks:
-            assert c >= -slack
-        worst = min(worst, min(checks))
+    rep = check_monotonicity_in_t(_poly_z(2), _grid(), 1.0, (0.5, 1.0, 2.0))
+    assert rep.passed, f"margin {rep.margin:.3e}: {rep.notes}"
     dt = time.monotonic() - t0
     assert dt < 60.0
-    print(f"criterion 6: PASS (worst pointwise margin {worst:.3e}, {dt:.1f}s)")
+    print(f"criterion 6: PASS (worst pointwise margin {rep.margin:.3e}, "
+          f"{rep.notes}, {dt:.1f}s)")
 
 
 def test_criterion_7_free_energy_differential_inequality(qz_solutions):

@@ -94,8 +94,6 @@ def test_make_field_validates():
     bad[3] = np.nan
     with pytest.raises(ValidationError):
         make_field(g, bad)
-    # opt-out path used by intermediate solver states
-    assert make_field(g, bad, validate=False).values[3] != 0.0
 
 
 def test_norms_are_exact_extremes():

@@ -177,9 +177,6 @@ def test_load_rejects_tampered_residual(solved, tmp_path):
     with pytest.raises(SchemaError) as err:
         solution_from_dict(doc)
     assert err.value.pointer == "/residual_sup"
-    # residual verification can be waived explicitly
-    relaxed = solution_from_dict(doc, check_residual=False)
-    assert relaxed.residual_sup == 0.5
 
 
 def test_load_rejects_schema_mismatches(solved):

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from todakit.errors import ConfigurationError
-from todakit.grid import build_grid
+from todakit.grid import Field, build_grid
 from todakit.toda import SolverConfig, solve_toda
 from todakit.verify import (CheckReport, calibrate_laplacian_slack,
                             check_density_band, check_entropy_bounds,
@@ -170,6 +171,17 @@ def test_fe_inequality_skips_full_plane_grid():
                      SolverConfig(boundary="weight_flat"))
     rep = check_fe_inequality(sol, 1.0)
     assert rep.passed and "not applicable" in rep.notes
+
+
+def test_solved_instance_checks_reject_a_non_solution(poly_sol):
+    # a bump on w_1 at the zero of q breaks the equations there; each check
+    # must see it (margins about -4.2, -0.21 and -0.010)
+    g = poly_sol.grid
+    w1 = Field(g, poly_sol.w[0].values + 0.5 * np.exp(-g.r2 / 0.05))
+    bad = dataclasses.replace(poly_sol, w=(w1,) + poly_sol.w[1:])
+    for rep in (check_fe_inequality(bad, 1.0), check_density_band(bad),
+                check_entropy_bounds(bad, 1.0)):
+        assert not rep.passed, f"{rep.name}: margin {rep.margin:.3e}"
 
 
 def test_laplacian_slack_calibration_tracks_h():
