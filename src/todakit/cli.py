@@ -17,7 +17,6 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-import jsonschema
 import numpy as np
 
 from .errors import (ConfigurationError, ConvergenceError, SchemaError,
@@ -141,6 +140,10 @@ def _floats(raw: str, what: str) -> list:
 
 
 def _validate(doc: dict) -> None:
+    # imported on first use, so that importing the package without running
+    # a command does not pay for jsonschema
+    import jsonschema
+
     try:
         jsonschema.validate(doc, _RUN_SCHEMA)
     except jsonschema.ValidationError as exc:

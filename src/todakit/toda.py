@@ -23,16 +23,21 @@ by the Jacobian of the degenerate (Q = 0) system at a state of the model form
 w_j = log(lambda_j) + u.  There the Jacobian decouples: its pointwise block
 is -e^u * C Lambda (C the A_{r-1} Cartan matrix, Lambda = diag(lambda_j)),
 whose eigenvalues are k(k+1), k = 1..r-1, so in the eigenbasis of C Lambda it
-is r-1 scalar Helmholtz operators (1/4) Lap - k(k+1) e^u.  Their sparse LU
-factors are computed once per active node set, with e^u fitted to the first
-iterate, and reused by every Newton step, continuation stage and exhaustion
-stage on that set.  Steps are damped by Armijo backtracking on the residual
-sup-norm.  If the iteration stalls, the weight amplitude is ramped in t^2
-(continuation) and each stage warm-starts the next.
+is r-1 scalar Helmholtz operators (1/4) Lap - k(k+1) e^u.  Each is solved
+by a sparse LU factor when it has at most _DIRECT_SIZE unknowns, and
+otherwise by one multigrid V-cycle (Galerkin coarse operators on the
+even-index nodes, damped Jacobi smoothing, the coarsest level LU-factored).
+The factors and hierarchies are built once per active node set, with e^u
+fitted to the first iterate, and reused by every Newton step, continuation
+stage and exhaustion stage on that set.  Steps are damped by Armijo
+backtracking on the residual sup-norm.  If the iteration stalls, the weight
+amplitude is ramped in t^2 (continuation) and each stage warm-starts the
+next.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -67,6 +72,14 @@ _GMRES_RESTART = 60
 # restart cycles before a Krylov failure stalls the Newton iteration; scipy's
 # default (ten times the unknowns) is no bound at all
 _GMRES_MAXITER = 10
+# Preconditioner blocks with at most this many unknowns are LU-factored
+# whole; larger ones are solved by one multigrid V-cycle whose coarsest level
+# is the first with at most this many unknowns.  Solves of cartesian q = z
+# with r = 2 and 4 cost the same either way at 4000-4900 unknowns (n = 73-81),
+# and the cycle wins above.
+_DIRECT_SIZE = 4000
+_JACOBI_WEIGHT = 0.8
+_SMOOTHING_SWEEPS = 2
 
 
 @dataclass(frozen=True)
@@ -177,8 +190,10 @@ class _System:
     package's one stencil: the residual applies it to whole fields, so its
     columns outside the active set carry the Dirichlet data, and the
     Jacobian's Laplacian block is its restriction to the active columns.
-    The Newton preconditioner is built from the first iterate that asks for
-    it and kept for the life of the system.
+    The Jacobian's sparsity pattern is built with the first Jacobian, and
+    the Newton preconditioner (LU factors or V-cycles of its blocks) from
+    the first iterate that asks for it; both are kept for the life of the
+    system.
     """
 
     def __init__(self, grid: Grid, r: int, active: np.ndarray):
@@ -192,6 +207,7 @@ class _System:
             raise ConfigurationError("active node set is empty")
         self.lap = 0.25 * laplacian_operator(grid, active)
         self._precond = None
+        self._jac_layout = None
 
     def residual(self, w: np.ndarray, q: np.ndarray) -> np.ndarray:
         """N_j at active nodes, shape (m, k)."""
@@ -201,6 +217,40 @@ class _System:
         low = np.vstack([v0[None, :], e[:-1]])   # e^{w_{j-1}}
         high = np.vstack([e[1:], v0[None, :]])   # e^{w_{j+1}}
         return lap - (2.0 * e - low - high)
+
+    def _jacobian_layout(self):
+        """The Jacobian's fixed CSR pattern and how its triplets fill it.
+
+        The triplets are the Laplacian block down the diagonal, then
+        pointwise entry (a, b) at node i in row a*k+i, column b*k+i.  A slot
+        holds one triplet, or two on the diagonal (the Laplacian's and the
+        pointwise block's): every slot takes the triplet `take` names, and
+        the diagonal slots `extra_slot` add the triplets `extra`, which is
+        the two-term sum a COO-to-CSR conversion forms.  Built on the first
+        Jacobian, so residual-only systems never pay for it.
+        """
+        if self._jac_layout is None:
+            m, k = self.m, self.k
+            lap = self.lap[:, self.idx].tocoo()
+            shift = k * np.arange(m)
+            node = np.arange(k)
+            rows = np.concatenate([
+                (shift[:, None] + lap.row).ravel(),
+                np.broadcast_to(shift[:, None, None] + node, (m, m, k)).ravel()])
+            cols = np.concatenate([
+                (shift[:, None] + lap.col).ravel(),
+                np.broadcast_to(shift[None, :, None] + node, (m, m, k)).ravel()])
+            slots, take, slot_of = np.unique(
+                rows * (m * k) + cols, return_index=True, return_inverse=True)
+            extra = np.ones(len(rows), dtype=bool)
+            extra[take] = False
+            extra = np.flatnonzero(extra)
+            indptr = np.searchsorted(slots, (m * k) * np.arange(m * k + 1))
+            pattern = csr_matrix((np.zeros(len(slots)), slots % (m * k), indptr),
+                                 shape=(m * k, m * k))
+            self._jac_layout = (np.tile(lap.data, m), take, extra,
+                                slot_of[extra], pattern)
+        return self._jac_layout
 
     def jacobian(self, w: np.ndarray, q: np.ndarray) -> csr_matrix:
         m, k = self.m, self.k
@@ -216,20 +266,12 @@ class _System:
         # dV0/dw_b = -V0 for every b; V0 appears in the first and last equation
         blocks[0] += -v0
         blocks[m - 1] += -v0
-        # the Laplacian block repeats down the diagonal; pointwise entry
-        # (a, b) at node i sits at row a*k+i, column b*k+i
-        lap = self.lap[:, self.idx].tocoo()
-        shift = k * np.arange(m)
-        node = np.arange(k)
-        rows = np.concatenate([
-            (shift[:, None] + lap.row).ravel(),
-            np.broadcast_to(shift[:, None, None] + node, (m, m, k)).ravel()])
-        cols = np.concatenate([
-            (shift[:, None] + lap.col).ravel(),
-            np.broadcast_to(shift[None, :, None] + node, (m, m, k)).ravel()])
-        data = np.concatenate([np.tile(lap.data, m), blocks.ravel()])
-        j = coo_matrix((data, (rows, cols)), shape=(m * k, m * k))
-        return j.tocsr()
+        lap_data, take, extra, extra_slot, pattern = self._jacobian_layout()
+        values = np.concatenate([lap_data, blocks.ravel()])
+        data = values[take]
+        data[extra_slot] += values[extra]
+        return csr_matrix((data, pattern.indices, pattern.indptr),
+                          shape=pattern.shape)
 
     def preconditioner(self, w: np.ndarray, q: np.ndarray):
         """x -> P^{-1} x for P the exact Q = 0 Jacobian at
@@ -243,7 +285,10 @@ class _System:
         active nodes of the first (w, q) passed in,
         e^u = (sum_j e^{w_j} + V_0) / sum_j lambda_j: the model profile at
         the Q = 0 model state, the exact Jacobian for r = 2, and it keeps
-        the V_0 coupling that dominates at large amplitude.
+        the V_0 coupling that dominates at large amplitude.  A block with
+        at most _DIRECT_SIZE unknowns is LU-factored; a larger one is solved
+        by one V-cycle, so there P^{-1} is a fixed approximate inverse and
+        GMRES takes more, cheaper iterations.
         """
         if self._precond is None:
             m, k = self.m, self.k
@@ -257,19 +302,92 @@ class _System:
             v0 = q[self.idx] * np.exp(-wa.sum(axis=0))
             e_u = (np.exp(wa).sum(axis=0) + v0) / lam.sum()
             lap = self.lap[:, self.idx]
-            # the blocks are diagonally dominant, so diagonal pivots are
-            # stable and SymmetricMode factors them about a quarter faster
-            lus = [splu((lap - diags(dk * e_u)).tocsc(),
-                        permc_spec="MMD_AT_PLUS_A",
-                        options={"SymmetricMode": True}) for dk in d]
+            prolongations = _prolongations(self.grid, self.idx)
+            solvers = [_VCycle(block, prolongations) if prolongations
+                       else _factor(block)
+                       for block in (lap - diags(dk * e_u) for dk in d)]
 
             def apply(x):
                 y = s_inv @ x.reshape(m, k)
-                return (s @ np.stack([lu.solve(row) for lu, row in zip(lus, y)])
+                return (s @ np.stack([sv.solve(row)
+                                      for sv, row in zip(solvers, y)])
                         ).reshape(-1)
 
             self._precond = apply
         return self._precond
+
+
+def _factor(block):
+    # the blocks are diagonally dominant, so diagonal pivots are stable and
+    # SymmetricMode factors them about a quarter faster
+    return splu(block.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                options={"SymmetricMode": True})
+
+
+def _coarsen(n: int, dims: int, nodes: np.ndarray):
+    """Linear interpolation onto `nodes` from the even-index nodes.
+
+    `nodes` are flat indices on a grid of n nodes along each of `dims` axes.
+    Along an axis, node i takes half of parents i // 2 and (i + 1) // 2 on
+    the coarse axis of n // 2 + 1 nodes (at even i both are i / 2, and the
+    halves sum to one); the prolongation is the tensor product over axes,
+    restricted to the coarse nodes some row touches.  Returns (P, coarse
+    nodes, coarse n).
+    """
+    nc = n // 2 + 1
+    parents = [(c // 2, (c + 1) // 2)
+               for c in np.unravel_index(nodes, (n,) * dims)]
+    cols = np.concatenate([
+        np.ravel_multi_index([par[s] for par, s in zip(parents, pick)],
+                             (nc,) * dims)
+        for pick in itertools.product((0, 1), repeat=dims)])
+    coarse, cols = np.unique(cols, return_inverse=True)
+    rows = np.tile(np.arange(len(nodes)), 2 ** dims)
+    p = coo_matrix((np.full(len(rows), 0.5 ** dims), (rows, cols)),
+                   shape=(len(nodes), len(coarse)))
+    return p.tocsr(), coarse, nc
+
+
+def _prolongations(grid: Grid, idx: np.ndarray) -> list:
+    """Prolongations of the V-cycle hierarchy on the active nodes `idx`,
+    finest first; empty when they are few enough to factor directly."""
+    dims = 2 if grid.mode == "cartesian" else 1
+    n, nodes, out = grid.n, idx, []
+    while len(nodes) > _DIRECT_SIZE:
+        p, nodes, n = _coarsen(n, dims, nodes)
+        out.append(p)
+    return out
+
+
+class _VCycle:
+    """x = M^{-1} b by one V(2,2)-cycle on a preconditioner block.
+
+    Damped Jacobi smoothing, Galerkin coarse operators P^T A P, which need
+    no special case for the disc mask, its cut cells or an exhaustion
+    stage's active set, and the coarsest level factored as a small block
+    is.  Every cycle starts from x = 0, so M^{-1} is a fixed linear
+    operator, as GMRES needs of a preconditioner.
+    """
+
+    def __init__(self, block, prolongations):
+        self.levels = []
+        a = block
+        for p in prolongations:
+            self.levels.append((a, _JACOBI_WEIGHT / a.diagonal(), p))
+            a = (p.T @ a @ p).tocsr()
+        self.coarsest = _factor(a)
+
+    def solve(self, b, level=0):
+        if level == len(self.levels):
+            return self.coarsest.solve(b)
+        a, weighted_inv_diag, p = self.levels[level]
+        x = weighted_inv_diag * b
+        for _ in range(_SMOOTHING_SWEEPS - 1):
+            x += weighted_inv_diag * (b - a @ x)
+        x += p @ self.solve(p.T @ (b - a @ x), level + 1)
+        for _ in range(_SMOOTHING_SWEEPS):
+            x += weighted_inv_diag * (b - a @ x)
+        return x
 
 
 def _as_weight_field(grid: Grid, weight) -> Field:

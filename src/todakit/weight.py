@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigurationError, InternalError, ShapeError, ValidationError
 from .grid import Field, Grid
@@ -271,6 +270,11 @@ def beta_integrals(beta: float) -> tuple[float, float]:
     times log(s-a).  With the smooth remainder identically 1 both integrals
     come out near machine precision across the whole range beta > -1.
     """
+    # imported here: scipy.integrate pulls in scipy.optimize, which costs
+    # more at start-up than the rest of the package, and only the model
+    # constants need it
+    from scipy.integrate import quad
+
     beta = _check_beta(beta)
     if beta <= -1.0:
         raise ConfigurationError(

@@ -275,3 +275,14 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["lambda"] == [2, 2]
+
+
+def test_import_defers_schema_and_quadrature():
+    # jsonschema and scipy.integrate are slow to import and only run-document
+    # validation and the model constants need them
+    code = ("import sys, todakit, todakit.cli; print(sorted(m for m in "
+            "('jsonschema', 'scipy.integrate') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

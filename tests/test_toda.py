@@ -144,6 +144,56 @@ def test_jacobian_shape_and_sparsity():
     assert jac.nnz <= 3 * 5 * k + 9 * k
 
 
+def _coo_jacobian(sys, w, q):
+    # the Jacobian assembled from its triplets: the Laplacian block down the
+    # diagonal, then pointwise entry (a, b) at node i in row a*k+i, column
+    # b*k+i, with duplicates summed by the COO-to-CSR conversion
+    from scipy.sparse import coo_matrix
+
+    m, k = sys.m, sys.k
+    e = np.exp(w[:, sys.idx])
+    v0 = q[sys.idx] * np.exp(-w[:, sys.idx].sum(axis=0))
+    blocks = np.zeros((m, m, k))
+    for a in range(m):
+        blocks[a, a] = -2.0 * e[a]
+        if a > 0:
+            blocks[a, a - 1] += e[a - 1]
+        if a < m - 1:
+            blocks[a, a + 1] += e[a + 1]
+    blocks[0] += -v0
+    blocks[m - 1] += -v0
+    lap = sys.lap[:, sys.idx].tocoo()
+    shift = k * np.arange(m)
+    node = np.arange(k)
+    rows = np.concatenate([(shift[:, None] + lap.row).ravel(),
+                           np.repeat(shift, m * k) + np.tile(node, m * m)])
+    cols = np.concatenate([(shift[:, None] + lap.col).ravel(),
+                           np.tile(np.repeat(shift, k), m) + np.tile(node, m * m)])
+    data = np.concatenate([np.tile(lap.data, m), blocks.ravel()])
+    return coo_matrix((data, (rows, cols)), shape=(m * k, m * k)).tocsr()
+
+
+@pytest.mark.parametrize("mode, r", [("cartesian", 2), ("cartesian", 4),
+                                     ("cartesian", 8), ("radial", 3)])
+def test_jacobian_refill_matches_coo_assembly(mode, r):
+    # the refilled fixed pattern is bit-identical to a fresh COO assembly,
+    # on the interior and on an exhaustion stage's smaller active set, at
+    # states with Q = 0 at some nodes
+    import todakit.toda as toda
+
+    g = build_grid(mode, 33, 0.9)
+    rng = np.random.default_rng(r)
+    cut = 0.8 - 0.5 * g.h
+    for active in (g.interior, g.interior & (g.r2 < cut * cut)):
+        sys = toda._System(g, r, active)
+        for _ in range(2):
+            w = rng.standard_normal((r - 1, g.nodes))
+            q = rng.random(g.nodes) * (rng.random(g.nodes) < 0.7)
+            jac, ref = sys.jacobian(w, q), _coo_jacobian(sys, w, q)
+            for part in ("indptr", "indices", "data"):
+                assert getattr(jac, part).tobytes() == getattr(ref, part).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Solver.
 # ---------------------------------------------------------------------------
@@ -348,8 +398,8 @@ def test_preconditioner_inverts_degenerate_jacobian(mode, n, r):
     assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
 
 
-def test_gmres_step_matches_direct_solve(monkeypatch):
-    # the solver's first Newton step equals a sparse direct solve of the
+def _first_step_and_direct_solve(monkeypatch, n):
+    # the solver's first Newton step and a sparse direct solve of the
     # Jacobian system at a state away from the model, with Q != 0
     from scipy.sparse.linalg import spsolve
 
@@ -364,7 +414,7 @@ def test_gmres_step_matches_direct_solve(monkeypatch):
         return delta, info
 
     monkeypatch.setattr(toda, "gmres", recorded)
-    g = build_grid("cartesian", 33, 0.9)
+    g = build_grid("cartesian", n, 0.9)
     weight = make_weight("poly", 3, coeffs=[0, 1])
     w = model_log_densities(g, 3)
     w[:, g.interior] += 0.3 * g.x[g.interior] * g.y[g.interior] + 0.1
@@ -375,8 +425,72 @@ def test_gmres_step_matches_direct_solve(monkeypatch):
     solve_toda(weight, g, SolverConfig(initial="provided",
                                        provided_w=tuple(fields)))
     delta, info = steps[0]
+    return delta, info, direct
+
+
+def test_gmres_step_matches_direct_solve(monkeypatch):
+    delta, info, direct = _first_step_and_direct_solve(monkeypatch, 33)
     assert info == 0 and np.abs(direct).max() > 1e-3
     assert np.abs(delta - direct).max() <= 1e-12
+
+
+def test_vcycle_gmres_step_matches_direct_solve(monkeypatch):
+    # the same at n = 129, where the preconditioner's blocks are above the
+    # direct size and are solved by V-cycles
+    import todakit.toda as toda
+
+    coarsened = _counted(monkeypatch, toda, "_coarsen")
+    delta, info, direct = _first_step_and_direct_solve(monkeypatch, 129)
+    assert coarsened
+    assert info == 0 and np.abs(direct).max() > 1e-3
+    assert np.abs(delta - direct).max() <= 1e-12
+
+
+def _counted(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_small_blocks_build_no_coarse_level(monkeypatch):
+    # at n = 65 every block is at most the direct size: it is factored
+    # whole, with no coarse level
+    import todakit.toda as toda
+
+    g = build_grid("cartesian", 65, 0.9)
+    assert g.interior.sum() <= toda._DIRECT_SIZE
+    coarsened = _counted(monkeypatch, toda, "_coarsen")
+    sol = solve_toda(make_weight("poly", 3, coeffs=[0, 1]), g)
+    assert sol.iterations > 0 and not coarsened
+
+
+@pytest.mark.parametrize("mode, n", [("cartesian", 129), ("cartesian", 257),
+                                     ("radial", 8193)])
+def test_vcycle_contracts_every_block(mode, n):
+    # one V-cycle leaves at most a fifth of the error, ||x - M^-1 A x|| <=
+    # 0.2 ||x||, on each Helmholtz block of the degenerate preconditioner
+    from scipy.sparse import diags
+
+    import todakit.toda as toda
+
+    r = 3
+    g = build_grid(mode, n, 0.9)
+    sys = toda._System(g, r, g.interior)
+    w = model_log_densities(g, r)
+    e_u = np.exp(w[:, sys.idx]).sum(axis=0) / lambda_coefficients(r).sum()
+    prolongations = toda._prolongations(g, sys.idx)
+    assert prolongations
+    x = np.random.default_rng(n).standard_normal(sys.k)
+    for k in range(1, r):
+        block = sys.lap[:, sys.idx] - diags(k * (k + 1) * e_u)
+        back = toda._VCycle(block, prolongations).solve(block @ x)
+        assert np.linalg.norm(x - back) <= 0.2 * np.linalg.norm(x)
 
 
 def test_weight_flat_converges_past_unit_disc():
