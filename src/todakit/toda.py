@@ -18,12 +18,28 @@ Boundary strategies:
                     the interior drift between stages reported as a
                     completeness diagnostic
 
+The discrete equations are invariant under the mirror j -> r-j: V_0
+depends on sum_k w_k only, lambda_j = lambda_{r-j}, and every boundary
+strategy and initial guess is mirror-symmetric (a provided guess is
+symmetrized).  So the solution has w_j = w_{r-j}, i.e. H_j = H_{r-j} for the
+metrics H_j = h_j^-1 (x) h_{j+1}, and the solver iterates only the r//2
+fields w_1..w_{r//2}, reading w_j as w_{min(j, r-j)}: its residual is
+equations 1..r//2 of the full system at the mirrored state, and its
+Jacobian sums the pointwise columns of each mirror pair, the V_0 column
+carrying the pair's multiplicity.  The equations left out are the mirrors
+of those kept, so the fold is exact; for r = 2 it is the identity.
+`toda_residual` and `toda_jacobian` keep all r-1 equations, and the reload
+recheck of a saved solution recomputes the full residual, so every
+equation is still checked independently.
+
 Each Newton step solves the exact Jacobian system with GMRES, preconditioned
 by the Jacobian of the degenerate (Q = 0) system at a state of the model form
 w_j = log(lambda_j) + u.  There the Jacobian decouples: its pointwise block
 is -e^u * C Lambda (C the A_{r-1} Cartan matrix, Lambda = diag(lambda_j)),
 whose eigenvalues are k(k+1), k = 1..r-1, so in the eigenbasis of C Lambda it
-is r-1 scalar Helmholtz operators (1/4) Lap - k(k+1) e^u.  Each is solved
+is r-1 scalar Helmholtz operators (1/4) Lap - k(k+1) e^u.  The folded
+unknowns keep the mirror-symmetric modes only, the r//2 operators with k
+odd.  Each is solved
 by a sparse LU factor when it has at most _DIRECT_SIZE unknowns, and
 otherwise by one multigrid V-cycle (Galerkin coarse operators on the
 even-index nodes, damped Jacobi smoothing, the coarsest level LU-factored).
@@ -84,6 +100,14 @@ _SMOOTHING_SWEEPS = 2
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Newton, line-search and continuation settings of `solve_toda`.
+
+    `initial="provided"` starts from the r-1 fields `provided_w`.  The
+    solver iterates mirror-symmetric fields only, so it starts from the
+    symmetrized guess (w_j + w_{r-j}) / 2, which a symmetric guess already
+    is.
+    """
+
     tolerance: float = 1e-10
     max_iterations: int = 50
     armijo_factor: float = 0.5
@@ -194,12 +218,23 @@ class _System:
     the Newton preconditioner (LU factors or V-cycles of its blocks) from
     the first iterate that asks for it; both are kept for the life of the
     system.
+
+    The unknowns are m fields u_1..u_m and the chain slot j = 1..r-1 reads
+    w_j = u[fold[j-1]].  Unfolded, fold is the identity and m = r-1: the
+    full system.  With `mirror`, fold maps j to min(j, r-j), so m = r//2
+    and the residual is equations 1..m of the full system at the mirrored
+    state; a chain slot's multiplicity `mult` is the size of its mirror
+    pair.
     """
 
-    def __init__(self, grid: Grid, r: int, active: np.ndarray):
+    def __init__(self, grid: Grid, r: int, active: np.ndarray,
+                 mirror: bool = False):
         self.grid = grid
         self.r = r
-        self.m = r - 1
+        slots = np.arange(1, r)
+        self.fold = (np.minimum(slots, r - slots) if mirror else slots) - 1
+        self.mult = np.bincount(self.fold).astype(float)
+        self.m = len(self.mult)
         self.active = active
         self.idx = np.flatnonzero(active)
         self.k = len(self.idx)
@@ -209,14 +244,19 @@ class _System:
         self._precond = None
         self._jac_layout = None
 
-    def residual(self, w: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """N_j at active nodes, shape (m, k)."""
-        lap = (self.lap @ w.T).T
-        e = np.exp(w[:, self.idx])
-        v0 = q[self.idx] * np.exp(-w[:, self.idx].sum(axis=0))
-        low = np.vstack([v0[None, :], e[:-1]])   # e^{w_{j-1}}
-        high = np.vstack([e[1:], v0[None, :]])   # e^{w_{j+1}}
-        return lap - (2.0 * e - low - high)
+    def _densities(self, u: np.ndarray, q: np.ndarray):
+        """(e^{u_a}, V_0) at the active nodes, V_0 summed over the chain."""
+        ua = u[:, self.idx]
+        return np.exp(ua), q[self.idx] * np.exp(-ua[self.fold].sum(axis=0))
+
+    def residual(self, u: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """N_a at active nodes, shape (m, k)."""
+        lap = (self.lap @ u.T).T
+        e, v0 = self._densities(u, q)
+        # slot densities e^{w_0} .. e^{w_r}, V_0 closing both ends
+        chain = np.vstack([v0[None, :], e[self.fold], v0[None, :]])
+        m = self.m
+        return lap - (2.0 * e - chain[:m] - chain[2:m + 2])
 
     def _jacobian_layout(self):
         """The Jacobian's fixed CSR pattern and how its triplets fill it.
@@ -252,20 +292,25 @@ class _System:
                                 slot_of[extra], pattern)
         return self._jac_layout
 
-    def jacobian(self, w: np.ndarray, q: np.ndarray) -> csr_matrix:
-        m, k = self.m, self.k
-        e = np.exp(w[:, self.idx])
-        v0 = q[self.idx] * np.exp(-w[:, self.idx].sum(axis=0))
+    def jacobian(self, u: np.ndarray, q: np.ndarray) -> csr_matrix:
+        """dN_a/du_b: the full Jacobian's pointwise columns summed over
+        each mirror pair, assembled in that form."""
+        m, k, fold = self.m, self.k, self.fold
+        e, v0 = self._densities(u, q)
         blocks = np.zeros((m, m, k))
         for a in range(m):
             blocks[a, a] = -2.0 * e[a]
         for a in range(1, m):
             blocks[a, a - 1] += e[a - 1]
-        for a in range(m - 1):
-            blocks[a, a + 1] += e[a + 1]
-        # dV0/dw_b = -V0 for every b; V0 appears in the first and last equation
-        blocks[0] += -v0
-        blocks[m - 1] += -v0
+        for a in range(min(m, self.r - 2)):
+            b = fold[a + 1]
+            blocks[a, b] += e[b]
+        # dV0/du_b = -mult_b V0; V0 closes the chain's first and last
+        # equation, and the last is one of the m only when unfolded
+        dv0 = -v0 * self.mult[:, None]
+        blocks[0] += dv0
+        if self.r - 2 < m:
+            blocks[self.r - 2] += dv0
         lap_data, take, extra, extra_slot, pattern = self._jacobian_layout()
         values = np.concatenate([lap_data, blocks.ravel()])
         data = values[take]
@@ -273,16 +318,19 @@ class _System:
         return csr_matrix((data, pattern.indices, pattern.indptr),
                           shape=pattern.shape)
 
-    def preconditioner(self, w: np.ndarray, q: np.ndarray):
+    def preconditioner(self, u: np.ndarray, q: np.ndarray):
         """x -> P^{-1} x for P the exact Q = 0 Jacobian at
         w_j = log(lambda_j) + u, on stacked active unknowns.
 
-        The pointwise block of P is -e^u C Lambda.  With
-        Lambda^{1/2} C Lambda^{1/2} = V D V^T, C Lambda = S D S^-1 for
-        S = Lambda^{-1/2} V and S^-1 = V^T Lambda^{1/2}, so
-        P^{-1} = (S x I) blockdiag((1/4) L - d_k diag(e^u))^{-1} (S^-1 x I).
+        The pointwise block of P is -e^u F with F = (C Lambda)[:m] S, the
+        columns of C Lambda summed over each mirror pair (S the fold
+        matrix; F = C Lambda unfolded).  F is self-adjoint in
+        G = diag(mult_b lambda_b), so with G^{1/2} F G^{-1/2} = V D V^T,
+        F = T D T^-1 for T = G^{-1/2} V and T^-1 = V^T G^{1/2}, and
+        P^{-1} = (T x I) blockdiag((1/4) L - d_k diag(e^u))^{-1} (T^-1 x I).
+        D holds k(k+1) for k = 1..r-1, or its odd-k part when folded.
         The scale e^u matches the trace of the true pointwise block at the
-        active nodes of the first (w, q) passed in,
+        active nodes of the first (u, q) passed in,
         e^u = (sum_j e^{w_j} + V_0) / sum_j lambda_j: the model profile at
         the Q = 0 model state, the exact Jacobian for r = 2, and it keeps
         the V_0 coupling that dominates at large amplitude.  A block with
@@ -291,16 +339,20 @@ class _System:
         GMRES takes more, cheaper iterations.
         """
         if self._precond is None:
-            m, k = self.m, self.k
-            lam = lambda_coefficients(self.r)
-            sqrt_lam = np.sqrt(lam)
-            cartan = 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
-            d, v = np.linalg.eigh(sqrt_lam[:, None] * cartan * sqrt_lam[None, :])
-            s = v / sqrt_lam[:, None]
-            s_inv = v.T * sqrt_lam[None, :]
-            wa = w[:, self.idx]
-            v0 = q[self.idx] * np.exp(-wa.sum(axis=0))
-            e_u = (np.exp(wa).sum(axis=0) + v0) / lam.sum()
+            m, k, r = self.m, self.k, self.r
+            lam = lambda_coefficients(r)
+            cartan = 2.0 * np.eye(r - 1) - np.eye(r - 1, k=1) - np.eye(r - 1, k=-1)
+            folded = np.zeros((m, m))
+            np.add.at(folded.T, self.fold, cartan[:m].T)
+            # F = folded * lam[:m] by columns, and G^{1/2} F G^{-1/2}
+            # scales column b by lam_b / sqrt(mult_b lam_b)
+            sqrt_g = np.sqrt(self.mult * lam[:m])
+            d, v = np.linalg.eigh(sqrt_g[:, None] * folded
+                                  * np.sqrt(lam[:m] / self.mult)[None, :])
+            t = v / sqrt_g[:, None]
+            t_inv = v.T * sqrt_g[None, :]
+            e, v0 = self._densities(u, q)
+            e_u = (e[self.fold].sum(axis=0) + v0) / lam.sum()
             lap = self.lap[:, self.idx]
             prolongations = _prolongations(self.grid, self.idx)
             solvers = [_VCycle(block, prolongations) if prolongations
@@ -308,8 +360,8 @@ class _System:
                        for block in (lap - diags(dk * e_u) for dk in d)]
 
             def apply(x):
-                y = s_inv @ x.reshape(m, k)
-                return (s @ np.stack([sv.solve(row)
+                y = t_inv @ x.reshape(m, k)
+                return (t @ np.stack([sv.solve(row)
                                       for sv, row in zip(solvers, y)])
                         ).reshape(-1)
 
@@ -451,14 +503,16 @@ def _active_ring(sys: _System) -> np.ndarray:
 
 
 def _fill_boundary(sys: _System, q: np.ndarray, strategy: str,
-                   w: np.ndarray) -> None:
+                   u: np.ndarray) -> None:
+    """Dirichlet data into the boundary nodes of the unknowns u of `sys`;
+    every strategy's data is mirror-symmetric in j -> r-j."""
     grid, r = sys.grid, sys.r
     if strategy in ("model_poincare", "exhaustion"):
         if grid.rho_max >= 1.0:
             raise ConfigurationError(
                 f"{strategy} boundary needs rho_max < 1, got {grid.rho_max}")
         model = model_log_densities(grid, r)
-        w[:, grid.boundary] = model[:, grid.boundary]
+        u[:, grid.boundary] = model[:sys.m, grid.boundary]
         return
     if strategy == "weight_flat":
         ring = _active_ring(sys)
@@ -470,7 +524,7 @@ def _fill_boundary(sys: _System, q: np.ndarray, strategy: str,
         vals = np.zeros(grid.nodes)
         pos = q > 0.0
         vals[pos] = np.log(q[pos]) / r
-        w[:, grid.boundary] = vals[grid.boundary]
+        u[:, grid.boundary] = vals[grid.boundary]
         return
     raise InternalError(f"unknown boundary strategy {strategy!r}")
 
@@ -497,7 +551,8 @@ def _initial_guess(grid: Grid, r: int, q: np.ndarray, cfg: SolverConfig) -> np.n
         w = np.stack([f.values for f in cfg.provided_w])
         if not np.all(np.isfinite(w)):
             raise ValidationError("provided initial guess contains non-finite values")
-        return w.copy()
+        # the solver iterates the mirror-symmetric fields only
+        return 0.5 * (w + w[::-1])
     raise InternalError(f"unknown initial strategy {kind!r}")
 
 
@@ -505,10 +560,10 @@ def _initial_guess(grid: Grid, r: int, q: np.ndarray, cfg: SolverConfig) -> np.n
 # Newton iteration
 
 
-def _newton(sys: _System, q: np.ndarray, w: np.ndarray, cfg: SolverConfig,
+def _newton(sys: _System, q: np.ndarray, u: np.ndarray, cfg: SolverConfig,
             history: list) -> int:
-    """Damped Newton on the active set; mutates w, returns iteration count."""
-    n_act = sys.residual(w, q)
+    """Damped Newton on the active set; mutates u, returns iteration count."""
+    n_act = sys.residual(u, q)
     res = float(np.abs(n_act).max())
     if not np.isfinite(res):
         raise ValidationError("initial residual is not finite")
@@ -517,8 +572,8 @@ def _newton(sys: _System, q: np.ndarray, w: np.ndarray, cfg: SolverConfig,
     while res > cfg.tolerance:
         if iters >= cfg.max_iterations:
             raise _Stall()
-        jac = sys.jacobian(w, q)
-        p_inv = sys.preconditioner(w, q)
+        jac = sys.jacobian(u, q)
+        p_inv = sys.preconditioner(u, q)
         op = LinearOperator(jac.shape, matvec=lambda x: p_inv(jac @ x),
                             dtype=float)
         delta, info = gmres(op, p_inv(-n_act.reshape(-1)), rtol=_GMRES_RTOL,
@@ -529,12 +584,12 @@ def _newton(sys: _System, q: np.ndarray, w: np.ndarray, cfg: SolverConfig,
         delta = delta.reshape(sys.m, sys.k)
         step = 1.0
         for _ in range(cfg.max_halvings + 1):
-            trial = w.copy()
+            trial = u.copy()
             trial[:, sys.idx] += step * delta
             n_try = sys.residual(trial, q)
             res_try = float(np.abs(n_try).max())
             if np.isfinite(res_try) and res_try <= (1.0 - _ARMIJO_SLOPE * step) * res:
-                w[:, sys.idx] = trial[:, sys.idx]
+                u[:, sys.idx] = trial[:, sys.idx]
                 n_act, res = n_try, res_try
                 break
             step *= cfg.armijo_factor
@@ -547,14 +602,14 @@ def _newton(sys: _System, q: np.ndarray, w: np.ndarray, cfg: SolverConfig,
 
 
 def _solve_stage(weight: WeightDensity, sys: _System, q: np.ndarray,
-                 w: np.ndarray, cfg: SolverConfig, history: list) -> int:
+                 u: np.ndarray, cfg: SolverConfig, history: list) -> int:
     """Newton with amplitude continuation as the stall fallback.
 
     q is the density of `weight` on the grid; only the scaled continuation
     stages evaluate densities of their own.
     """
     try:
-        return _newton(sys, q, w, cfg, history)
+        return _newton(sys, q, u, cfg, history)
     except _Stall:
         if cfg.continuation_steps <= 0:
             raise
@@ -567,9 +622,9 @@ def _solve_stage(weight: WeightDensity, sys: _System, q: np.ndarray,
         q_s = evaluate_density(scale_weight(weight, np.sqrt(s)),
                                sys.grid).values if p else q
         if cfg.boundary == "weight_flat":
-            _fill_boundary(sys, q_s, cfg.boundary, w)
+            _fill_boundary(sys, q_s, cfg.boundary, u)
         try:
-            total += _newton(sys, q_s, w, cfg, history)
+            total += _newton(sys, q_s, u, cfg, history)
         except _Stall:
             raise ConvergenceError(
                 f"newton stalled at continuation amplitude {s:g} "
@@ -582,23 +637,24 @@ def solve_toda(weight: WeightDensity, grid: Grid,
     cfg = (config or SolverConfig()).validated()
     r = weight.r
     q = evaluate_density(weight, grid).values
-    sys = _System(grid, r, grid.interior)
-    w = _initial_guess(grid, r, q, cfg)
-    _fill_boundary(sys, q, cfg.boundary, w)
+    sys = _System(grid, r, grid.interior, mirror=True)
+    u = _initial_guess(grid, r, q, cfg)[:sys.m]
+    _fill_boundary(sys, q, cfg.boundary, u)
     history: list = []
     drifts: tuple = ()
 
     if cfg.boundary == "exhaustion":
-        iters, drifts = _solve_exhaustion(weight, sys, q, w, cfg, history)
+        iters, drifts = _solve_exhaustion(weight, sys, q, u, cfg, history)
     else:
         try:
-            iters = _solve_stage(weight, sys, q, w, cfg, history)
+            iters = _solve_stage(weight, sys, q, u, cfg, history)
         except _Stall:
             raise ConvergenceError(
                 f"newton stalled (residual {history[-1]:.3e})", history)
 
     # every path ends with Newton on the interior system and the full q
     res = history[-1]
+    w = u[sys.fold]
     v0 = compute_v0(w, q)
     sol = TodaSolution(
         grid=grid, weight=weight, r=r,
@@ -624,7 +680,7 @@ def _exhaustion_radii(grid: Grid) -> list:
 
 
 def _solve_exhaustion(weight: WeightDensity, sys: _System, q: np.ndarray,
-                      w: np.ndarray, cfg: SolverConfig, history: list):
+                      u: np.ndarray, cfg: SolverConfig, history: list):
     """Nested subdisc solves with model Dirichlet data on each stage.
 
     All stages share one grid: stage rho treats every node with
@@ -652,14 +708,14 @@ def _solve_exhaustion(weight: WeightDensity, sys: _System, q: np.ndarray,
         cut = rho - 0.5 * grid.h
         active = grid.interior & (grid.r2 < cut * cut)
         stage = sys if np.array_equal(active, sys.active) \
-            else _System(grid, sys.r, active)
+            else _System(grid, sys.r, active, mirror=True)
         try:
-            iters += _solve_stage(weight, stage, q, w, cfg, history)
+            iters += _solve_stage(weight, stage, q, u, cfg, history)
         except _Stall:
             raise ConvergenceError(
                 f"newton stalled in exhaustion stage rho={rho:g} "
                 f"(residual {history[-1]:.3e})", history)
-        snaps.append(w[:, probe].copy())
+        snaps.append(u[:, probe].copy())
         log.debug("exhaustion stage rho=%g done", rho)
     final = snaps[-1]
     drifts = tuple(float(np.abs(s - final).max()) for s in snaps[:-1])

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Grid, Field, build_grid, inner_mask, laplacian, worst_node
-from .thermo import model_free_energy_field, thermo_field
+from .grid import (Grid, Field, build_grid, inner_mask, laplacian_operator,
+                   worst_node)
+from .thermo import ThermoField, model_free_energy_field, thermo_field
 from .toda import (SolverConfig, TodaSolution, energy_density,
                    model_log_densities, solve_toda, toda_jacobian,
                    toda_residual)
@@ -273,13 +274,21 @@ def check_density_band(sol: TodaSolution) -> CheckReport:
                    worst=worst, notes=notes)
 
 
-def check_entropy_bounds(sol: TodaSolution, beta: float) -> CheckReport:
+def _thermo(sol: TodaSolution, beta: float,
+            tf: ThermoField | None) -> ThermoField:
+    """`tf` when a caller already holds thermo_field(sol, beta)."""
+    return thermo_field(sol, beta) if tf is None else tf
+
+
+def check_entropy_bounds(sol: TodaSolution, beta: float, *,
+                         tf: ThermoField | None = None) -> CheckReport:
     """Pointwise sandwich: S_model(r, beta) <= S <= log r on the interior.
 
     Constant weight attains the upper bound exactly (uniform ensemble);
-    the degenerate instance attains the lower bound.
+    the degenerate instance attains the lower bound.  `tf`, when given, is
+    thermo_field(sol, beta).
     """
-    s = thermo_field(sol, beta).entropy.values
+    s = _thermo(sol, beta, tf).entropy.values
     r = sol.r
     s_model = model_entropy(r, beta)
     margin, worst, which = _binding(
@@ -304,25 +313,28 @@ def _fe_rhs(sol: TodaSolution, beta: float) -> np.ndarray:
     return -num / db.sum(axis=0)
 
 
-def calibrate_laplacian_slack(grid: Grid, r: int, beta: float) -> float:
+def calibrate_laplacian_slack(grid: Grid, r: int, beta: float, *,
+                              op=None) -> float:
     """Constant c such that c*h^2 bounds |(1/4) Lap_h F - (1/4) Lap F| for
     the closed-form degenerate free energy (flat reference) on this grid.
 
     The degenerate F differs from 2*log(1 - rho^2) by a constant, so its
-    exact quarter-Laplacian is -2/(1 - rho^2)^2.
+    exact quarter-Laplacian is -2/(1 - rho^2)^2.  `op`, when given, is
+    `laplacian_operator(grid, grid.interior)`.
     """
     if grid.rho_max >= 1.0:
         raise ConfigurationError(
             "laplacian slack calibration needs rho_max < 1")
+    if op is None:
+        op = laplacian_operator(grid, grid.interior)
     f_model = model_free_energy_field(grid, r, beta)
-    lap = laplacian(grid, f_model).values
-    mask = grid.interior
-    exact = -2.0 / (1.0 - grid.r2[mask]) ** 2
-    err = np.abs(0.25 * lap[mask] - exact).max()
+    exact = -2.0 / (1.0 - grid.r2[grid.interior]) ** 2
+    err = np.abs(0.25 * (op @ f_model.values) - exact).max()
     return float(err) / grid.h ** 2
 
 
-def check_fe_inequality(sol: TodaSolution, beta: float) -> CheckReport:
+def check_fe_inequality(sol: TodaSolution, beta: float, *,
+                        tf: ThermoField | None = None) -> CheckReport:
     """Discrete quarter-Laplacian of F against the pair-interaction bound,
 
         (1/4) Lap F <= -sum_j (D_{j-1} - D_j)(D_{j-1}^b - D_j^b) / sum_j D_j^b,
@@ -336,7 +348,9 @@ def check_fe_inequality(sol: TodaSolution, beta: float) -> CheckReport:
     reference.  The Poincare reference is not offered: it cancels the
     degenerate profile, so the closed-form F is constant, the calibration
     absorbs the whole Laplacian of the Poincare density, and the slack
-    (41.3 on r=3, q=z, n=65, rho=0.9) swallows a margin of -21.66.
+    (41.3 on r=3, q=z, n=65, rho=0.9) swallows a margin of -21.66.  F and
+    the calibration field share one interior Laplacian operator.  `tf`,
+    when given, is thermo_field(sol, beta).
     """
     if beta <= 0.0:
         return _not_applicable(
@@ -347,11 +361,12 @@ def check_fe_inequality(sol: TodaSolution, beta: float) -> CheckReport:
         return _not_applicable(
             "fe_inequality", _instance(sol, beta),
             "slack calibration needs a unit-subdisc domain")
-    f = thermo_field(sol, beta).free_energy
-    lhs = 0.25 * laplacian(grid, f).values
+    op = laplacian_operator(grid, grid.interior)
+    lhs = np.zeros(grid.nodes)
+    lhs[grid.interior] = 0.25 * (op @ _thermo(sol, beta, tf).free_energy.values)
     rhs = _fe_rhs(sol, beta)
     gap = rhs - lhs
-    c = calibrate_laplacian_slack(grid, sol.r, beta)
+    c = calibrate_laplacian_slack(grid, sol.r, beta, op=op)
     slack = c * grid.h ** 2
     margin, worst, _ = _binding(grid, (("gap", gap),))
     notes = f"calibration c={c:.6g}, slack c*h^2={slack:.3e}"
@@ -359,7 +374,8 @@ def check_fe_inequality(sol: TodaSolution, beta: float) -> CheckReport:
                    worst=worst, notes=notes)
 
 
-def check_redundancy(sol: TodaSolution, beta: float) -> CheckReport:
+def check_redundancy(sol: TodaSolution, beta: float, *,
+                     tf: ThermoField | None = None) -> CheckReport:
     """Dichotomy for the redundancy floor.
 
     Constant weight is the plane-like branch: redundancy vanishes
@@ -367,9 +383,10 @@ def check_redundancy(sol: TodaSolution, beta: float) -> CheckReport:
     uniform ensemble on r-1 slots, so the floor is 1 - log(r-1)/log r).
     Every other instance here carries blow-up boundary data, so the floor
     must be strictly positive.  The degenerate instance must reproduce its
-    closed-form floor 1 - S_model/log r.
+    closed-form floor 1 - S_model/log r.  `tf`, when given, is
+    thermo_field(sol, beta).
     """
-    tf = thermo_field(sol, beta)
+    tf = _thermo(sol, beta, tf)
     lo = tf.lower_redundancy
     inst = _instance(sol, beta)
     r = sol.r
@@ -503,10 +520,12 @@ def run_suite(name: str = "core", seed: int = 0) -> list:
                                          else "model_poincare"))
             sol = solve_toda(weight, grid, cfg)
             reports.append(check_density_band(sol))
-            for beta in betas:
-                reports.append(check_entropy_bounds(sol, beta))
-                reports.append(check_redundancy(sol, beta))
-            reports.append(check_fe_inequality(sol, 1.0))
+            # one ensemble per (solution, beta), shared by its checks
+            fields = {beta: thermo_field(sol, beta) for beta in betas}
+            for beta, tf in fields.items():
+                reports.append(check_entropy_bounds(sol, beta, tf=tf))
+                reports.append(check_redundancy(sol, beta, tf=tf))
+            reports.append(check_fe_inequality(sol, 1.0, tf=fields[1.0]))
     if name == "core":
         reports.append(check_monotonicity_in_t(
             make_weight("poly", 2, coeffs=[0.0, 1.0]), grid, 1.0,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,6 +273,36 @@ def test_provided_initial_guess_reconverges_immediately():
     assert np.array_equal(again.w_array(), sol.w_array())
 
 
+def test_asymmetric_provided_guess_is_symmetrized():
+    # the solver iterates the mirror-symmetric half of the fields and starts
+    # from (w_j + w_{r-j}) / 2: a solution plus an antisymmetric perturbation
+    # is accepted without a step (taking rows 1..r//2 as they are would
+    # start off the solution), and any asymmetric guess ends at a solution
+    # of all r-1 equations, the model-start one.  The solves run to 1e-12,
+    # so that each is that close to the discrete solution.
+    from todakit.io import RELOAD_RESIDUAL_TOL
+
+    g = build_grid("cartesian", 33, 0.9)
+    weight = make_weight("poly", 4, coeffs=[0, 1])
+    cfg = SolverConfig(tolerance=1e-12)
+    ref = solve_toda(weight, g, cfg)
+    odd = ref.w_array() + 0.3 * np.array([1.0, 0.0, -1.0])[:, None]
+    again = solve_toda(weight, g, replace(cfg, initial="provided",
+                                          provided_w=tuple(_fields(g, odd))))
+    assert again.iterations == 0
+    assert np.abs(again.w_array() - ref.w_array()).max() <= 1e-12
+    w = model_log_densities(g, 4)
+    w[0] += 0.2 * g.x
+    w[2] -= 0.1 * g.y
+    sol = solve_toda(weight, g, replace(cfg, initial="provided",
+                                        provided_w=tuple(_fields(g, w))))
+    full = max(float(np.abs(f.values).max())
+               for f in toda_residual(sol.w, weight))
+    assert full <= cfg.tolerance
+    assert abs(full - sol.residual_sup) <= RELOAD_RESIDUAL_TOL
+    assert np.abs(sol.w_array() - ref.w_array()).max() <= 1e-12
+
+
 def test_solver_reports_stall_with_history():
     g = build_grid("cartesian", 17, 0.9)
     weight = make_weight("poly", 2, t=1e6, coeffs=[0, 1])
@@ -398,8 +429,26 @@ def test_preconditioner_inverts_degenerate_jacobian(mode, n, r):
     assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
 
 
+@pytest.mark.parametrize("mode, n", [("cartesian", 33), ("radial", 65)])
+@pytest.mark.parametrize("r", [3, 4, 8])
+def test_folded_preconditioner_inverts_folded_degenerate_jacobian(mode, n, r):
+    # the same on the mirror-folded system the solver iterates: r//2
+    # Helmholtz blocks, one per odd k in k(k+1)
+    import todakit.toda as toda
+
+    g = build_grid(mode, n, 0.9)
+    sys = toda._System(g, r, g.interior, mirror=True)
+    assert sys.m == r // 2
+    u = model_log_densities(g, r)[:sys.m]
+    jac = sys.jacobian(u, np.zeros(g.nodes))
+    x = np.random.default_rng(r).standard_normal(jac.shape[0])
+    back = sys.preconditioner(u, np.zeros(g.nodes))(jac @ x)
+    assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
+
+
 def _first_step_and_direct_solve(monkeypatch, n):
-    # the solver's first Newton step and a sparse direct solve of the
+    # the solver's first Newton step, expanded from the mirror-folded
+    # unknowns to all r-1 fields, and a sparse direct solve of the full
     # Jacobian system at a state away from the model, with Q != 0
     from scipy.sparse.linalg import spsolve
 
@@ -425,7 +474,8 @@ def _first_step_and_direct_solve(monkeypatch, n):
     solve_toda(weight, g, SolverConfig(initial="provided",
                                        provided_w=tuple(fields)))
     delta, info = steps[0]
-    return delta, info, direct
+    fold = [min(j, 3 - j) - 1 for j in (1, 2)]
+    return delta.reshape(-1, len(idx))[fold].ravel(), info, direct
 
 
 def test_gmres_step_matches_direct_solve(monkeypatch):
@@ -538,6 +588,53 @@ def test_radial_solve_matches_cartesian_profile():
     # the two discretizations share only the continuum limit; their gap is
     # bounded by the coarser (cartesian) truncation error near the rim
     assert np.abs(cart_vals - rad_vals).max() < 2e-3
+
+
+# ---------------------------------------------------------------------------
+# Mirror fold: the discrete system is invariant under j -> r-j, so the solver
+# iterates u_1..u_{r//2} and the solution has w_j = w_{r-j}.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("boundary", ["model_poincare", "weight_flat",
+                                      "exhaustion"])
+@pytest.mark.parametrize("mode, n", [("cartesian", 33), ("radial", 65)])
+@pytest.mark.parametrize("r", [3, 4, 5, 8])
+def test_solution_is_mirror_symmetric(r, mode, n, boundary):
+    from todakit.io import RELOAD_RESIDUAL_TOL
+
+    weight = make_weight("poly", r, coeffs=[0, 1])
+    sol = solve_toda(weight, build_grid(mode, n, 0.9),
+                     SolverConfig(boundary=boundary))
+    w = sol.w_array()
+    assert np.array_equal(w, w[::-1])
+    # the stored residual, of equations 1..r//2, is the full system's
+    full = max(float(np.abs(f.values).max())
+               for f in toda_residual(sol.w, weight))
+    assert abs(full - sol.residual_sup) <= RELOAD_RESIDUAL_TOL
+
+
+def _poly_roots(*roots):
+    return [[float(c), 0.0]
+            for c in np.polynomial.polynomial.polyfromroots(roots)]
+
+
+@pytest.mark.parametrize("r, n, coeffs, t, boundary, iters", [
+    (2, 257, _poly_roots(0.25), 1.0, "model_poincare", 3),
+    (4, 129, _poly_roots(0.25, -0.25), 1.0, "model_poincare", 2),
+    (8, 65, None, 1.0, "model_poincare", 3),
+    (3, 129, _poly_roots(0.25), 1.0, "exhaustion", 7),
+    (2, 289, _poly_roots(0.0), 1.0, "model_poincare", 3),
+    (3, 65, [0, 1], 1e3, "model_poincare", 10),
+    (4, 129, [0, 1], 1.0, "exhaustion", 6),
+])
+def test_folded_newton_counts_are_pinned(r, n, coeffs, t, boundary, iters):
+    # the iteration counts of the unfolded solver on the same inputs
+    weight = (make_weight("zero", r) if coeffs is None
+              else make_weight("poly", r, t=t, coeffs=coeffs))
+    sol = solve_toda(weight, build_grid("cartesian", n, 0.9),
+                     SolverConfig(boundary=boundary))
+    assert sol.iterations == iters
 
 
 # ---------------------------------------------------------------------------
