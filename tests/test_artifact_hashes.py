@@ -28,23 +28,23 @@ FROZEN = {
     "profile.svg":
         "44c5ac35b05a527cf78c1f4022cc7baa4513f57977216602ff46409e9c33e68a",
     "report.json":
-        "c3384c2877f7f5f8e47005f8bfc32d398be7747fb30bdbdc7d3dcd8a852e5f17",
+        "344fe5299f5a0399a0c6d0601e00fa099b9bc6e0e3b0eda8ffd32dce3cd42d27",
     "sol-cart.json":
-        "f89cc4a5bc52b3029f69d87cacbf1942dde4749119b809c404537559f500f6be",
+        "92d50ca0985b3a963aa48cde2ca7a345195fc56dcb17d6f63e71ea92984ec842",
     "sol-radial.json":
-        "6682531b557ac5450f49b178b0a7fe194ccb03df52a5dc2000cda4046d3f2c16",
+        "1a6a12fe16c2d252f6cec82a59e60faee1e60d621bf9d3304dda82751cd8948c",
     "sweep.csv":
         "c47843b55050e3d8777028775b1f2f48ada51faeeb1ae2b29f8776f4f67cd0ec",
     "thermo-b-1-flat.csv":
-        "3bf07759d89505f79753a6dba34a9c7cdb5e9e25a06292cd2b3c41e59c7160e9",
+        "8d35b1250b7f7611c29dc2365c2ab1a9c61ca5c89bbf630313e676fb2a88795e",
     "thermo-b-1-poincare.csv":
-        "7209776150682051eeb81fb062af207df10f78cde5542c91b53633298f91b383",
+        "62bd7e67aab3e92a1317a7cc2e5631109570da76d6ab9bf69d0dbfb2ad0ead81",
     "thermo-b1-flat.csv":
-        "4b0ae0f725745a119ba86782538a11a27480e638a360cd9df13d26e6fc7128b3",
+        "c8e1b5d9e8790c013712820a601e921cf26cdb1ef0fbbeb1d6c362f3decb90e1",
     "thermo-b1-poincare.csv":
-        "716d6e4dccb5881d5c618879f65429a914361e8112a81a88ada1b2edf0500086",
+        "77c30482cb71aec8e1dd042e0ba5d215b113ad4037bbda62273824c64b6488ee",
     "thermo-radial.csv":
-        "e6b9d327f69284fcbc377ac1654455ff7cee94988c8f045f554b396155ad125d",
+        "a2d03c492920f3f3edfdb2850653f6aab91b0030677b6ba5ac81dd15a8d50ba0",
 }
 
 
