@@ -274,12 +274,6 @@ def check_density_band(sol: TodaSolution) -> CheckReport:
                    worst=worst, notes=notes)
 
 
-def _thermo(sol: TodaSolution, beta: float,
-            tf: ThermoField | None) -> ThermoField:
-    """`tf` when a caller already holds thermo_field(sol, beta)."""
-    return thermo_field(sol, beta) if tf is None else tf
-
-
 def check_entropy_bounds(sol: TodaSolution, beta: float, *,
                          tf: ThermoField | None = None) -> CheckReport:
     """Pointwise sandwich: S_model(r, beta) <= S <= log r on the interior.
@@ -288,7 +282,9 @@ def check_entropy_bounds(sol: TodaSolution, beta: float, *,
     the degenerate instance attains the lower bound.  `tf`, when given, is
     thermo_field(sol, beta).
     """
-    s = _thermo(sol, beta, tf).entropy.values
+    if tf is None:
+        tf = thermo_field(sol, beta)
+    s = tf.entropy.values
     r = sol.r
     s_model = model_entropy(r, beta)
     margin, worst, which = _binding(
@@ -361,9 +357,11 @@ def check_fe_inequality(sol: TodaSolution, beta: float, *,
         return _not_applicable(
             "fe_inequality", _instance(sol, beta),
             "slack calibration needs a unit-subdisc domain")
+    if tf is None:
+        tf = thermo_field(sol, beta)
     op = laplacian_operator(grid, grid.interior)
     lhs = np.zeros(grid.nodes)
-    lhs[grid.interior] = 0.25 * (op @ _thermo(sol, beta, tf).free_energy.values)
+    lhs[grid.interior] = 0.25 * (op @ tf.free_energy.values)
     rhs = _fe_rhs(sol, beta)
     gap = rhs - lhs
     c = calibrate_laplacian_slack(grid, sol.r, beta, op=op)
@@ -386,7 +384,8 @@ def check_redundancy(sol: TodaSolution, beta: float, *,
     closed-form floor 1 - S_model/log r.  `tf`, when given, is
     thermo_field(sol, beta).
     """
-    tf = _thermo(sol, beta, tf)
+    if tf is None:
+        tf = thermo_field(sol, beta)
     lo = tf.lower_redundancy
     inst = _instance(sol, beta)
     r = sol.r

@@ -592,7 +592,7 @@ def test_radial_solve_matches_cartesian_profile():
 
 # ---------------------------------------------------------------------------
 # Mirror fold: the discrete system is invariant under j -> r-j, so the solver
-# iterates u_1..u_{r//2} and the solution has w_j = w_{r-j}.
+# iterates w_1..w_{r//2} and the solution has w_j = w_{r-j}.
 # ---------------------------------------------------------------------------
 
 
