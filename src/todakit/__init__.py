@@ -11,7 +11,7 @@ from .errors import (
     TodaKitError,
     ValidationError,
 )
-from .grid import Field, Grid, build_grid, inf_over, inner_mask, laplacian, sup_norm
+from .grid import Field, Grid, build_grid, inner_mask, laplacian
 from .toda import (
     SolverConfig,
     TodaSolution,

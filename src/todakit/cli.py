@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, ConvergenceError, SchemaError,
                      TodaKitError)
-from .grid import MODES, build_grid, inf_over, sup_norm
+from .grid import MODES, build_grid
 from .io import (dumps_json, format_float, load_solution, save_solution,
                  write_float_rows, write_json)
 from .plot import plot_csv
@@ -242,9 +242,10 @@ def cmd_thermo(args) -> int:
     tf = thermo_field(sol, beta[0], reference)
     out = doc.get("out", "thermo.csv")
     write_thermo_csv(out, sol, tf)
+    s = tf.entropy.values[sol.grid.interior]
     print(f"thermo beta={beta[0]:g} reference={reference}: "
-          f"S in [{format_float(inf_over(tf.entropy, sol.grid.interior))}, "
-          f"{format_float(sup_norm(tf.entropy, sol.grid.interior))}], "
+          f"S in [{format_float(float(s.min()))}, "
+          f"{format_float(float(s.max()))}], "
           f"lower redundancy {format_float(tf.lower_redundancy)} -> {out}")
     return 0
 
@@ -273,12 +274,10 @@ def _sweep_point(payload) -> list:
     rows = []
     for beta in betas:
         tf = thermo_field(sol, beta, reference)
-        rows.append((t, beta,
-                     inf_over(tf.entropy, grid.interior),
-                     sup_norm(tf.entropy, grid.interior),
-                     inf_over(tf.free_energy, grid.interior),
-                     sup_norm(tf.free_energy, grid.interior),
-                     tf.lower_redundancy))
+        s = tf.entropy.values[grid.interior]
+        f = tf.free_energy.values[grid.interior]
+        rows.append((t, beta, float(s.min()), float(s.max()),
+                     float(f.min()), float(f.max()), tf.lower_redundancy))
     return rows
 
 

@@ -167,31 +167,6 @@ def laplacian(grid: Grid, field: Field) -> Field:
     return Field(grid, out)
 
 
-def sup_norm(field: Field, mask: np.ndarray | None = None) -> float:
-    """Exact maximum of the field over the masked nodes (all nodes if None)."""
-    vals = _masked(field, mask)
-    return float(vals.max())
-
-
-def inf_over(field: Field, mask: np.ndarray | None = None) -> float:
-    """Exact minimum of the field over the masked nodes (all nodes if None)."""
-    vals = _masked(field, mask)
-    return float(vals.min())
-
-
-def _masked(field: Field, mask: np.ndarray | None) -> np.ndarray:
-    if mask is None:
-        return field.values
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != field.values.shape:
-        raise ShapeError(
-            f"mask shape {mask.shape} does not match field shape {field.values.shape}"
-        )
-    if not mask.any():
-        raise DomainError("mask selects no nodes")
-    return field.values[mask]
-
-
 def inner_mask(grid: Grid, margin: float) -> np.ndarray:
     """Interior nodes at least `margin` inside the domain radius.
 

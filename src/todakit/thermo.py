@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Field, Grid, inf_over, sup_norm
+from .grid import Field, Grid
 from .io import format_float, write_float_rows
 from .toda import TodaSolution, model_profile
 from .weight import _check_beta, _ensemble, _entropy_of, lambda_coefficients
@@ -72,15 +72,15 @@ def thermo_field(sol: TodaSolution, beta: float,
     f = log_ref - log_z / beta
     logr = math.log(sol.r)
     rvals = 1.0 - s / logr
-    rfield = Field(sol.grid, rvals)
+    inner = rvals[sol.grid.interior]
     return ThermoField(
         grid=sol.grid, r=sol.r, beta=beta, reference=reference,
         p=tuple(Field(sol.grid, p[a]) for a in range(sol.r)),
         entropy=Field(sol.grid, s),
         free_energy=Field(sol.grid, f),
-        redundancy=rfield,
-        lower_redundancy=inf_over(rfield, sol.grid.interior),
-        upper_redundancy=sup_norm(rfield, sol.grid.interior),
+        redundancy=Field(sol.grid, rvals),
+        lower_redundancy=float(inner.min()),
+        upper_redundancy=float(inner.max()),
     )
 
 

@@ -6,9 +6,8 @@ from hypothesis import given, strategies as st
 
 from todakit.errors import (ConfigurationError, DomainError, ShapeError,
                             ValidationError)
-from todakit.grid import (Field, build_grid, check_same_grid, inf_over,
-                          inner_mask, laplacian, make_field, sup_norm,
-                          worst_node)
+from todakit.grid import (Field, build_grid, check_same_grid, inner_mask,
+                          laplacian, make_field, worst_node)
 
 
 def test_cartesian_layout():
@@ -94,17 +93,6 @@ def test_make_field_validates():
     bad[3] = np.nan
     with pytest.raises(ValidationError):
         make_field(g, bad)
-
-
-def test_norms_are_exact_extremes():
-    g = build_grid("cartesian", 9, 1.0)
-    vals = np.arange(g.nodes, dtype=float)
-    f = make_field(g, vals)
-    assert sup_norm(f) == vals.max()
-    assert inf_over(f) == 0.0
-    assert sup_norm(f, g.interior) == vals[g.interior].max()
-    with pytest.raises(DomainError):
-        sup_norm(f, np.zeros(g.nodes, dtype=bool))
 
 
 def test_inner_mask_shrinks_with_margin():
