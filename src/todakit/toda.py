@@ -32,17 +32,21 @@ of those kept, so the fold is exact; for r = 2 it is the identity.
 recheck of a saved solution recomputes the full residual, so every
 equation is still checked independently.
 
-Each Newton step solves the exact Jacobian system with GMRES, preconditioned
-by the Jacobian of the degenerate (Q = 0) system at a state of the model form
-w_j = log(lambda_j) + u.  There the Jacobian decouples: its pointwise block
-is -e^u * C Lambda (C the A_{r-1} Cartan matrix, Lambda = diag(lambda_j)),
-whose eigenvalues are k(k+1), k = 1..r-1, so in the eigenbasis of C Lambda it
-is r-1 scalar Helmholtz operators (1/4) Lap - k(k+1) e^u.  The folded
-unknowns keep the mirror-symmetric modes only, the r//2 operators with k
-odd.  Each is solved
-by a sparse LU factor when it has at most _DIRECT_SIZE unknowns, and
-otherwise by one multigrid V-cycle (Galerkin coarse operators on the
-even-index nodes, damped Jacobi smoothing, the coarsest level LU-factored).
+Each Newton step solves the exact Jacobian system with GMRES.  GMRES needs
+the Jacobian J only through products J x, and J is a block Laplacian plus a
+pointwise part, so J x is applied matrix-free, exactly: (1/4) Lap on each
+field plus the pointwise blocks times the fields, node by node.  GMRES is
+preconditioned by the Jacobian of the degenerate (Q = 0) system at a state
+of the model form w_j = log(lambda_j) + u.  There the Jacobian decouples:
+its pointwise block is -e^u * C Lambda (C the A_{r-1} Cartan matrix,
+Lambda = diag(lambda_j)), whose eigenvalues are k(k+1), k = 1..r-1, so in
+the eigenbasis of C Lambda it is r-1 scalar Helmholtz operators
+(1/4) Lap - k(k+1) e^u.  The folded unknowns keep the mirror-symmetric
+modes only, the r//2 operators with k odd.  Each is solved by a sparse LU
+factor on radial grids (where it is tridiagonal) and on cartesian grids
+when it has at most _DIRECT_SIZE unknowns, and otherwise by one multigrid
+V-cycle (Galerkin coarse operators on the even-index nodes, damped Jacobi
+smoothing, the coarsest level LU-factored).
 The factors and hierarchies are built once per active node set, with e^u
 fitted to the first iterate, and reused by every Newton step, continuation
 stage and exhaustion stage on that set.  Steps are damped by Armijo
@@ -53,12 +57,11 @@ next.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix, diags
+from scipy.sparse import bmat, coo_matrix, csr_matrix, diags, identity, kron
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import (
@@ -88,11 +91,12 @@ _GMRES_RESTART = 60
 # restart cycles before a Krylov failure stalls the Newton iteration; scipy's
 # default (ten times the unknowns) is no bound at all
 _GMRES_MAXITER = 10
-# Preconditioner blocks with at most this many unknowns are LU-factored
-# whole; larger ones are solved by one multigrid V-cycle whose coarsest level
-# is the first with at most this many unknowns.  Solves of cartesian q = z
-# with r = 2 and 4 cost the same either way at 4000-4900 unknowns (n = 73-81),
-# and the cycle wins above.
+# Cartesian preconditioner blocks with at most this many unknowns are
+# LU-factored whole; larger ones are solved by one multigrid V-cycle whose
+# coarsest level is the first with at most this many unknowns.  Solves of
+# cartesian q = z with r = 2 and 4 cost the same either way at 4000-4900
+# unknowns (n = 73-81), and the cycle wins above.  Radial blocks are
+# tridiagonal, so their LU factor is exact and O(n) at every size.
 _DIRECT_SIZE = 4000
 _JACOBI_WEIGHT = 0.8
 _SMOOTHING_SWEEPS = 2
@@ -213,10 +217,11 @@ class _System:
     `lap` is (1/4) times `grid.laplacian_operator` at the active nodes, the
     package's one stencil: the residual applies it to whole fields, so its
     columns outside the active set carry the Dirichlet data, and the
-    Jacobian's Laplacian block is its restriction to the active columns.
-    The Jacobian's sparsity pattern is built with the first Jacobian, and
-    the Newton preconditioner (LU factors or V-cycles of its blocks) from
-    the first iterate that asks for it; both are kept for the life of the
+    Jacobian's Laplacian block is its restriction `lap_active` to the
+    active columns.  Newton applies the Jacobian matrix-free, through
+    `pointwise` and `matvec`; `jacobian` assembles it only for checks.  The
+    Newton preconditioner (LU factors or V-cycles of its blocks) is built
+    from the first iterate that asks for it and kept for the life of the
     system.
 
     The unknowns are m fields u_1..u_m and the chain slot j = 1..r-1 reads
@@ -241,8 +246,8 @@ class _System:
         if self.k == 0:
             raise ConfigurationError("active node set is empty")
         self.lap = 0.25 * laplacian_operator(grid, active)
+        self.lap_active = self.lap[:, self.idx]
         self._precond = None
-        self._jac_layout = None
 
     def _densities(self, u: np.ndarray, q: np.ndarray):
         """(e^{u_a}, V_0) at the active nodes, V_0 summed over the chain."""
@@ -258,43 +263,10 @@ class _System:
         m = self.m
         return lap - (2.0 * e - chain[:m] - chain[2:m + 2])
 
-    def _jacobian_layout(self):
-        """The Jacobian's fixed CSR pattern and how its triplets fill it.
-
-        The triplets are the Laplacian block down the diagonal, then
-        pointwise entry (a, b) at node i in row a*k+i, column b*k+i.  A slot
-        holds one triplet, or two on the diagonal (the Laplacian's and the
-        pointwise block's): every slot takes the triplet `take` names, and
-        the diagonal slots `extra_slot` add the triplets `extra`, which is
-        the two-term sum a COO-to-CSR conversion forms.  Built on the first
-        Jacobian, so residual-only systems never pay for it.
-        """
-        if self._jac_layout is None:
-            m, k = self.m, self.k
-            lap = self.lap[:, self.idx].tocoo()
-            shift = k * np.arange(m)
-            node = np.arange(k)
-            rows = np.concatenate([
-                (shift[:, None] + lap.row).ravel(),
-                np.broadcast_to(shift[:, None, None] + node, (m, m, k)).ravel()])
-            cols = np.concatenate([
-                (shift[:, None] + lap.col).ravel(),
-                np.broadcast_to(shift[None, :, None] + node, (m, m, k)).ravel()])
-            slots, take, slot_of = np.unique(
-                rows * (m * k) + cols, return_index=True, return_inverse=True)
-            extra = np.ones(len(rows), dtype=bool)
-            extra[take] = False
-            extra = np.flatnonzero(extra)
-            indptr = np.searchsorted(slots, (m * k) * np.arange(m * k + 1))
-            pattern = csr_matrix((np.zeros(len(slots)), slots % (m * k), indptr),
-                                 shape=(m * k, m * k))
-            self._jac_layout = (np.tile(lap.data, m), take, extra,
-                                slot_of[extra], pattern)
-        return self._jac_layout
-
-    def jacobian(self, u: np.ndarray, q: np.ndarray) -> csr_matrix:
-        """dN_a/du_b: the full Jacobian's pointwise columns summed over
-        each mirror pair, assembled in that form."""
+    def pointwise(self, u: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """The Jacobian's pointwise blocks B[a, b] = dN_a/du_b less the
+        Laplacian, shape (m, m, k): the full Jacobian's pointwise columns
+        summed over each mirror pair."""
         m, k, fold = self.m, self.k, self.fold
         e, v0 = self._densities(u, q)
         blocks = np.zeros((m, m, k))
@@ -311,12 +283,25 @@ class _System:
         blocks[0] += dv0
         if self.r - 2 < m:
             blocks[self.r - 2] += dv0
-        lap_data, take, extra, extra_slot, pattern = self._jacobian_layout()
-        values = np.concatenate([lap_data, blocks.ravel()])
-        data = values[take]
-        data[extra_slot] += values[extra]
-        return csr_matrix((data, pattern.indices, pattern.indptr),
-                          shape=pattern.shape)
+        return blocks
+
+    def matvec(self, blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """J x on stacked active unknowns, J with pointwise blocks `blocks`:
+        L_A X + sum_b B[:, b] * X[b] for X = x.reshape(m, k)."""
+        x = x.reshape(self.m, self.k)
+        y = np.einsum("abk,bk->ak", blocks, x)
+        for a in range(self.m):
+            y[a] += self.lap_active @ x[a]
+        return y.ravel()
+
+    def jacobian(self, u: np.ndarray, q: np.ndarray) -> csr_matrix:
+        """The Jacobian `matvec` applies, assembled as a sparse matrix for
+        `toda_jacobian` and the tests; Newton never assembles it."""
+        blocks = self.pointwise(u, q)
+        m = self.m
+        return (kron(identity(m), self.lap_active)
+                + bmat([[diags(blocks[a, b]) for b in range(m)]
+                        for a in range(m)])).tocsr()
 
     def preconditioner(self, u: np.ndarray, q: np.ndarray):
         """x -> P^{-1} x for P the exact Q = 0 Jacobian at
@@ -353,11 +338,11 @@ class _System:
             t_inv = v.T * sqrt_g[None, :]
             e, v0 = self._densities(u, q)
             e_u = (e[self.fold].sum(axis=0) + v0) / lam.sum()
-            lap = self.lap[:, self.idx]
             prolongations = _prolongations(self.grid, self.idx)
             solvers = [_VCycle(block, prolongations) if prolongations
                        else _factor(block)
-                       for block in (lap - diags(dk * e_u) for dk in d)]
+                       for block in (self.lap_active - diags(dk * e_u)
+                                     for dk in d)]
 
             def apply(x):
                 y = t_inv @ x.reshape(m, k)
@@ -376,37 +361,36 @@ def _factor(block):
                 options={"SymmetricMode": True})
 
 
-def _coarsen(n: int, dims: int, nodes: np.ndarray):
-    """Linear interpolation onto `nodes` from the even-index nodes.
+def _coarsen(n: int, nodes: np.ndarray):
+    """Bilinear interpolation onto `nodes` from the even-index nodes.
 
-    `nodes` are flat indices on a grid of n nodes along each of `dims` axes.
-    Along an axis, node i takes half of parents i // 2 and (i + 1) // 2 on
-    the coarse axis of n // 2 + 1 nodes (at even i both are i / 2, and the
-    halves sum to one); the prolongation is the tensor product over axes,
-    restricted to the coarse nodes some row touches.  Returns (P, coarse
-    nodes, coarse n).
+    `nodes` are flat indices on an n x n grid.  Along an axis, node i takes
+    half of parents i // 2 and (i + 1) // 2 on the coarse axis of n // 2 + 1
+    nodes (at even i both are i / 2, and the halves sum to one); the
+    prolongation is the tensor product of the two axes, restricted to the
+    coarse nodes some row touches.  Returns (P, coarse nodes, coarse n).
     """
     nc = n // 2 + 1
-    parents = [(c // 2, (c + 1) // 2)
-               for c in np.unravel_index(nodes, (n,) * dims)]
-    cols = np.concatenate([
-        np.ravel_multi_index([par[s] for par, s in zip(parents, pick)],
-                             (nc,) * dims)
-        for pick in itertools.product((0, 1), repeat=dims)])
+    iy, ix = np.unravel_index(nodes, (n, n))
+    cols = np.concatenate([np.ravel_multi_index((py, px), (nc, nc))
+                           for py in (iy // 2, (iy + 1) // 2)
+                           for px in (ix // 2, (ix + 1) // 2)])
     coarse, cols = np.unique(cols, return_inverse=True)
-    rows = np.tile(np.arange(len(nodes)), 2 ** dims)
-    p = coo_matrix((np.full(len(rows), 0.5 ** dims), (rows, cols)),
+    rows = np.tile(np.arange(len(nodes)), 4)
+    p = coo_matrix((np.full(len(rows), 0.25), (rows, cols)),
                    shape=(len(nodes), len(coarse)))
     return p.tocsr(), coarse, nc
 
 
 def _prolongations(grid: Grid, idx: np.ndarray) -> list:
     """Prolongations of the V-cycle hierarchy on the active nodes `idx`,
-    finest first; empty when they are few enough to factor directly."""
-    dims = 2 if grid.mode == "cartesian" else 1
+    finest first; empty when they are few enough to factor directly, and
+    on radial grids, whose tridiagonal blocks factor in O(n)."""
+    if grid.mode != "cartesian":
+        return []
     n, nodes, out = grid.n, idx, []
     while len(nodes) > _DIRECT_SIZE:
-        p, nodes, n = _coarsen(n, dims, nodes)
+        p, nodes, n = _coarsen(n, nodes)
         out.append(p)
     return out
 
@@ -572,10 +556,10 @@ def _newton(sys: _System, q: np.ndarray, u: np.ndarray, cfg: SolverConfig,
     while res > cfg.tolerance:
         if iters >= cfg.max_iterations:
             raise _Stall()
-        jac = sys.jacobian(u, q)
+        blocks = sys.pointwise(u, q)
         p_inv = sys.preconditioner(u, q)
-        op = LinearOperator(jac.shape, matvec=lambda x: p_inv(jac @ x),
-                            dtype=float)
+        op = LinearOperator((sys.m * sys.k,) * 2, dtype=float,
+                            matvec=lambda x: p_inv(sys.matvec(blocks, x)))
         delta, info = gmres(op, p_inv(-n_act.reshape(-1)), rtol=_GMRES_RTOL,
                             atol=_GMRES_ATOL, restart=_GMRES_RESTART,
                             maxiter=_GMRES_MAXITER)

@@ -179,22 +179,29 @@ def _coo_jacobian(sys, w, q):
 @pytest.mark.parametrize("mode, r", [("cartesian", 2), ("cartesian", 4),
                                      ("cartesian", 8), ("radial", 3)])
 def test_jacobian_refill_matches_coo_assembly(mode, r):
-    # the refilled fixed pattern is bit-identical to a fresh COO assembly,
     # on the interior and on an exhaustion stage's smaller active set, at
-    # states with Q = 0 at some nodes
+    # states with Q = 0 at some nodes: the assembled Jacobian equals a fresh
+    # COO assembly exactly, and the matrix-free product Newton applies in
+    # its place equals the assembled one to roundoff, folded and unfolded
     import todakit.toda as toda
 
     g = build_grid(mode, 33, 0.9)
     rng = np.random.default_rng(r)
     cut = 0.8 - 0.5 * g.h
     for active in (g.interior, g.interior & (g.r2 < cut * cut)):
-        sys = toda._System(g, r, active)
-        for _ in range(2):
-            w = rng.standard_normal((r - 1, g.nodes))
-            q = rng.random(g.nodes) * (rng.random(g.nodes) < 0.7)
-            jac, ref = sys.jacobian(w, q), _coo_jacobian(sys, w, q)
-            for part in ("indptr", "indices", "data"):
-                assert getattr(jac, part).tobytes() == getattr(ref, part).tobytes()
+        for mirror in (False, True):
+            sys = toda._System(g, r, active, mirror=mirror)
+            for _ in range(2):
+                u = rng.standard_normal((sys.m, g.nodes))
+                q = rng.random(g.nodes) * (rng.random(g.nodes) < 0.7)
+                jac = sys.jacobian(u, q)
+                if not mirror:
+                    assert np.array_equal(jac.toarray(),
+                                          _coo_jacobian(sys, u, q).toarray())
+                x = rng.standard_normal(sys.m * sys.k)
+                ref = jac @ x
+                got = sys.matvec(sys.pointwise(u, q), x)
+                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +403,26 @@ def test_solve_evaluates_density_once(monkeypatch, boundary, systems):
     assert sol.residual_sup == max(float(np.abs(f.values).max()) for f in res)
 
 
+@pytest.mark.parametrize("weight, cfg, continued", [
+    (make_weight("poly", 4, coeffs=[0, 1]), SolverConfig(), False),
+    (make_weight("poly", 3, coeffs=[0, 1]), SolverConfig(boundary="exhaustion"),
+     False),
+    (make_weight("poly", 2, t=1e3, coeffs=[0, 1]),
+     SolverConfig(max_iterations=5), True)])
+def test_solve_never_assembles_the_jacobian(monkeypatch, weight, cfg, continued):
+    # Newton applies the Jacobian matrix-free in every stage: plain,
+    # exhaustion, and amplitude continuation (at t = 1e3 Newton stalls
+    # after 5 iterations and continuation evaluates scaled weights)
+    import todakit.toda as toda
+
+    assembled = _counted(monkeypatch, toda._System, "jacobian")
+    scaled = _counted(monkeypatch, toda, "scale_weight")
+    sol = solve_toda(weight, build_grid("cartesian", 17, 0.9), cfg)
+    assert sol.iterations > 0 and sol.residual_sup <= 1e-10
+    assert bool(scaled) == continued
+    assert not assembled
+
+
 def test_solve_converges_past_n257(monkeypatch):
     # every Newton step is one preconditioned GMRES solve, at every grid size
     import todakit.toda as toda
@@ -522,8 +549,7 @@ def test_small_blocks_build_no_coarse_level(monkeypatch):
     assert sol.iterations > 0 and not coarsened
 
 
-@pytest.mark.parametrize("mode, n", [("cartesian", 129), ("cartesian", 257),
-                                     ("radial", 8193)])
+@pytest.mark.parametrize("mode, n", [("cartesian", 129), ("cartesian", 257)])
 def test_vcycle_contracts_every_block(mode, n):
     # one V-cycle leaves at most a fifth of the error, ||x - M^-1 A x|| <=
     # 0.2 ||x||, on each Helmholtz block of the degenerate preconditioner
@@ -543,6 +569,17 @@ def test_vcycle_contracts_every_block(mode, n):
         block = sys.lap[:, sys.idx] - diags(k * (k + 1) * e_u)
         back = toda._VCycle(block, prolongations).solve(block @ x)
         assert np.linalg.norm(x - back) <= 0.2 * np.linalg.norm(x)
+
+
+def test_radial_blocks_are_always_factored():
+    # a radial block is tridiagonal, so its LU factor is exact and O(n)
+    # however many unknowns it has: no V-cycle hierarchy is built
+    import todakit.toda as toda
+
+    g = build_grid("radial", 8193, 0.9)
+    idx = np.flatnonzero(g.interior)
+    assert len(idx) > toda._DIRECT_SIZE
+    assert toda._prolongations(g, idx) == []
 
 
 def test_weight_flat_converges_past_unit_disc():
