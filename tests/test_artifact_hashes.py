@@ -28,23 +28,23 @@ FROZEN = {
     "profile.svg":
         "44c5ac35b05a527cf78c1f4022cc7baa4513f57977216602ff46409e9c33e68a",
     "report.json":
-        "344fe5299f5a0399a0c6d0601e00fa099b9bc6e0e3b0eda8ffd32dce3cd42d27",
+        "c5f0d406e96c6f1703f9e08c1ec88d9cca052a45f9d2f173afb8fff41b27e3de",
     "sol-cart.json":
-        "92d50ca0985b3a963aa48cde2ca7a345195fc56dcb17d6f63e71ea92984ec842",
+        "a09582e473dc359cac963499f655138e11257060f3748f467dd91b149c986961",
     "sol-radial.json":
-        "1a6a12fe16c2d252f6cec82a59e60faee1e60d621bf9d3304dda82751cd8948c",
+        "81fff7c49079b9bdbec26685993e50f8e8a97330a7ad60f894d9fedae89d9718",
     "sweep.csv":
-        "c47843b55050e3d8777028775b1f2f48ada51faeeb1ae2b29f8776f4f67cd0ec",
+        "c8da9f00e3ce543d71b81ea88bfad78d6b88172f8ac7812f4d261fd42e206f5a",
     "thermo-b-1-flat.csv":
-        "8d35b1250b7f7611c29dc2365c2ab1a9c61ca5c89bbf630313e676fb2a88795e",
+        "5e23bce204b90efb331948a667801a7ba45e9f68448d352639e82217b6ce67eb",
     "thermo-b-1-poincare.csv":
-        "62bd7e67aab3e92a1317a7cc2e5631109570da76d6ab9bf69d0dbfb2ad0ead81",
+        "14eedaea9c438bbe8226417031d03a63a7b1f86dfbe2e3c3d6b69fcbfe60091d",
     "thermo-b1-flat.csv":
-        "c8e1b5d9e8790c013712820a601e921cf26cdb1ef0fbbeb1d6c362f3decb90e1",
+        "0bb9c89635431ec01408dbdb53363a4171b21328971c9cacb1dcc26bd4b5f453",
     "thermo-b1-poincare.csv":
-        "77c30482cb71aec8e1dd042e0ba5d215b113ad4037bbda62273824c64b6488ee",
+        "b03a80f3bde6315c37111c01fcfbfa7c06114bfba956cd4de4ae54c9d3ef1342",
     "thermo-radial.csv":
-        "a2d03c492920f3f3edfdb2850653f6aab91b0030677b6ba5ac81dd15a8d50ba0",
+        "9f4e86ca48841b6be3ef650d15737741d3a4499d31d0354b7a4eddb8465a5d45",
 }
 
 
