@@ -14,9 +14,13 @@ with lambda_j = j*(r-j) solves the degenerate system exactly.
 Boundary strategies:
     model_poincare  Dirichlet data from the degenerate closed form (|z| < 1)
     weight_flat     Dirichlet data w_j = (1/r) log Q (requires Q > 0 on the ring)
-    exhaustion      nested subdisc solves with model data, warm-started, with
-                    the interior drift between stages reported as a
+    exhaustion      model data on a ladder of nested subdiscs, warm-started,
+                    with the interior drift between stages reported as a
                     completeness diagnostic
+
+`solve_toda` is one loop over stage radii: the exhaustion ladder, or the
+single stage rho = rho_max for the other strategies.  Each stage is a damped
+Newton solve on the nodes inside its subdisc.
 
 The discrete equations are invariant under the mirror j -> r-j: V_0
 depends on sum_k w_k only, lambda_j = lambda_{r-j}, and every boundary
@@ -50,9 +54,12 @@ smoothing, the coarsest level LU-factored).
 The factors and hierarchies are built once per active node set, with e^u
 fitted to the first iterate, and reused by every Newton step, continuation
 stage and exhaustion stage on that set.  Steps are damped by Armijo
-backtracking on the residual sup-norm.  If the iteration stalls, the weight
-amplitude is ramped in t^2 (continuation) and each stage warm-starts the
-next.
+backtracking on the residual sup-norm.  If Newton stalls within a stage, the
+weight amplitude is ramped in t^2 from the stalled iterate (continuation),
+each amplitude warm-starting the next.  A stall that continuation does not
+rescue, or any stall with continuation off, raises `ConvergenceError` from
+the stage loop; its message names the stage rho, the continuation amplitude
+when the ramp ran, and the last residual.
 """
 
 from __future__ import annotations
@@ -585,75 +592,6 @@ def _newton(sys: _System, q: np.ndarray, u: np.ndarray, cfg: SolverConfig,
     return iters
 
 
-def _solve_stage(weight: WeightDensity, sys: _System, q: np.ndarray,
-                 u: np.ndarray, cfg: SolverConfig, history: list) -> int:
-    """Newton with amplitude continuation as the stall fallback.
-
-    q is the density of `weight` on the grid; only the scaled continuation
-    stages evaluate densities of their own.
-    """
-    try:
-        return _newton(sys, q, u, cfg, history)
-    except _Stall:
-        if cfg.continuation_steps <= 0:
-            raise
-    # ramp t^2 through s = 2^-steps .. 1, warm-starting each stage
-    log.info("newton stalled; engaging amplitude continuation "
-             "(%d stages)", cfg.continuation_steps + 1)
-    total = 0
-    for p in range(cfg.continuation_steps, -1, -1):
-        s = 0.5 ** p
-        q_s = evaluate_density(scale_weight(weight, np.sqrt(s)),
-                               sys.grid).values if p else q
-        if cfg.boundary == "weight_flat":
-            _fill_boundary(sys, q_s, cfg.boundary, u)
-        try:
-            total += _newton(sys, q_s, u, cfg, history)
-        except _Stall:
-            raise ConvergenceError(
-                f"newton stalled at continuation amplitude {s:g} "
-                f"(residual {history[-1]:.3e})", history)
-    return total
-
-
-def solve_toda(weight: WeightDensity, grid: Grid,
-               config: SolverConfig | None = None) -> TodaSolution:
-    cfg = (config or SolverConfig()).validated()
-    r = weight.r
-    q = evaluate_density(weight, grid).values
-    sys = _System(grid, r, grid.interior, mirror=True)
-    u = _initial_guess(grid, r, q, cfg)[:sys.m]
-    _fill_boundary(sys, q, cfg.boundary, u)
-    history: list = []
-    drifts: tuple = ()
-
-    if cfg.boundary == "exhaustion":
-        iters, drifts = _solve_exhaustion(weight, sys, q, u, cfg, history)
-    else:
-        try:
-            iters = _solve_stage(weight, sys, q, u, cfg, history)
-        except _Stall:
-            raise ConvergenceError(
-                f"newton stalled (residual {history[-1]:.3e})", history)
-
-    # every path ends with Newton on the interior system and the full q
-    res = history[-1]
-    w = u[sys.fold]
-    v0 = compute_v0(w, q)
-    sol = TodaSolution(
-        grid=grid, weight=weight, r=r,
-        w=tuple(Field(grid, w[a]) for a in range(r - 1)),
-        v0=Field(grid, v0),
-        residual_sup=res, iterations=iters,
-        boundary_strategy=cfg.boundary,
-        residual_history=tuple(history),
-        exhaustion_drifts=drifts,
-    )
-    log.info("solved r=%d %s grid n=%d: residual %.3e in %d iterations",
-             r, grid.mode, grid.n, res, iters)
-    return sol
-
-
 def _exhaustion_radii(grid: Grid) -> list:
     base = [0.8, 0.85, 0.9]
     radii = [rho for rho in base if rho < grid.rho_max - 1e-12]
@@ -663,47 +601,92 @@ def _exhaustion_radii(grid: Grid) -> list:
     return radii
 
 
-def _solve_exhaustion(weight: WeightDensity, sys: _System, q: np.ndarray,
-                      u: np.ndarray, cfg: SolverConfig, history: list):
-    """Nested subdisc solves with model Dirichlet data on each stage.
+def solve_toda(weight: WeightDensity, grid: Grid,
+               config: SolverConfig | None = None) -> TodaSolution:
+    """Solve the Toda system for `weight` on `grid` by a ladder of stages.
 
-    All stages share one grid: stage rho treats every node with
-    |z| >= rho - h/2 as Dirichlet (carrying the model profile evaluated at
-    the node itself), so each solve is the discrete problem on the subdisc
-    of radius rho.  Stage solutions rise monotonically toward the last
-    stage; drift k is the sup-distance between stage k and the final stage
-    over the first stage's interior, so the list shrinks to the drift
-    between the last two stages and decreases when the approximation is
-    converging.  (The raw sup-difference between consecutive stages is not
-    monotone for equally spaced radii: the boundary-data increment
-    2 log((1-rho^2)/(1-rho'^2)) grows as the ring recedes.)  The last stage
-    is the whole interior and runs on the interior system `sys`.
+    Stage rho solves the discrete problem on the subdisc of radius rho: its
+    active nodes are the interior nodes with |z| < rho - h/2, and every
+    other node is Dirichlet, holding the value it has when the stage starts
+    (the boundary data, or inside the disc the model profile of the
+    default start).  The `exhaustion` boundary climbs the radii of
+    `_exhaustion_radii`, warm-starting each stage from the last; every
+    other boundary is the one stage rho = rho_max.  The last stage's
+    active set is the grid's interior, so every solve ends on the interior
+    system with the full weight.
+
+    Drift k is the sup-distance between stage k and the last stage over the
+    first stage's active nodes.  It shrinks to the drift between the last
+    two stages, and decreases when the approximation is converging.  (The
+    raw sup-difference between consecutive stages is not monotone for
+    equally spaced radii: the boundary-data increment
+    2 log((1-rho^2)/(1-rho'^2)) grows as the ring recedes.)  A single
+    stage has no drifts.
+
+    When Newton stalls within a stage, the weight amplitude is ramped in
+    t^2 through s = 2^-steps .. 1 (`continuation_steps`), starting from
+    the stalled iterate, and each amplitude warm-starts the next.  A stall
+    with continuation off, or anywhere on the ramp, raises
+    `ConvergenceError` naming the stage rho and, on the ramp, the
+    amplitude.
     """
-    grid = sys.grid
-    radii = _exhaustion_radii(grid)
-    cut0 = radii[0] - 0.5 * grid.h
-    probe = grid.interior & (grid.r2 < cut0 * cut0)
-    if not probe.any():
+    cfg = (config or SolverConfig()).validated()
+    r = weight.r
+    q = evaluate_density(weight, grid).values
+    sys = _System(grid, r, grid.interior, mirror=True)
+    u = _initial_guess(grid, r, q, cfg)[:sys.m]
+    _fill_boundary(sys, q, cfg.boundary, u)
+    radii = (_exhaustion_radii(grid) if cfg.boundary == "exhaustion"
+             else [grid.rho_max])
+    cuts = [rho - 0.5 * grid.h for rho in radii]
+    actives = [grid.interior & (grid.r2 < cut * cut) for cut in cuts]
+    if not actives[0].any():
         raise ConfigurationError(
             f"exhaustion ladder {radii} leaves no interior nodes at stage 0")
+    history: list = []
     iters = 0
     snaps = []
-    for rho in radii:
-        cut = rho - 0.5 * grid.h
-        active = grid.interior & (grid.r2 < cut * cut)
+    for rho, active in zip(radii, actives):
         stage = sys if np.array_equal(active, sys.active) \
-            else _System(grid, sys.r, active, mirror=True)
-        try:
-            iters += _solve_stage(weight, stage, q, u, cfg, history)
-        except _Stall:
-            raise ConvergenceError(
-                f"newton stalled in exhaustion stage rho={rho:g} "
-                f"(residual {history[-1]:.3e})", history)
-        snaps.append(u[:, probe].copy())
-        log.debug("exhaustion stage rho=%g done", rho)
-    final = snaps[-1]
-    drifts = tuple(float(np.abs(s - final).max()) for s in snaps[:-1])
-    return iters, drifts
+            else _System(grid, r, active, mirror=True)
+        ramp, continued = [1.0], False
+        while ramp:
+            s = ramp.pop(0)
+            q_s = q if s == 1.0 else evaluate_density(
+                scale_weight(weight, np.sqrt(s)), grid).values
+            if continued and cfg.boundary == "weight_flat":
+                _fill_boundary(stage, q_s, cfg.boundary, u)
+            try:
+                iters += _newton(stage, q_s, u, cfg, history)
+            except _Stall:
+                if continued or cfg.continuation_steps == 0:
+                    at = f" at continuation amplitude {s:g}" if continued else ""
+                    raise ConvergenceError(
+                        f"newton stalled in stage rho={rho:g}{at} "
+                        f"(residual {history[-1]:.3e})", history)
+                log.info("newton stalled at rho=%g; engaging amplitude "
+                         "continuation (%d amplitudes)", rho,
+                         cfg.continuation_steps + 1)
+                ramp = [0.5 ** p for p in range(cfg.continuation_steps, -1, -1)]
+                continued = True
+        snaps.append(u[:, actives[0]].copy())
+        log.debug("stage rho=%g done", rho)
+
+    res = history[-1]
+    w = u[sys.fold]
+    sol = TodaSolution(
+        grid=grid, weight=weight, r=r,
+        w=tuple(Field(grid, w[a]) for a in range(r - 1)),
+        v0=Field(grid, compute_v0(w, q)),
+        residual_sup=res, iterations=iters,
+        boundary_strategy=cfg.boundary,
+        residual_history=tuple(history),
+        exhaustion_drifts=tuple(float(np.abs(snap - snaps[-1]).max())
+                                for snap in snaps[:-1]),
+    )
+    log.info("solved r=%d %s grid n=%d: residual %.3e in %d iterations",
+             r, grid.mode, grid.n, res, iters)
+    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -321,13 +321,45 @@ def test_solver_reports_stall_with_history():
     assert len(err.value.residual_history) >= 1
 
 
-def test_continuation_rescues_large_amplitude():
+def test_continuation_rescues_large_amplitude(monkeypatch):
+    # the first exhaustion stage stalls after 5 iterations; the t^2 ramp
+    # solves it, and without the ramp the stall names that stage
+    import todakit.toda as toda
+
+    scaled = _counted(monkeypatch, toda, "scale_weight")
     g = build_grid("cartesian", 17, 0.9)
-    weight = make_weight("constant", 2, t=40.0, value=1.0)
-    cfg = SolverConfig(boundary="weight_flat", max_iterations=8,
+    weight = make_weight("poly", 2, t=1e3, coeffs=[0.3, 1])
+    cfg = SolverConfig(boundary="exhaustion", max_iterations=5,
                        continuation_steps=4)
     sol = solve_toda(weight, g, cfg)
+    assert scaled
     assert sol.residual_sup <= 1e-10
+    with pytest.raises(ConvergenceError, match=r"rho=0\.8 "):
+        solve_toda(weight, g, replace(cfg, continuation_steps=0))
+
+
+@pytest.mark.parametrize("continuation_steps", [0, 3])
+@pytest.mark.parametrize("boundary, rho", [("model_poincare", "0.9"),
+                                           ("weight_flat", "0.9"),
+                                           ("exhaustion", "0.8")])
+def test_stall_message_names_stage_and_amplitude(monkeypatch, boundary, rho,
+                                                 continuation_steps):
+    # every stall raises from the stage loop in one format: the failing
+    # stage's rho, then the continuation amplitude when the ramp ran
+    import todakit.toda as toda
+
+    scaled = _counted(monkeypatch, toda, "scale_weight")
+    g = build_grid("cartesian", 17, 0.9)
+    weight = make_weight("poly", 2, t=1e6, coeffs=[0, 1])
+    cfg = SolverConfig(boundary=boundary, max_iterations=3, max_halvings=3,
+                       continuation_steps=continuation_steps)
+    with pytest.raises(ConvergenceError) as err:
+        solve_toda(weight, g, cfg)
+    message = str(err.value)
+    assert message.startswith(f"newton stalled in stage rho={rho} ")
+    assert ("at continuation amplitude 0.125 " in message) == bool(scaled)
+    assert bool(scaled) == bool(continuation_steps)
+    assert err.value.residual_history
 
 
 def test_solver_config_validation():
