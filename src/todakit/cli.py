@@ -23,7 +23,7 @@ from .errors import (ConfigurationError, ConvergenceError, SchemaError,
                      TodaKitError)
 from .grid import MODES, build_grid
 from .io import (dumps_json, format_float, load_solution, save_solution,
-                 write_float_rows, write_json)
+                 write_csv, write_json)
 from .plot import plot_csv
 from .thermo import REFERENCES, thermo_field, write_thermo_csv
 from .toda import BOUNDARY_STRATEGIES, SolverConfig, solve_toda
@@ -307,15 +307,12 @@ def cmd_sweep(args) -> int:
                 rows.extend(chunk)
     rows.sort(key=lambda row: (row[0], row[1]))
     out = doc.get("out", "sweep.csv")
-    lines = [
-        f"# weight={json.dumps(doc['weight'], sort_keys=True)}",
-        f"# grid={json.dumps(doc['grid'], sort_keys=True)}",
-        f"# reference={reference}",
-        "t,beta,inf_S,sup_S,inf_F,sup_F,lower_redundancy",
-    ]
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-        write_float_rows(fh, np.asarray(rows, dtype=float))
+    meta = {"weight": json.dumps(doc["weight"], sort_keys=True),
+            "grid": json.dumps(doc["grid"], sort_keys=True),
+            "reference": reference}
+    header = ["t", "beta", "inf_S", "sup_S", "inf_F", "sup_F",
+              "lower_redundancy"]
+    write_csv(out, meta, header, np.asarray(rows, dtype=float))
     print(f"sweep over {len(ts)} amplitudes x {len(betas)} betas -> {out}")
     return 0
 

@@ -132,6 +132,16 @@ def _emit(obj: Any, parts: list, level: int) -> None:
         raise ValidationError(f"cannot serialize {type(obj).__name__}")
 
 
+def write_csv(path: str, meta: dict, header: list, rows) -> None:
+    """A CSV table: one `# key=value` line per `meta` item, the
+    comma-joined `header`, then the float `rows` as `write_float_rows`
+    writes them; UTF-8 with Unix newlines on every platform."""
+    lines = [f"# {key}={value}" for key, value in meta.items()]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines + [",".join(header)]) + "\n")
+        write_float_rows(fh, rows)
+
+
 def dumps_json(obj: Any) -> str:
     """Serialize with insertion-ordered keys, two-space indent and 17-digit
     floats."""

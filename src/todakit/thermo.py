@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import Field, Grid
-from .io import format_float, write_float_rows
+from .io import format_float, write_csv
 from .toda import TodaSolution, model_profile
 from .weight import _check_beta, _ensemble, _entropy_of, lambda_coefficients
 
@@ -111,18 +111,11 @@ def write_thermo_csv(path: str, sol: TodaSolution, tf: ThermoField) -> None:
     cols += [f.values for f in tf.p] + [tf.entropy.values,
                                         tf.free_energy.values,
                                         tf.redundancy.values]
-    lines = [
-        f"# r={sol.r}",
-        f"# beta={format_float(tf.beta)}",
-        f"# reference={tf.reference}",
-        f"# weight={sol.weight.describe()}",
-        f"# residual_sup={format_float(sol.residual_sup)}",
-        ",".join(header),
-    ]
+    meta = {"r": sol.r, "beta": format_float(tf.beta),
+            "reference": tf.reference, "weight": sol.weight.describe(),
+            "residual_sup": format_float(sol.residual_sup)}
     body = np.column_stack(cols)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-        write_float_rows(fh, body)
+    write_csv(path, meta, header, body)
     log.info("wrote thermo csv %s (%d rows)", path, body.shape[0])
 
 

@@ -240,7 +240,7 @@ def test_thermo_csv_reads_back_bit_identical(poly2, tmp_path, beta,
 def test_thermo_csv_is_utf8_with_unix_newlines(poly2, tmp_path, monkeypatch):
     # the platform's locale encoding and newline would break byte identity
     import builtins
-    import todakit.thermo as thermo
+    import todakit.io as io
 
     seen = []
 
@@ -248,7 +248,7 @@ def test_thermo_csv_is_utf8_with_unix_newlines(poly2, tmp_path, monkeypatch):
         seen.append(kwargs)
         return builtins.open(*args, **kwargs)
 
-    monkeypatch.setattr(thermo, "open", spy, raising=False)
+    monkeypatch.setattr(io, "open", spy, raising=False)
     write_thermo_csv(str(tmp_path / "t.csv"), poly2, thermo_field(poly2, 1.0))
     assert seen == [{"encoding": "utf-8", "newline": "\n"}]
 
