@@ -28,7 +28,6 @@ from .weight import (
     lambda_coefficients,
     make_weight,
     model_constants,
-    scale_weight,
     weight_from_dict,
 )
 

@@ -65,12 +65,8 @@ _SOLVER_SCHEMA = {
     "properties": {
         "tolerance": {"type": "number", "exclusiveMinimum": 0},
         "max_iterations": {"type": "integer", "minimum": 1},
-        "armijo_factor": {"type": "number", "exclusiveMinimum": 0,
-                          "exclusiveMaximum": 1},
-        "max_halvings": {"type": "integer", "minimum": 0},
         "continuation_steps": {"type": "integer", "minimum": 0},
         "boundary": {"enum": list(BOUNDARY_STRATEGIES)},
-        "initial": {"enum": ["auto", "model", "flat"]},
     },
     "additionalProperties": False,
 }
@@ -111,24 +107,32 @@ def _setup_logging() -> None:
         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _json_arg(raw: str, what: str) -> dict:
-    """Inline JSON (starts with '{') or the path of a JSON file."""
-    text = raw.strip()
-    if not text.startswith("{"):
-        if not os.path.exists(text):
-            raise SchemaError(f"{what}: no such file {text!r}",
-                              pointer=f"/{what}")
-        with open(text, "r", encoding="utf-8") as fh:
+def _json_object(source: str, what: str, pointer: str,
+                 inline: bool = False) -> dict:
+    """The JSON object in the file `source`, or in the text `source` itself
+    when `inline`; a missing file, invalid JSON or any other JSON value is
+    a SchemaError at `pointer`."""
+    text = source
+    if not inline:
+        if not os.path.exists(source):
+            raise SchemaError(f"{what}: no such file {source!r}",
+                              pointer=pointer)
+        with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what}: invalid JSON ({exc})",
-                          pointer=f"/{what}") from exc
+                          pointer=pointer) from exc
     if not isinstance(doc, dict):
-        raise SchemaError(f"{what}: expected a JSON object",
-                          pointer=f"/{what}")
+        raise SchemaError(f"{what}: expected a JSON object", pointer=pointer)
     return doc
+
+
+def _json_arg(raw: str, what: str) -> dict:
+    """Inline JSON (starts with '{') or the path of a JSON file."""
+    text = raw.strip()
+    return _json_object(text, what, f"/{what}", inline=text.startswith("{"))
 
 
 def _floats(raw: str, what: str) -> list:
@@ -155,18 +159,7 @@ def _assemble(args, keys) -> dict:
     """Merge the config file (if any) with flags; flags win."""
     doc: dict = {}
     if getattr(args, "config", None):
-        if not os.path.exists(args.config):
-            raise SchemaError(f"no such config file {args.config!r}",
-                              pointer="/config")
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                base = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"config file: invalid JSON ({exc})",
-                                  pointer="") from exc
-        if not isinstance(base, dict):
-            raise SchemaError("config file must hold a JSON object",
-                              pointer="")
+        base = _json_object(args.config, "config file", "/config")
         doc.update({k: v for k, v in base.items() if k in keys})
     for key in keys:
         val = getattr(args, key, None)
@@ -256,12 +249,10 @@ def cmd_model(args) -> int:
     beta = doc.get("beta", [1.0])
     if len(beta) != 1:
         raise SchemaError("model takes exactly one beta", pointer="/beta")
-    mc = model_constants(doc["r"], beta[0])
-    text = dumps_json(mc.to_dict())
+    constants = model_constants(doc["r"], beta[0]).to_dict()
     if "out" in doc:
-        with open(doc["out"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+        write_json(doc["out"], constants)
+    sys.stdout.write(dumps_json(constants))
     return 0
 
 

@@ -80,14 +80,15 @@ from .errors import (
     ValidationError,
 )
 from .grid import Field, Grid, check_same_grid, laplacian_operator
-from .weight import WeightDensity, evaluate_density, lambda_coefficients, scale_weight
+from .weight import WeightDensity, evaluate_density, lambda_coefficients
 
 log = logging.getLogger(__name__)
 
 BOUNDARY_STRATEGIES = ("model_poincare", "weight_flat", "exhaustion")
-INITIAL_STRATEGIES = ("auto", "model", "flat", "provided")
 
 _ARMIJO_SLOPE = 1e-4
+_ARMIJO_FACTOR = 0.5
+_MAX_HALVINGS = 20
 # GMRES on the left-preconditioned Newton system P^-1 J x = P^-1 b: the
 # relative 2-norm tolerance bounds the step's error relative to the step.  On
 # J x = b itself the tolerance would sit under the roundoff floor
@@ -111,40 +112,33 @@ _SMOOTHING_SWEEPS = 2
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton, line-search and continuation settings of `solve_toda`.
+    """Newton, continuation and boundary settings of `solve_toda`.
 
-    `initial="provided"` starts from the r-1 fields `provided_w`.  The
-    solver iterates mirror-symmetric fields only, so it starts from the
-    symmetrized guess (w_j + w_{r-j}) / 2, which a symmetric guess already
-    is.
+    The start is `provided_w` when it is given: r-1 fields, which the
+    solver symmetrizes to (w_j + w_{r-j}) / 2 because it iterates
+    mirror-symmetric fields only (a symmetric guess is unchanged).
+    Otherwise it is the flat profile (1/r) log Q for the `weight_flat`
+    boundary and the model profile for every other boundary.
     """
 
     tolerance: float = 1e-10
     max_iterations: int = 50
-    armijo_factor: float = 0.5
-    max_halvings: int = 20
     continuation_steps: int = 3
     boundary: str = "model_poincare"
-    initial: str = "auto"
     provided_w: tuple | None = None
 
     def validated(self) -> "SolverConfig":
         if self.boundary not in BOUNDARY_STRATEGIES:
             raise ConfigurationError(
                 f"boundary must be one of {BOUNDARY_STRATEGIES}, got {self.boundary!r}")
-        if self.initial not in INITIAL_STRATEGIES:
-            raise ConfigurationError(
-                f"initial must be one of {INITIAL_STRATEGIES}, got {self.initial!r}")
         if not (0.0 < self.tolerance < 1.0):
             raise ConfigurationError(f"tolerance must be in (0, 1), got {self.tolerance}")
         if self.max_iterations < 1:
             raise ConfigurationError(
                 f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not (0.0 < self.armijo_factor < 1.0):
+        if self.continuation_steps < 0:
             raise ConfigurationError(
-                f"armijo_factor must be in (0, 1), got {self.armijo_factor}")
-        if self.max_halvings < 0 or self.continuation_steps < 0:
-            raise ConfigurationError("max_halvings and continuation_steps must be >= 0")
+                f"continuation_steps must be >= 0, got {self.continuation_steps}")
         return self
 
 
@@ -521,20 +515,8 @@ def _fill_boundary(sys: _System, q: np.ndarray, strategy: str,
 
 
 def _initial_guess(grid: Grid, r: int, q: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    kind = cfg.initial
-    if kind == "auto":
-        kind = "flat" if cfg.boundary == "weight_flat" else "model"
-    if kind == "model":
-        return model_log_densities(grid, r)
-    if kind == "flat":
-        qmax = float(q.max())
-        if qmax <= 0.0:
-            raise ConfigurationError(
-                "flat initial guess is undefined for an identically zero weight")
-        floor = qmax * 1e-12
-        return np.tile(np.log(np.maximum(q, floor)) / r, (r - 1, 1))
-    if kind == "provided":
-        if not cfg.provided_w or len(cfg.provided_w) != r - 1:
+    if cfg.provided_w is not None:
+        if len(cfg.provided_w) != r - 1:
             raise ConfigurationError(
                 f"provided initial guess needs r-1={r - 1} fields")
         for f in cfg.provided_w:
@@ -544,7 +526,14 @@ def _initial_guess(grid: Grid, r: int, q: np.ndarray, cfg: SolverConfig) -> np.n
             raise ValidationError("provided initial guess contains non-finite values")
         # the solver iterates the mirror-symmetric fields only
         return 0.5 * (w + w[::-1])
-    raise InternalError(f"unknown initial strategy {kind!r}")
+    if cfg.boundary != "weight_flat":
+        return model_log_densities(grid, r)
+    qmax = float(q.max())
+    if qmax <= 0.0:
+        raise ConfigurationError(
+            "flat initial guess is undefined for an identically zero weight")
+    floor = qmax * 1e-12
+    return np.tile(np.log(np.maximum(q, floor)) / r, (r - 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +563,7 @@ def _newton(sys: _System, q: np.ndarray, u: np.ndarray, cfg: SolverConfig,
             raise _Stall()
         delta = delta.reshape(sys.m, sys.k)
         step = 1.0
-        for _ in range(cfg.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             trial = u.copy()
             trial[:, sys.idx] += step * delta
             n_try = sys.residual(trial, q)
@@ -583,7 +572,7 @@ def _newton(sys: _System, q: np.ndarray, u: np.ndarray, cfg: SolverConfig,
                 u[:, sys.idx] = trial[:, sys.idx]
                 n_act, res = n_try, res_try
                 break
-            step *= cfg.armijo_factor
+            step *= _ARMIJO_FACTOR
         else:
             raise _Stall()
         iters += 1
@@ -652,8 +641,9 @@ def solve_toda(weight: WeightDensity, grid: Grid,
         ramp, continued = [1.0], False
         while ramp:
             s = ramp.pop(0)
-            q_s = q if s == 1.0 else evaluate_density(
-                scale_weight(weight, np.sqrt(s)), grid).values
+            # every weight kind is t^2 times its base density, so the
+            # amplitude sqrt(s) t has density s Q
+            q_s = q if s == 1.0 else s * q
             if continued and cfg.boundary == "weight_flat":
                 _fill_boundary(stage, q_s, cfg.boundary, u)
             try:

@@ -141,16 +141,6 @@ def weight_from_dict(doc: dict) -> WeightDensity:
     )
 
 
-def scale_weight(weight: WeightDensity, s: float) -> WeightDensity:
-    """Rescale by s > 0: the density picks up a factor s^2 through t -> s*t."""
-    s = float(s)
-    if not math.isfinite(s) or s <= 0.0:
-        raise ConfigurationError(f"scale must be positive and finite, got {s}")
-    return WeightDensity(kind=weight.kind, r=weight.r, t=weight.t * s,
-                         coeffs=weight.coeffs, samples=weight.samples,
-                         value=weight.value)
-
-
 def evaluate_density(weight: WeightDensity, grid: Grid) -> Field:
     """Evaluate t^2 * Q_base at the grid nodes; result is finite and >= 0."""
     t2 = weight.t * weight.t

@@ -106,12 +106,37 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("initial", "model"),
+                                        ("armijo_factor", 0.5),
+                                        ("max_halvings", 20)])
+def test_retired_solver_key_exits_two(tmp_path, capsys, key, value):
+    cfg = tmp_path / "retired.json"
+    cfg.write_text(json.dumps({"solver": {key: value}}))
+    out = tmp_path / "x.json"
+    code = run_cli("solve", "--config", str(cfg), "--weight", WEIGHT,
+                   "--grid", GRID, "--out", str(out))
+    assert code == 2
+    assert not out.exists()
+    assert "config error at /solver" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [None, "{oops", "[1, 2]"])
+def test_unreadable_config_file_exits_two(tmp_path, capsys, text):
+    # a missing file, invalid JSON and a non-object all point at --config
+    cfg = tmp_path / "bad.json"
+    if text is not None:
+        cfg.write_text(text)
+    code = run_cli("solve", "--config", str(cfg), "--weight", WEIGHT,
+                   "--grid", GRID, "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert "config error at /config" in capsys.readouterr().err
+
+
 def test_stalled_solve_exits_three_with_history(tmp_path, capsys):
     out = tmp_path / "stuck.json"
     cfg = tmp_path / "hard.json"
     cfg.write_text(json.dumps({
-        "solver": {"max_iterations": 3, "continuation_steps": 0,
-                   "max_halvings": 2},
+        "solver": {"max_iterations": 3, "continuation_steps": 0},
     }))
     code = run_cli("solve", "--config", str(cfg), "--weight",
                    '{"kind": "poly", "r": 2, "t": 1e8, "coeffs": [[0, 0], [1, 0]]}',

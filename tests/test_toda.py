@@ -276,8 +276,7 @@ def test_provided_initial_guess_reconverges_immediately():
     g = build_grid("cartesian", 33, 0.9)
     weight = make_weight("poly", 2, coeffs=[0, 1])
     sol = solve_toda(weight, g)
-    again = solve_toda(weight, g, SolverConfig(initial="provided",
-                                               provided_w=sol.w))
+    again = solve_toda(weight, g, SolverConfig(provided_w=sol.w))
     assert again.iterations == 0
     assert np.array_equal(again.w_array(), sol.w_array())
 
@@ -296,15 +295,13 @@ def test_asymmetric_provided_guess_is_symmetrized():
     cfg = SolverConfig(tolerance=1e-12)
     ref = solve_toda(weight, g, cfg)
     odd = ref.w_array() + 0.3 * np.array([1.0, 0.0, -1.0])[:, None]
-    again = solve_toda(weight, g, replace(cfg, initial="provided",
-                                          provided_w=tuple(_fields(g, odd))))
+    again = solve_toda(weight, g, replace(cfg, provided_w=tuple(_fields(g, odd))))
     assert again.iterations == 0
     assert np.abs(again.w_array() - ref.w_array()).max() <= 1e-12
     w = model_log_densities(g, 4)
     w[0] += 0.2 * g.x
     w[2] -= 0.1 * g.y
-    sol = solve_toda(weight, g, replace(cfg, initial="provided",
-                                        provided_w=tuple(_fields(g, w))))
+    sol = solve_toda(weight, g, replace(cfg, provided_w=tuple(_fields(g, w))))
     full = max(float(np.abs(f.values).max())
                for f in toda_residual(sol.w, weight))
     assert full <= cfg.tolerance
@@ -317,13 +314,14 @@ def test_continuation_rescues_large_amplitude(monkeypatch):
     # solves it, and without the ramp the stall names that stage
     import todakit.toda as toda
 
-    scaled = _counted(monkeypatch, toda, "scale_weight")
+    runs = _counted(monkeypatch, toda, "_newton")
     g = build_grid("cartesian", 17, 0.9)
     weight = make_weight("poly", 2, t=1e3, coeffs=[0.3, 1])
     cfg = SolverConfig(boundary="exhaustion", max_iterations=5,
                        continuation_steps=4)
     sol = solve_toda(weight, g, cfg)
-    assert scaled
+    # one Newton run per stage, and more when the ramp ran
+    assert len(runs) > len(sol.exhaustion_drifts) + 1
     assert sol.residual_sup <= 1e-10
     with pytest.raises(ConvergenceError, match=r"rho=0\.8 "):
         solve_toda(weight, g, replace(cfg, continuation_steps=0))
@@ -339,17 +337,19 @@ def test_solver_reports_stall_with_history(monkeypatch, boundary, rho,
     # stage's rho, then the continuation amplitude when the ramp ran
     import todakit.toda as toda
 
-    scaled = _counted(monkeypatch, toda, "scale_weight")
+    runs = _counted(monkeypatch, toda, "_newton")
     g = build_grid("cartesian", 17, 0.9)
     weight = make_weight("poly", 2, t=1e6, coeffs=[0, 1])
-    cfg = SolverConfig(boundary=boundary, max_iterations=3, max_halvings=3,
+    cfg = SolverConfig(boundary=boundary, max_iterations=3,
                        continuation_steps=continuation_steps)
     with pytest.raises(ConvergenceError) as err:
         solve_toda(weight, g, cfg)
     message = str(err.value)
+    # the first stage stalls, so the ramp ran when Newton ran more than once
+    continued = len(runs) > 1
     assert message.startswith(f"newton stalled in stage rho={rho} ")
-    assert ("at continuation amplitude 0.125 " in message) == bool(scaled)
-    assert bool(scaled) == bool(continuation_steps)
+    assert ("at continuation amplitude 0.125 " in message) == continued
+    assert continued == bool(continuation_steps)
     assert err.value.residual_history
 
 
@@ -357,13 +357,11 @@ def test_solver_config_validation():
     with pytest.raises(ConfigurationError):
         SolverConfig(boundary="periodic").validated()
     with pytest.raises(ConfigurationError):
-        SolverConfig(initial="random").validated()
-    with pytest.raises(ConfigurationError):
         SolverConfig(tolerance=0.0).validated()
     with pytest.raises(ConfigurationError):
         SolverConfig(max_iterations=0).validated()
     with pytest.raises(ConfigurationError):
-        SolverConfig(armijo_factor=1.0).validated()
+        SolverConfig(continuation_steps=-1).validated()
 
 
 def test_model_boundary_requires_subunit_disc():
@@ -373,10 +371,13 @@ def test_model_boundary_requires_subunit_disc():
 
 
 def test_weight_flat_boundary_needs_positive_ring():
+    # Q = 1 inside and 0 on the boundary: the flat start exists, the flat
+    # Dirichlet data does not
     g = build_grid("cartesian", 17, 0.9)
-    cfg = SolverConfig(boundary="weight_flat", initial="model")
+    cfg = SolverConfig(boundary="weight_flat")
+    weight = make_weight("grid", 2, samples=g.interior.astype(float))
     with pytest.raises(StrategyError):
-        solve_toda(make_weight("zero", 2), g, cfg)
+        solve_toda(weight, g, cfg)
 
 
 def test_weight_flat_ring_is_what_interior_stencils_read():
@@ -400,11 +401,20 @@ def test_weight_flat_ring_is_what_interior_stencils_read():
             assert sol.iterations == 0 and sol.residual_sup == 0.0
 
 
-@pytest.mark.parametrize("boundary, systems", [("model_poincare", 1),
-                                               ("exhaustion", 3)])
-def test_solve_evaluates_density_once(monkeypatch, boundary, systems):
-    # one density evaluation per solve, one system per distinct active set
-    # (the last exhaustion stage shares the interior system)
+@pytest.mark.parametrize("weight, n, cfg, systems", [
+    pytest.param(make_weight("poly", 2, coeffs=[0, 1]), 33, SolverConfig(),
+                 1, id="model_poincare-1"),
+    pytest.param(make_weight("poly", 2, coeffs=[0, 1]), 33,
+                 SolverConfig(boundary="exhaustion"), 3, id="exhaustion-3"),
+    # the first stage stalls and continuation runs
+    pytest.param(make_weight("poly", 2, t=1e3, coeffs=[0.3, 1]), 17,
+                 SolverConfig(boundary="exhaustion", max_iterations=5,
+                              continuation_steps=4), 3,
+                 id="exhaustion-3-continued")])
+def test_solve_evaluates_density_once(monkeypatch, weight, n, cfg, systems):
+    # one density evaluation per solve, also under continuation, and one
+    # system per distinct active set (the last exhaustion stage shares the
+    # interior system)
     import todakit.toda as toda
 
     calls = {"evaluate_density": 0, "_System": 0}
@@ -416,9 +426,7 @@ def test_solve_evaluates_density_once(monkeypatch, boundary, systems):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(toda, name, counted)
-    weight = make_weight("poly", 2, coeffs=[0, 1])
-    sol = solve_toda(weight, build_grid("cartesian", 33, 0.9),
-                     SolverConfig(boundary=boundary))
+    sol = solve_toda(weight, build_grid("cartesian", n, 0.9), cfg)
     assert sol.iterations > 0 and sol.residual_sup <= 1e-10
     assert calls == {"evaluate_density": 1, "_System": systems}
     # the reported residual is that of the returned fields
@@ -435,14 +443,14 @@ def test_solve_evaluates_density_once(monkeypatch, boundary, systems):
 def test_solve_never_assembles_the_jacobian(monkeypatch, weight, cfg, continued):
     # Newton applies the Jacobian matrix-free in every stage: plain,
     # exhaustion, and amplitude continuation (at t = 1e3 Newton stalls
-    # after 5 iterations and continuation evaluates scaled weights)
+    # after 5 iterations and the ramp runs Newton once per amplitude)
     import todakit.toda as toda
 
     assembled = _counted(monkeypatch, toda._System, "jacobian")
-    scaled = _counted(monkeypatch, toda, "scale_weight")
+    runs = _counted(monkeypatch, toda, "_newton")
     sol = solve_toda(weight, build_grid("cartesian", 17, 0.9), cfg)
     assert sol.iterations > 0 and sol.residual_sup <= 1e-10
-    assert bool(scaled) == continued
+    assert (len(runs) > len(sol.exhaustion_drifts) + 1) == continued
     assert not assembled
 
 
@@ -523,8 +531,7 @@ def _first_step_and_direct_solve(monkeypatch, n):
     jac, idx = toda_jacobian(fields, weight)
     res = toda_residual(fields, weight)
     direct = spsolve(jac.tocsc(), -np.concatenate([f.values[idx] for f in res]))
-    solve_toda(weight, g, SolverConfig(initial="provided",
-                                       provided_w=tuple(fields)))
+    solve_toda(weight, g, SolverConfig(provided_w=tuple(fields)))
     delta, info = steps[0]
     fold = [min(j, 3 - j) - 1 for j in (1, 2)]
     return delta.reshape(-1, len(idx))[fold].ravel(), info, direct

@@ -9,7 +9,7 @@ from todakit.errors import ConfigurationError, ShapeError
 from todakit.grid import build_grid
 from todakit.weight import (KINDS, beta_integrals, evaluate_density,
                             lambda_coefficients, make_weight, model_constants,
-                            model_entropy, scale_weight, weight_from_dict)
+                            model_entropy, weight_from_dict)
 
 # ---------------------------------------------------------------------------
 # Oracles for the beta integrals.  Everything here is checked against values
@@ -201,16 +201,6 @@ def test_poly_coeffs_wire_form_equals_complex_form():
     g = build_grid("cartesian", 9, 0.8)
     assert np.array_equal(evaluate_density(w1, g).values,
                           evaluate_density(w2, g).values)
-
-
-def test_scale_weight_squares_into_density():
-    w = make_weight("poly", 2, t=2.0, coeffs=[0, 1])
-    g = build_grid("cartesian", 9, 0.8)
-    base = evaluate_density(w, g).values
-    tripled = evaluate_density(scale_weight(w, 3.0), g).values
-    assert np.allclose(tripled, 9.0 * base, rtol=1e-15)
-    with pytest.raises(ConfigurationError):
-        scale_weight(w, 0.0)
 
 
 def test_density_values():
