@@ -295,7 +295,8 @@ def test_asymmetric_provided_guess_is_symmetrized():
     cfg = SolverConfig(tolerance=1e-12)
     ref = solve_toda(weight, g, cfg)
     odd = ref.w_array() + 0.3 * np.array([1.0, 0.0, -1.0])[:, None]
-    again = solve_toda(weight, g, replace(cfg, provided_w=tuple(_fields(g, odd))))
+    again = solve_toda(weight, g,
+                       replace(cfg, provided_w=tuple(_fields(g, odd))))
     assert again.iterations == 0
     assert np.abs(again.w_array() - ref.w_array()).max() <= 1e-12
     w = model_log_densities(g, 4)
