@@ -65,7 +65,6 @@ _SOLVER_SCHEMA = {
     "properties": {
         "tolerance": {"type": "number", "exclusiveMinimum": 0},
         "max_iterations": {"type": "integer", "minimum": 1},
-        "continuation_steps": {"type": "integer", "minimum": 0},
         "boundary": {"enum": list(BOUNDARY_STRATEGIES)},
     },
     "additionalProperties": False,

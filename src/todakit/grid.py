@@ -19,6 +19,7 @@ nodes; `laplacian` and the Toda solver both apply that operator.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,16 +81,23 @@ def make_field(grid: Grid, values) -> Field:
     return field
 
 
+def is_number(value, kind=numbers.Real) -> bool:
+    """Whether `value` is a number of `kind`, numpy scalars included; not a
+    bool (JSON true/false, a subclass of int) nor a str such as "0.9"."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def build_grid(mode: str, n: int, rho_max: float) -> Grid:
     if mode not in MODES:
         raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+    if not is_number(n, numbers.Integral):
         raise ConfigurationError(f"n must be an integer, got {n!r}")
     if n < 8:
         raise ConfigurationError(f"n must be at least 8, got {n}")
+    if not (is_number(rho_max) and np.isfinite(rho_max) and rho_max > 0.0):
+        raise ConfigurationError(
+            f"rho_max must be positive and finite, got {rho_max!r}")
     rho_max = float(rho_max)
-    if not np.isfinite(rho_max) or rho_max <= 0.0:
-        raise ConfigurationError(f"rho_max must be positive and finite, got {rho_max}")
 
     if mode == "cartesian":
         h = 2.0 * rho_max / (n - 1)

@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 
 from .errors import SchemaError, ValidationError
-from .grid import build_grid, make_field
+from .grid import build_grid, is_number, make_field
 from .toda import (BOUNDARY_STRATEGIES, TodaSolution, compute_v0,
                    toda_residual)
 from .weight import evaluate_density, weight_from_dict
@@ -205,7 +205,7 @@ def solution_from_dict(doc: dict) -> TodaSolution:
     r = _pointer_get(doc, "r", "/r", int)
     gdoc = _pointer_get(doc, "grid", "/grid", dict)
     try:
-        grid = build_grid(gdoc["mode"], int(gdoc["n"]), float(gdoc["rho_max"]))
+        grid = build_grid(gdoc["mode"], gdoc["n"], gdoc["rho_max"])
     except KeyError as exc:
         raise SchemaError(f"missing grid key {exc}", pointer="/grid") from exc
     except Exception as exc:
@@ -243,9 +243,8 @@ def solution_from_dict(doc: dict) -> TodaSolution:
             f"boundary_strategy must be one of {BOUNDARY_STRATEGIES}, "
             f"got {strategy!r}", pointer="/boundary_strategy")
     drifts = doc.get("exhaustion_drifts", [])
-    if not (isinstance(drifts, list) and all(
-            isinstance(d, (int, float)) and not isinstance(d, bool)
-            and math.isfinite(d) for d in drifts)):
+    if not (isinstance(drifts, list)
+            and all(is_number(d) and math.isfinite(d) for d in drifts)):
         raise SchemaError("exhaustion_drifts must be a list of finite numbers",
                           pointer="/exhaustion_drifts")
     sol = TodaSolution(

@@ -52,20 +52,19 @@ when it has at most _DIRECT_SIZE unknowns, and otherwise by one multigrid
 V-cycle (Galerkin coarse operators on the even-index nodes, damped Jacobi
 smoothing, the coarsest level LU-factored).
 The factors and hierarchies are built once per active node set, with e^u
-fitted to the first iterate, and reused by every Newton step, continuation
-stage and exhaustion stage on that set.  Steps are damped by Armijo
-backtracking on the residual sup-norm.  If Newton stalls within a stage, the
-weight amplitude is ramped in t^2 from the stalled iterate (continuation),
-each amplitude warm-starting the next.  A stall that continuation does not
-rescue, or any stall with continuation off, raises `ConvergenceError` from
-the stage loop; its message names the stage rho, the continuation amplitude
-when the ramp ran, and the last residual.
+fitted to the first iterate, and reused by every Newton step and
+exhaustion stage on that set.  A GMRES call that misses its tolerance still
+returns its best iterate, which is taken as an inexact Newton step (Dembo,
+Eisenstat & Steihaug 1982).  Every step is damped by Armijo backtracking on
+the residual sup-norm, which accepts it or halves it.  A stage whose Newton
+run stalls raises `ConvergenceError` from the stage loop; its message names
+the stage rho and the last residual.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import bmat, coo_matrix, csr_matrix, diags, identity, kron
@@ -74,8 +73,6 @@ from scipy.sparse.linalg import LinearOperator, gmres, splu
 from .errors import (
     ConfigurationError,
     ConvergenceError,
-    InternalError,
-    ShapeError,
     StrategyError,
     ValidationError,
 )
@@ -96,8 +93,8 @@ _MAX_HALVINGS = 20
 _GMRES_RTOL = 1e-12
 _GMRES_ATOL = 0.0
 _GMRES_RESTART = 60
-# restart cycles before a Krylov failure stalls the Newton iteration; scipy's
-# default (ten times the unknowns) is no bound at all
+# restart cycles before GMRES gives up and returns its best iterate as an
+# inexact step; scipy's default (ten times the unknowns) is no bound at all
 _GMRES_MAXITER = 10
 # Cartesian preconditioner blocks with at most this many unknowns are
 # LU-factored whole; larger ones are solved by one multigrid V-cycle whose
@@ -112,7 +109,9 @@ _SMOOTHING_SWEEPS = 2
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton, continuation and boundary settings of `solve_toda`.
+    """Newton and boundary settings of `solve_toda`.
+
+    `max_iterations` bounds the Newton iterations of each stage.
 
     The start is `provided_w` when it is given: r-1 fields, which the
     solver symmetrizes to (w_j + w_{r-j}) / 2 because it iterates
@@ -123,7 +122,6 @@ class SolverConfig:
 
     tolerance: float = 1e-10
     max_iterations: int = 50
-    continuation_steps: int = 3
     boundary: str = "model_poincare"
     provided_w: tuple | None = None
 
@@ -136,9 +134,6 @@ class SolverConfig:
         if self.max_iterations < 1:
             raise ConfigurationError(
                 f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.continuation_steps < 0:
-            raise ConfigurationError(
-                f"continuation_steps must be >= 0, got {self.continuation_steps}")
         return self
 
 
@@ -489,29 +484,27 @@ def _active_ring(sys: _System) -> np.ndarray:
 
 def _fill_boundary(sys: _System, q: np.ndarray, strategy: str,
                    u: np.ndarray) -> None:
-    """Dirichlet data into the boundary nodes of the unknowns u of `sys`;
-    every strategy's data is mirror-symmetric in j -> r-j."""
+    """Dirichlet data into the boundary nodes of the unknowns u of `sys`:
+    the flat profile for `weight_flat`, the model profile for the other
+    strategies; both are mirror-symmetric in j -> r-j."""
     grid, r = sys.grid, sys.r
-    if strategy in ("model_poincare", "exhaustion"):
+    if strategy != "weight_flat":
         if grid.rho_max >= 1.0:
             raise ConfigurationError(
                 f"{strategy} boundary needs rho_max < 1, got {grid.rho_max}")
         model = model_log_densities(grid, r)
         u[:, grid.boundary] = model[:sys.m, grid.boundary]
         return
-    if strategy == "weight_flat":
-        ring = _active_ring(sys)
-        bad = int((q[ring] <= 0.0).sum())
-        if bad:
-            raise StrategyError(
-                f"weight_flat needs Q > 0 on the boundary ring; {bad} ring "
-                "nodes have Q = 0")
-        vals = np.zeros(grid.nodes)
-        pos = q > 0.0
-        vals[pos] = np.log(q[pos]) / r
-        u[:, grid.boundary] = vals[grid.boundary]
-        return
-    raise InternalError(f"unknown boundary strategy {strategy!r}")
+    ring = _active_ring(sys)
+    bad = int((q[ring] <= 0.0).sum())
+    if bad:
+        raise StrategyError(
+            f"weight_flat needs Q > 0 on the boundary ring; {bad} ring "
+            "nodes have Q = 0")
+    vals = np.zeros(grid.nodes)
+    pos = q > 0.0
+    vals[pos] = np.log(q[pos]) / r
+    u[:, grid.boundary] = vals[grid.boundary]
 
 
 def _initial_guess(grid: Grid, r: int, q: np.ndarray, cfg: SolverConfig) -> np.ndarray:
@@ -559,8 +552,13 @@ def _newton(sys: _System, q: np.ndarray, u: np.ndarray, cfg: SolverConfig,
         delta, info = gmres(op, p_inv(-n_act.reshape(-1)), rtol=_GMRES_RTOL,
                             atol=_GMRES_ATOL, restart=_GMRES_RESTART,
                             maxiter=_GMRES_MAXITER)
-        if info != 0:
-            raise _Stall()
+        # gmres returns info > 0 on a miss, with its best iterate: an
+        # inexact Newton step, which the Armijo search accepts or halves
+        # like any other.  Only a step it cannot accept stalls.
+        if info:
+            log.info("newton iter %d: gmres missed rtol %.0e in %d restart "
+                     "cycles; taking its best iterate", iters + 1,
+                     _GMRES_RTOL, info)
         delta = delta.reshape(sys.m, sys.k)
         step = 1.0
         for _ in range(_MAX_HALVINGS + 1):
@@ -612,12 +610,9 @@ def solve_toda(weight: WeightDensity, grid: Grid,
     2 log((1-rho^2)/(1-rho'^2)) grows as the ring recedes.)  A single
     stage has no drifts.
 
-    When Newton stalls within a stage, the weight amplitude is ramped in
-    t^2 through s = 2^-steps .. 1 (`continuation_steps`), starting from
-    the stalled iterate, and each amplitude warm-starts the next.  A stall
-    with continuation off, or anywhere on the ramp, raises
-    `ConvergenceError` naming the stage rho and, on the ramp, the
-    amplitude.
+    Each stage is one Newton run of at most `max_iterations` iterations.
+    A stall raises `ConvergenceError` naming the stage rho and the last
+    residual.
     """
     cfg = (config or SolverConfig()).validated()
     r = weight.r
@@ -638,27 +633,12 @@ def solve_toda(weight: WeightDensity, grid: Grid,
     for rho, active in zip(radii, actives):
         stage = sys if np.array_equal(active, sys.active) \
             else _System(grid, r, active, mirror=True)
-        ramp, continued = [1.0], False
-        while ramp:
-            s = ramp.pop(0)
-            # every weight kind is t^2 times its base density, so the
-            # amplitude sqrt(s) t has density s Q
-            q_s = q if s == 1.0 else s * q
-            if continued and cfg.boundary == "weight_flat":
-                _fill_boundary(stage, q_s, cfg.boundary, u)
-            try:
-                iters += _newton(stage, q_s, u, cfg, history)
-            except _Stall:
-                if continued or cfg.continuation_steps == 0:
-                    at = f" at continuation amplitude {s:g}" if continued else ""
-                    raise ConvergenceError(
-                        f"newton stalled in stage rho={rho:g}{at} "
-                        f"(residual {history[-1]:.3e})", history)
-                log.info("newton stalled at rho=%g; engaging amplitude "
-                         "continuation (%d amplitudes)", rho,
-                         cfg.continuation_steps + 1)
-                ramp = [0.5 ** p for p in range(cfg.continuation_steps, -1, -1)]
-                continued = True
+        try:
+            iters += _newton(stage, q, u, cfg, history)
+        except _Stall:
+            raise ConvergenceError(
+                f"newton stalled in stage rho={rho:g} "
+                f"(residual {history[-1]:.3e})", history) from None
         snaps.append(u[:, actives[0]].copy())
         log.debug("stage rho=%g done", rho)
 

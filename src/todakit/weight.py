@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, InternalError, ShapeError, ValidationError
-from .grid import Field, Grid
+from .grid import Field, Grid, is_number
 
 log = logging.getLogger(__name__)
 
@@ -77,25 +78,36 @@ class WeightDensity:
         return doc
 
 
+def _numbers(values, what: str, dtype) -> np.ndarray:
+    """`values` as a `dtype` array, every entry a number unless `values` is
+    a numeric array; numpy alone reads true as 1 and "0.5" as 0.5."""
+    kind = numbers.Complex if dtype is complex else numbers.Real
+    numeric = isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
+    try:
+        if numeric or all(is_number(v, kind)
+                          for v in np.asarray(values, dtype=object).flat):
+            return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{what} are not numeric: {exc}") from None
+    raise ConfigurationError(f"{what} must be numbers, not bool or str")
+
+
 def make_weight(kind: str, r: int, t: float = 1.0, coeffs=None, samples=None,
                 value=None) -> WeightDensity:
     if kind not in KINDS:
         raise ConfigurationError(f"kind must be one of {KINDS}, got {kind!r}")
-    if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or r < 2:
+    if not is_number(r, numbers.Integral) or r < 2:
         raise ConfigurationError(f"r must be an integer >= 2, got {r!r}")
+    if not (is_number(t) and math.isfinite(t) and t > 0.0):
+        raise ConfigurationError(f"t must be positive and finite, got {t!r}")
     t = float(t)
-    if not math.isfinite(t) or t <= 0.0:
-        raise ConfigurationError(f"t must be positive and finite, got {t}")
 
     carr = sarr = None
     val = None
     if kind == "poly":
         if coeffs is None or len(coeffs) == 0:
             raise ConfigurationError("poly weight requires nonempty coeffs")
-        try:
-            arr = np.asarray(coeffs, dtype=complex)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"poly coeffs are not numeric: {exc}")
+        arr = _numbers(coeffs, "poly coeffs", complex)
         if arr.ndim == 2 and arr.shape[1] == 2:
             # JSON wire form: ascending-degree [re, im] pairs
             carr = arr[:, 0].real + 1j * arr[:, 1].real
@@ -109,15 +121,14 @@ def make_weight(kind: str, r: int, t: float = 1.0, coeffs=None, samples=None,
         carr = carr.copy()
         carr.setflags(write=False)
     elif kind == "constant":
-        if value is None:
-            raise ConfigurationError("constant weight requires a value")
+        if not (is_number(value) and math.isfinite(value) and value >= 0.0):
+            raise ConfigurationError(
+                f"constant weight needs a value >= 0, got {value!r}")
         val = float(value)
-        if not math.isfinite(val) or val < 0.0:
-            raise ConfigurationError(f"constant value must be >= 0, got {val}")
     elif kind in ("radial", "grid"):
         if samples is None or len(samples) == 0:
             raise ConfigurationError(f"{kind} weight requires nonempty samples")
-        sarr = np.asarray(samples, dtype=float)
+        sarr = _numbers(samples, "samples", float)
         if sarr.ndim != 1:
             raise ConfigurationError("samples must be a flat list")
         if kind == "radial" and len(sarr) < 2:
@@ -187,7 +198,7 @@ def lambda_coefficients(r: int) -> np.ndarray:
     convention lambda_0 = lambda_r = 0, which is exactly what makes
     w_j = log(lambda_j) - 2*log(1 - |z|^2) solve the degenerate system.
     """
-    if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or r < 2:
+    if not is_number(r, numbers.Integral) or r < 2:
         raise ConfigurationError(f"r must be an integer >= 2, got {r!r}")
     j = np.arange(1, r, dtype=float)
     return j * (r - j)

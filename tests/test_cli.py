@@ -108,7 +108,8 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [("initial", "model"),
                                         ("armijo_factor", 0.5),
-                                        ("max_halvings", 20)])
+                                        ("max_halvings", 20),
+                                        ("continuation_steps", 3)])
 def test_retired_solver_key_exits_two(tmp_path, capsys, key, value):
     cfg = tmp_path / "retired.json"
     cfg.write_text(json.dumps({"solver": {key: value}}))
@@ -136,7 +137,7 @@ def test_stalled_solve_exits_three_with_history(tmp_path, capsys):
     out = tmp_path / "stuck.json"
     cfg = tmp_path / "hard.json"
     cfg.write_text(json.dumps({
-        "solver": {"max_iterations": 3, "continuation_steps": 0},
+        "solver": {"max_iterations": 3},
     }))
     code = run_cli("solve", "--config", str(cfg), "--weight",
                    '{"kind": "poly", "r": 2, "t": 1e8, "coeffs": [[0, 0], [1, 0]]}',

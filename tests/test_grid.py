@@ -46,6 +46,10 @@ def test_build_grid_rejects_bad_parameters():
         build_grid("cartesian", 7, 0.9)
     with pytest.raises(ConfigurationError):
         build_grid("cartesian", 33, 0.0)
+    for n, rho_max in (("33", 0.9), (33.0, 0.9), (True, 0.9), (33, "0.9"),
+                       (33, True)):
+        with pytest.raises(ConfigurationError):
+            build_grid("cartesian", n, rho_max)
 
 
 def test_laplacian_quadratic_is_exact_cartesian():

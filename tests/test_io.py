@@ -212,6 +212,19 @@ def test_load_rejects_schema_mismatches(solved):
         solution_from_dict(doc)
     assert err.value.pointer == "/grid"
 
+    # a number stored as a str, a bool or a non-integer n is not coerced
+    for section, key, bad in (("grid", "n", "17"), ("grid", "n", 17.9),
+                              ("grid", "rho_max", "0.9"),
+                              ("grid", "rho_max", True),
+                              ("weight", "t", True), ("weight", "t", "1"),
+                              ("weight", "coeffs", [[False, False],
+                                                    [True, False]]),
+                              ("weight", "coeffs", [[0, 0], ["1", 0]])):
+        doc = {**base, section: {**base[section], key: bad}}
+        with pytest.raises(SchemaError) as err:
+            solution_from_dict(doc)
+        assert err.value.pointer == "/" + section
+
     for key, bad in (("boundary_strategy", "bogus"), ("iterations", -5),
                      ("exhaustion_drifts", "abc"),
                      ("exhaustion_drifts", [0.1, "inf"]),

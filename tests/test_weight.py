@@ -170,6 +170,18 @@ def test_make_weight_validates():
         make_weight("radial", 3, samples=[1.0])
     with pytest.raises(ConfigurationError):
         make_weight("radial", 3, samples=[1.0, -2.0])
+    # bool and str are not numbers, though numpy and float() convert them
+    for kwargs in ({"t": True}, {"t": "2"}):
+        with pytest.raises(ConfigurationError):
+            make_weight("zero", 3, **kwargs)
+    for value in (True, "1"):
+        with pytest.raises(ConfigurationError):
+            make_weight("constant", 3, value=value)
+    for samples in ([1.0, True], ["1", "2"], np.ones(3, dtype=bool)):
+        with pytest.raises(ConfigurationError):
+            make_weight("radial", 3, samples=samples)
+    with pytest.raises(ConfigurationError):
+        make_weight("poly", 3, coeffs=[0, True])
 
 
 def test_describe_formats():
