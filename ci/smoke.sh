@@ -1,0 +1,37 @@
+#!/usr/bin/env bash
+# CLI smoke run: ./ci/smoke.sh from the repository root.  Outputs go to
+# $RUNNER_TEMP, a fresh temporary directory when it is unset.
+#
+# The CLI imports jsonschema and scipy.integrate only where it uses them;
+# these commands run both imports against the installed releases (in CI,
+# each leg's pins).  The r = 4 solve iterates the mirror-folded half of the
+# fields, and loading it for thermo rechecks the residual of all r - 1
+# equations.  The radial chain runs the LU-factored radial preconditioner,
+# the reload recheck and plot.read_csv on the radial thermo CSV.  The
+# exhaustion solve runs the stage ladder.  The r = 4, t = 1e3 solve takes
+# GMRES misses as inexact Newton steps and must converge.  The stalled
+# solve must exit 3 and leave its residual history next to the intended
+# output.  A retired solver key such as "continuation_steps" must exit 2.
+set -eo pipefail
+
+RUNNER_TEMP=${RUNNER_TEMP:-$(mktemp -d)}
+export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
+
+python -m todakit verify --suite smoke
+python -m todakit model --r 4 --beta 1
+python -m todakit solve --weight '{"kind": "poly", "r": 4, "coeffs": [[0, 0], [1, 0]]}' --grid '{"mode": "cartesian", "n": 33, "rho_max": 0.9}' --out "$RUNNER_TEMP/sol-r4.json"
+python -m todakit thermo --solution "$RUNNER_TEMP/sol-r4.json" --beta 1 --out "$RUNNER_TEMP/thermo-r4.csv"
+python -m todakit solve --weight '{"kind": "poly", "r": 3, "coeffs": [[0, 0], [1, 0]]}' --grid '{"mode": "radial", "n": 129, "rho_max": 0.9}' --out "$RUNNER_TEMP/sol-radial.json"
+python -m todakit thermo --solution "$RUNNER_TEMP/sol-radial.json" --beta 1 --out "$RUNNER_TEMP/thermo-radial.csv"
+python -m todakit plot "$RUNNER_TEMP/thermo-radial.csv" --column S --out "$RUNNER_TEMP/profile.svg"
+python -m todakit solve --boundary exhaustion --weight '{"kind": "poly", "r": 3, "coeffs": [[0, 0], [1, 0]]}' --grid '{"mode": "cartesian", "n": 33, "rho_max": 0.9}' --out "$RUNNER_TEMP/sol-exhaustion.json"
+python -m todakit solve --weight '{"kind": "constant", "r": 4, "t": 1e3, "value": 1}' --grid '{"mode": "cartesian", "n": 17, "rho_max": 0.9}' --out "$RUNNER_TEMP/sol-inexact.json"
+echo '{"solver": {"max_iterations": 3}}' > "$RUNNER_TEMP/stall.json"
+code=0
+python -m todakit solve --config "$RUNNER_TEMP/stall.json" --weight '{"kind": "poly", "r": 2, "t": 1e8, "coeffs": [[0, 0], [1, 0]]}' --grid '{"mode": "cartesian", "n": 17, "rho_max": 0.9}' --out "$RUNNER_TEMP/stall-sol.json" || code=$?
+test "$code" -eq 3
+test -f "$RUNNER_TEMP/stall-sol.residual_history.json"
+echo '{"solver": {"continuation_steps": 3}}' > "$RUNNER_TEMP/retired.json"
+code=0
+python -m todakit solve --config "$RUNNER_TEMP/retired.json" --weight '{"kind": "poly", "r": 2, "coeffs": [[0, 0], [1, 0]]}' --grid '{"mode": "cartesian", "n": 17, "rho_max": 0.9}' --out "$RUNNER_TEMP/retired-sol.json" || code=$?
+test "$code" -eq 2

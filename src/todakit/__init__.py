@@ -11,14 +11,13 @@ from .errors import (
     TodaKitError,
     ValidationError,
 )
-from .grid import Field, Grid, build_grid, inner_mask, laplacian
+from .grid import Field, Grid, build_grid, inner_mask
 from .toda import (
     SolverConfig,
     TodaSolution,
     energy_density,
     recover_diagonal_metric,
     solve_toda,
-    toda_jacobian,
     toda_residual,
 )
 from .weight import (

@@ -13,7 +13,7 @@ The Laplacian is the plain five-point stencil in cartesian mode and
 w'' + w'/rho in radial mode, with 2*w''(0) -> 4*(w[1]-w[0])/h^2 at the axis.
 Both are exact on quadratics and second order on smooth fields.  The stencil
 is defined once, in `laplacian_operator`, as sparse rows at a set of active
-nodes; `laplacian` and the Toda solver both apply that operator.
+nodes, which the Toda solver and `verify` apply.
 """
 
 from __future__ import annotations
@@ -165,14 +165,6 @@ def laplacian_operator(grid: Grid, active: np.ndarray) -> csr_matrix:
     indptr[0] = 0
     return csr_matrix((data[skip:], cols[skip:], indptr),
                       shape=(len(idx), grid.nodes))
-
-
-def laplacian(grid: Grid, field: Field) -> Field:
-    """Discrete Laplacian; zero at boundary nodes."""
-    check_same_grid(grid, field)
-    out = np.zeros(grid.nodes)
-    out[grid.interior] = laplacian_operator(grid, grid.interior) @ field.values
-    return Field(grid, out)
 
 
 def inner_mask(grid: Grid, margin: float) -> np.ndarray:

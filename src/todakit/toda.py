@@ -32,8 +32,9 @@ equations 1..r//2 of the full system at the mirrored state, and its
 Jacobian sums the pointwise columns of each mirror pair, the V_0 column
 carrying the pair's multiplicity.  The equations left out are the mirrors
 of those kept, so the fold is exact; for r = 2 it is the identity.
-`toda_residual` and `toda_jacobian` keep all r-1 equations, and the reload
-recheck of a saved solution recomputes the full residual, so every
+`toda_residual` keeps all r-1 equations, the reload recheck of a saved
+solution recomputes the full residual, and `verify.check_jacobian` probes
+the Jacobian product of both the full and the folded system, so every
 equation is still checked independently.
 
 Each Newton step solves the exact Jacobian system with GMRES.  GMRES needs
@@ -67,7 +68,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import bmat, coo_matrix, csr_matrix, diags, identity, kron
+from scipy.sparse import coo_matrix, diags
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import (
@@ -214,8 +215,9 @@ class _System:
     package's one stencil: the residual applies it to whole fields, so its
     columns outside the active set carry the Dirichlet data, and the
     Jacobian's Laplacian block is its restriction `lap_active` to the
-    active columns.  Newton applies the Jacobian matrix-free, through
-    `pointwise` and `matvec`; `jacobian` assembles it only for checks.  The
+    active columns.  The Jacobian is never assembled: Newton applies it
+    matrix-free, through `pointwise` and `matvec`, and
+    `verify.check_jacobian` probes that product.  The
     Newton preconditioner (LU factors or V-cycles of its blocks) is built
     from the first iterate that asks for it and kept for the life of the
     system.
@@ -289,15 +291,6 @@ class _System:
         for a in range(self.m):
             y[a] += self.lap_active @ x[a]
         return y.ravel()
-
-    def jacobian(self, u: np.ndarray, q: np.ndarray) -> csr_matrix:
-        """The Jacobian `matvec` applies, assembled as a sparse matrix for
-        `toda_jacobian` and the tests; Newton never assembles it."""
-        blocks = self.pointwise(u, q)
-        m = self.m
-        return (kron(identity(m), self.lap_active)
-                + bmat([[diags(blocks[a, b]) for b in range(m)]
-                        for a in range(m)])).tocsr()
 
     def preconditioner(self, u: np.ndarray, q: np.ndarray):
         """x -> P^{-1} x for P the exact Q = 0 Jacobian at
@@ -432,9 +425,8 @@ def _as_weight_field(grid: Grid, weight) -> Field:
         f"weight must be a WeightDensity or a Field, got {type(weight).__name__}")
 
 
-def _interior_problem(w_fields, weight):
-    """Checked (system, stacked w, q values) on the interior of the fields'
-    grid."""
+def toda_residual(w_fields, weight) -> list:
+    """Residual fields N_1..N_{r-1}; zero at boundary nodes by convention."""
     if len(w_fields) < 1:
         raise ConfigurationError("need at least one field (r >= 2)")
     grid = w_fields[0].grid
@@ -443,30 +435,15 @@ def _interior_problem(w_fields, weight):
     w = np.stack([f.values for f in w_fields])
     if not np.all(np.isfinite(w)):
         raise ValidationError("log-density fields contain non-finite values")
-    qf = _as_weight_field(grid, weight)
-    return _System(grid, len(w_fields) + 1, grid.interior), w, qf.values
-
-
-def toda_residual(w_fields, weight) -> list:
-    """Residual fields N_1..N_{r-1}; zero at boundary nodes by convention."""
-    sys, w, q = _interior_problem(w_fields, weight)
+    q = _as_weight_field(grid, weight).values
+    sys = _System(grid, len(w_fields) + 1, grid.interior)
     n_active = sys.residual(w, q)
     out = []
     for a in range(sys.m):
-        vals = np.zeros(sys.grid.nodes)
+        vals = np.zeros(grid.nodes)
         vals[sys.idx] = n_active[a]
-        out.append(Field(sys.grid, vals))
+        out.append(Field(grid, vals))
     return out
-
-
-def toda_jacobian(w_fields, weight):
-    """Exact Jacobian of the interior residual as a sparse CSR matrix.
-
-    Returns (matrix, interior_index): unknowns are stacked field-major, the
-    value of field j at interior node interior_index[i] sits at j*len(...)+i.
-    """
-    sys, w, q = _interior_problem(w_fields, weight)
-    return sys.jacobian(w, q), sys.idx.copy()
 
 
 # ---------------------------------------------------------------------------

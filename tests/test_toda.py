@@ -9,7 +9,7 @@ from todakit.errors import (ConfigurationError, ConvergenceError,
 from todakit.grid import Field, build_grid, inner_mask, make_field
 from todakit.toda import (SolverConfig, compute_v0, energy_density,
                           model_log_densities, recover_diagonal_metric,
-                          solve_toda, toda_jacobian, toda_residual)
+                          solve_toda, toda_residual)
 from todakit.weight import evaluate_density, lambda_coefficients, make_weight
 
 # ---------------------------------------------------------------------------
@@ -72,8 +72,7 @@ def test_residual_on_blowup_profile_shrinks_at_second_order():
     assert all(1.7 < o < 2.3 for o in orders)
 
 
-@pytest.mark.parametrize("fn", [toda_residual, toda_jacobian],
-                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("fn", [toda_residual], ids=lambda fn: fn.__name__)
 def test_residual_rejects_nonfinite_state(fn):
     g = build_grid("cartesian", 9, 0.8)
     w = np.zeros((1, g.nodes))
@@ -83,8 +82,7 @@ def test_residual_rejects_nonfinite_state(fn):
         fn(fields, make_weight("constant", 2, value=1.0))
 
 
-@pytest.mark.parametrize("fn", [toda_residual, toda_jacobian],
-                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("fn", [toda_residual], ids=lambda fn: fn.__name__)
 def test_residual_rejects_empty_input(fn):
     with pytest.raises(ConfigurationError):
         fn((), make_weight("constant", 2, value=1.0))
@@ -101,12 +99,15 @@ def test_compute_v0_vanishes_with_weight():
 
 # ---------------------------------------------------------------------------
 # Jacobian: central finite differences of the residual along a random
-# direction must match J @ d to second order in the step.
+# direction must match the product J d that Newton applies to second order
+# in the step.
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("mode", ["cartesian", "radial"])
 def test_jacobian_matches_finite_differences(mode):
+    import todakit.toda as toda
+
     g = build_grid(mode, 17, 0.8)
     r = 3
     # radial grids accept monomial weights only
@@ -115,12 +116,13 @@ def test_jacobian_matches_finite_differences(mode):
     rng = np.random.default_rng(7)
     w = model_log_densities(g, r) + 0.05 * rng.standard_normal((r - 1, g.nodes))
     w[:, g.boundary] = model_log_densities(g, r)[:, g.boundary]
-    fields = _fields(g, w)
-    jac, idx = toda_jacobian(fields, weight)
+    sys = toda._System(g, r, g.interior)
+    idx = sys.idx
     assert np.array_equal(idx, np.flatnonzero(g.interior))
 
     d = rng.standard_normal((r - 1, len(idx)))
-    jd = (jac @ d.reshape(-1)).reshape(r - 1, len(idx))
+    blocks = sys.pointwise(w, evaluate_density(weight, g).values)
+    jd = sys.matvec(blocks, d.reshape(-1)).reshape(r - 1, len(idx))
 
     def res_at(wmat):
         res = toda_residual(_fields(g, wmat), weight)
@@ -134,17 +136,6 @@ def test_jacobian_matches_finite_differences(mode):
         errs.append(np.abs(fd - jd).max())
     order = math.log10(errs[0] / errs[1])
     assert order >= 1.9
-
-
-def test_jacobian_shape_and_sparsity():
-    g = build_grid("cartesian", 17, 0.8)
-    weight = make_weight("constant", 4, value=1.0)
-    w = np.zeros((3, g.nodes))
-    jac, idx = toda_jacobian(_fields(g, w), weight)
-    k = len(idx)
-    assert jac.shape == (3 * k, 3 * k)
-    # five-point coupling plus dense 3x3 pointwise blocks
-    assert jac.nnz <= 3 * 5 * k + 9 * k
 
 
 def _coo_jacobian(sys, w, q):
@@ -180,27 +171,27 @@ def _coo_jacobian(sys, w, q):
                                      ("cartesian", 8), ("radial", 3)])
 def test_jacobian_refill_matches_coo_assembly(mode, r):
     # on the interior and on an exhaustion stage's smaller active set, at
-    # states with Q = 0 at some nodes: the assembled Jacobian equals a fresh
-    # COO assembly exactly, and the matrix-free product Newton applies in
-    # its place equals the assembled one to roundoff, folded and unfolded
+    # states with Q = 0 at some nodes: the matrix-free product Newton
+    # applies equals the full Jacobian assembled from its triplets, to
+    # roundoff.  Folded, it is the full product at the mirrored state
+    # u[fold] along the mirrored direction x[fold], read on the first m
+    # equations
     import todakit.toda as toda
 
     g = build_grid(mode, 33, 0.9)
     rng = np.random.default_rng(r)
     cut = 0.8 - 0.5 * g.h
     for active in (g.interior, g.interior & (g.r2 < cut * cut)):
+        full = toda._System(g, r, active)
         for mirror in (False, True):
             sys = toda._System(g, r, active, mirror=mirror)
             for _ in range(2):
                 u = rng.standard_normal((sys.m, g.nodes))
                 q = rng.random(g.nodes) * (rng.random(g.nodes) < 0.7)
-                jac = sys.jacobian(u, q)
-                if not mirror:
-                    assert np.array_equal(jac.toarray(),
-                                          _coo_jacobian(sys, u, q).toarray())
-                x = rng.standard_normal(sys.m * sys.k)
-                ref = jac @ x
-                got = sys.matvec(sys.pointwise(u, q), x)
+                x = rng.standard_normal((sys.m, sys.k))
+                ref = (_coo_jacobian(full, u[sys.fold], q)
+                       @ x[sys.fold].ravel())[:sys.m * sys.k]
+                got = sys.matvec(sys.pointwise(u, q), x.ravel())
                 assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
@@ -414,20 +405,17 @@ def test_solve_evaluates_density_once(monkeypatch, weight, n, cfg, systems):
     (make_weight("poly", 3, coeffs=[0, 1]), SolverConfig(boundary="exhaustion"),
      False),
     (make_weight("constant", 4, t=1e3, value=1), SolverConfig(), True)])
-def test_solve_never_assembles_the_jacobian(monkeypatch, weight, cfg, misses):
-    # Newton applies the Jacobian matrix-free in every stage: plain,
-    # exhaustion, and where GMRES misses its tolerance and Newton takes
-    # inexact steps; one Newton run per stage
+def test_one_newton_run_per_stage(monkeypatch, weight, cfg, misses):
+    # one Newton run per stage: plain, exhaustion, and where GMRES misses
+    # its tolerance and Newton takes inexact steps
     import todakit.toda as toda
 
-    assembled = _counted(monkeypatch, toda._System, "jacobian")
     runs = _counted(monkeypatch, toda, "_newton")
     infos = _gmres_infos(monkeypatch)
     sol = solve_toda(weight, build_grid("cartesian", 17, 0.9), cfg)
     assert sol.iterations > 0 and sol.residual_sup <= 1e-10
     assert len(runs) == len(sol.exhaustion_drifts) + 1
     assert any(infos) == misses
-    assert not assembled
 
 
 def test_solve_converges_past_n257(monkeypatch):
@@ -459,9 +447,9 @@ def test_preconditioner_inverts_degenerate_jacobian(mode, n, r):
     g = build_grid(mode, n, 0.9)
     sys = toda._System(g, r, g.interior)
     w = model_log_densities(g, r)
-    jac = sys.jacobian(w, np.zeros(g.nodes))
-    x = np.random.default_rng(r).standard_normal(jac.shape[0])
-    back = sys.preconditioner(w, np.zeros(g.nodes))(jac @ x)
+    q = np.zeros(g.nodes)
+    x = np.random.default_rng(r).standard_normal(sys.m * sys.k)
+    back = sys.preconditioner(w, q)(sys.matvec(sys.pointwise(w, q), x))
     assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
 
 
@@ -476,9 +464,9 @@ def test_folded_preconditioner_inverts_folded_degenerate_jacobian(mode, n, r):
     sys = toda._System(g, r, g.interior, mirror=True)
     assert sys.m == r // 2
     u = model_log_densities(g, r)[:sys.m]
-    jac = sys.jacobian(u, np.zeros(g.nodes))
-    x = np.random.default_rng(r).standard_normal(jac.shape[0])
-    back = sys.preconditioner(u, np.zeros(g.nodes))(jac @ x)
+    q = np.zeros(g.nodes)
+    x = np.random.default_rng(r).standard_normal(sys.m * sys.k)
+    back = sys.preconditioner(u, q)(sys.matvec(sys.pointwise(u, q), x))
     assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
 
 
@@ -504,7 +492,9 @@ def _first_step_and_direct_solve(monkeypatch, n):
     w = model_log_densities(g, 3)
     w[:, g.interior] += 0.3 * g.x[g.interior] * g.y[g.interior] + 0.1
     fields = _fields(g, w)
-    jac, idx = toda_jacobian(fields, weight)
+    full = toda._System(g, 3, g.interior)
+    idx = full.idx
+    jac = _coo_jacobian(full, w, evaluate_density(weight, g).values)
     res = toda_residual(fields, weight)
     direct = spsolve(jac.tocsc(), -np.concatenate([f.values[idx] for f in res]))
     solve_toda(weight, g, SolverConfig(provided_w=tuple(fields)))

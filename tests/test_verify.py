@@ -75,8 +75,25 @@ def test_jacobian_check_reproducible():
     assert "seed=0" in rep1.instance
 
 
+def test_jacobian_check_probes_the_applied_matvec(monkeypatch):
+    # a matvec that drops the pointwise blocks applies the Laplacian part
+    # only; the check probes the product Newton applies, so it fails
+    import todakit.toda as toda
+
+    real = toda._System.matvec
+
+    def laplacian_only(self, blocks, x):
+        return real(self, np.zeros_like(blocks), x)
+
+    monkeypatch.setattr(toda._System, "matvec", laplacian_only)
+    rep = check_jacobian(make_weight("poly", 3, coeffs=[0, 1]),
+                         build_grid("cartesian", 33, 0.9))
+    assert rep.passed is False
+
+
 def test_jacobian_check_evaluates_density_once(monkeypatch):
-    # the Jacobian and both finite-difference residuals share one density
+    # the products and finite-difference residuals of the full and the
+    # mirror-folded system share one density
     import todakit.toda as toda
     import todakit.verify as verify
     import todakit.weight as weight
