@@ -28,7 +28,7 @@ FROZEN = {
     "profile.svg":
         "44c5ac35b05a527cf78c1f4022cc7baa4513f57977216602ff46409e9c33e68a",
     "report.json":
-        "c5f0d406e96c6f1703f9e08c1ec88d9cca052a45f9d2f173afb8fff41b27e3de",
+        "bf2ce4fbcb61872b707fe20e7c7a1a4fa8172a5303a358f0165b337012fa612f",
     "sol-cart.json":
         "a09582e473dc359cac963499f655138e11257060f3748f467dd91b149c986961",
     "sol-radial.json":
