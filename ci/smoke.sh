@@ -11,7 +11,9 @@
 # exhaustion solve runs the stage ladder.  The r = 4, t = 1e3 solve takes
 # GMRES misses as inexact Newton steps and must converge.  The stalled
 # solve must exit 3 and leave its residual history next to the intended
-# output.  A retired solver key such as "continuation_steps" must exit 2.
+# output, and so must a stalled thermo run whose output path comes from
+# its config file.  A retired solver key such as "continuation_steps" must
+# exit 2.
 set -eo pipefail
 
 RUNNER_TEMP=${RUNNER_TEMP:-$(mktemp -d)}
@@ -31,6 +33,11 @@ code=0
 python -m todakit solve --config "$RUNNER_TEMP/stall.json" --weight '{"kind": "poly", "r": 2, "t": 1e8, "coeffs": [[0, 0], [1, 0]]}' --grid '{"mode": "cartesian", "n": 17, "rho_max": 0.9}' --out "$RUNNER_TEMP/stall-sol.json" || code=$?
 test "$code" -eq 3
 test -f "$RUNNER_TEMP/stall-sol.residual_history.json"
+echo "{\"solver\": {\"max_iterations\": 3}, \"out\": \"$RUNNER_TEMP/stall-thermo.csv\"}" > "$RUNNER_TEMP/stall-thermo.json"
+code=0
+python -m todakit thermo --config "$RUNNER_TEMP/stall-thermo.json" --weight '{"kind": "poly", "r": 2, "t": 1e8, "coeffs": [[0, 0], [1, 0]]}' --grid '{"mode": "cartesian", "n": 17, "rho_max": 0.9}' || code=$?
+test "$code" -eq 3
+test -f "$RUNNER_TEMP/stall-thermo.residual_history.json"
 echo '{"solver": {"continuation_steps": 3}}' > "$RUNNER_TEMP/retired.json"
 code=0
 python -m todakit solve --config "$RUNNER_TEMP/retired.json" --weight '{"kind": "poly", "r": 2, "coeffs": [[0, 0], [1, 0]]}' --grid '{"mode": "cartesian", "n": 17, "rho_max": 0.9}' --out "$RUNNER_TEMP/retired-sol.json" || code=$?

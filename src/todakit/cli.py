@@ -5,7 +5,7 @@ comes from flags or a JSON config file (flags win).  Exit codes: 0 on
 success, 1 on failed verification or runtime errors, 2 on configuration
 schema violations (the offending JSON pointer is printed), 3 when the
 solver fails to converge (the residual history is written next to the
-requested output).
+resolved output path).
 """
 
 from __future__ import annotations
@@ -154,8 +154,11 @@ def _validate(doc: dict) -> None:
         raise SchemaError(exc.message, pointer=pointer) from exc
 
 
-def _assemble(args, keys) -> dict:
-    """Merge the config file (if any) with flags; flags win."""
+def _assemble(args, keys, out: str | None = None) -> dict:
+    """Merge the config file (if any) with flags; flags win.  The output
+    path resolves here, before any solve, into `args.out`: the --out flag,
+    then the config file's "out", then the command's default `out`; a
+    stalled solve writes its residual history next to it."""
     doc: dict = {}
     if getattr(args, "config", None):
         base = _json_object(args.config, "config file", "/config")
@@ -167,6 +170,7 @@ def _assemble(args, keys) -> dict:
     if "solver" in keys and getattr(args, "boundary", None):
         doc["solver"] = {**doc.get("solver", {}), "boundary": args.boundary}
     _validate(doc)
+    args.out = doc.get("out", out)
     return doc
 
 
@@ -187,7 +191,7 @@ def _grid_of(doc: dict):
 
 def _solver_of(doc: dict) -> SolverConfig:
     try:
-        return SolverConfig(**doc.get("solver", {})).validated()
+        return SolverConfig(**doc.get("solver", {}))
     except (TypeError, ConfigurationError) as exc:
         raise SchemaError(str(exc), pointer="/solver") from exc
 
@@ -203,13 +207,14 @@ def _require(doc: dict, key: str, command: str) -> None:
 
 
 def cmd_solve(args) -> int:
-    doc = _assemble(args, ("weight", "grid", "solver", "out"))
+    doc = _assemble(args, ("weight", "grid", "solver", "out"),
+                    out="solution.json")
     _require(doc, "weight", "solve")
     _require(doc, "grid", "solve")
     weight = _weight_of(doc)
     grid = _grid_of(doc)
     cfg = _solver_of(doc)
-    out = doc.get("out", "solution.json")
+    out = args.out
     sol = solve_toda(weight, grid, cfg)
     save_solution(out, sol)
     print(f"solved r={sol.r} on {grid.mode} n={grid.n}: residual "
@@ -220,7 +225,7 @@ def cmd_solve(args) -> int:
 
 def cmd_thermo(args) -> int:
     doc = _assemble(args, ("weight", "grid", "solver", "beta", "reference",
-                           "solution", "out"))
+                           "solution", "out"), out="thermo.csv")
     beta = doc.get("beta", [1.0])
     if len(beta) != 1:
         raise SchemaError("thermo takes exactly one beta", pointer="/beta")
@@ -232,7 +237,7 @@ def cmd_thermo(args) -> int:
         _require(doc, "grid", "thermo")
         sol = solve_toda(_weight_of(doc), _grid_of(doc), _solver_of(doc))
     tf = thermo_field(sol, beta[0], reference)
-    out = doc.get("out", "thermo.csv")
+    out = args.out
     write_thermo_csv(out, sol, tf)
     s = tf.entropy.values[sol.grid.interior]
     print(f"thermo beta={beta[0]:g} reference={reference}: "
@@ -260,7 +265,7 @@ def _sweep_point(payload) -> list:
     weight_doc, grid_doc, solver_doc, t, betas, reference = payload
     weight = weight_from_dict({**weight_doc, "t": t})
     grid = build_grid(grid_doc["mode"], grid_doc["n"], grid_doc["rho_max"])
-    sol = solve_toda(weight, grid, SolverConfig(**solver_doc).validated())
+    sol = solve_toda(weight, grid, SolverConfig(**solver_doc))
     rows = []
     for beta in betas:
         tf = thermo_field(sol, beta, reference)
@@ -273,7 +278,7 @@ def _sweep_point(payload) -> list:
 
 def cmd_sweep(args) -> int:
     doc = _assemble(args, ("weight", "grid", "solver", "beta", "t_values",
-                           "reference", "out", "jobs"))
+                           "reference", "out", "jobs"), out="sweep.csv")
     _require(doc, "weight", "sweep")
     _require(doc, "grid", "sweep")
     _require(doc, "t_values", "sweep")
@@ -296,7 +301,7 @@ def cmd_sweep(args) -> int:
             for chunk in ex.map(_sweep_point, payloads):
                 rows.extend(chunk)
     rows.sort(key=lambda row: (row[0], row[1]))
-    out = doc.get("out", "sweep.csv")
+    out = args.out
     meta = {"weight": json.dumps(doc["weight"], sort_keys=True),
             "grid": json.dumps(doc["grid"], sort_keys=True),
             "reference": reference}
@@ -319,10 +324,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    doc = _assemble(args, ("out", "column"))
+    doc = _assemble(args, ("out", "column"),
+                    out=os.path.splitext(args.input)[0] + ".svg")
     if not os.path.exists(args.input):
         raise SchemaError(f"no such file {args.input!r}", pointer="/input")
-    out = doc.get("out") or os.path.splitext(args.input)[0] + ".svg"
+    out = args.out
     kind = plot_csv(args.input, out, doc.get("column"))
     print(f"{kind} -> {out}")
     return 0
@@ -395,12 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _history_path(args) -> str:
-    out = getattr(args, "out", None)
-    base = os.path.splitext(out)[0] if out else "solve"
-    return base + ".residual_history.json"
-
-
 def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
@@ -413,14 +413,16 @@ def main(argv=None) -> int:
         print(f"config error at {exc.pointer or '/'}: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
-        path = _history_path(args)
-        write_json(path, {
-            "schema": "residual-history/1",
-            "message": str(exc),
-            "residual_history": [float(v) for v in exc.residual_history],
-        })
-        print(f"solver did not converge: {exc}\nresidual history -> {path}",
-              file=sys.stderr)
+        print(f"solver did not converge: {exc}", file=sys.stderr)
+        # verify has no output path unless one is given
+        if args.out:
+            path = os.path.splitext(args.out)[0] + ".residual_history.json"
+            write_json(path, {
+                "schema": "residual-history/1",
+                "message": str(exc),
+                "residual_history": [float(v) for v in exc.residual_history],
+            })
+            print(f"residual history -> {path}", file=sys.stderr)
         return 3
     except TodaKitError as exc:
         print(f"error: {exc}", file=sys.stderr)

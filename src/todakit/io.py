@@ -223,14 +223,18 @@ def solution_from_dict(doc: dict) -> TodaSolution:
     if len(wlists) != r - 1:
         raise SchemaError(f"expected {r - 1} w components, got {len(wlists)}",
                           pointer="/fields/w")
+    v0list = _pointer_get(fields, "v0", "/fields/v0", list)
+    for vals in (*wlists, v0list):
+        # numpy would read "0.5" as 0.5 and true as 1; a set of the entry
+        # types is built in C, fast enough for the fields of a large grid
+        if not (isinstance(vals, list) and set(map(type, vals)) <= {float, int}):
+            raise SchemaError("field entries must be numbers",
+                              pointer="/fields")
     try:
         w = tuple(make_field(grid, np.asarray(vals, dtype=float))
                   for vals in wlists)
-        v0 = make_field(grid, np.asarray(
-            _pointer_get(fields, "v0", "/fields/v0", list), dtype=float))
+        v0 = make_field(grid, np.asarray(v0list, dtype=float))
     except Exception as exc:
-        if isinstance(exc, SchemaError):
-            raise
         raise SchemaError(f"bad field data: {exc}", pointer="/fields") from exc
     iterations = _pointer_get(doc, "iterations", "/iterations", int)
     if iterations < 0:

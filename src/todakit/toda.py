@@ -52,14 +52,13 @@ factor on radial grids (where it is tridiagonal) and on cartesian grids
 when it has at most _DIRECT_SIZE unknowns, and otherwise by one multigrid
 V-cycle (Galerkin coarse operators on the even-index nodes, damped Jacobi
 smoothing, the coarsest level LU-factored).
-The factors and hierarchies are built once per active node set, with e^u
-fitted to the first iterate, and reused by every Newton step and
-exhaustion stage on that set.  A GMRES call that misses its tolerance still
-returns its best iterate, which is taken as an inexact Newton step (Dembo,
-Eisenstat & Steihaug 1982).  Every step is damped by Armijo backtracking on
-the residual sup-norm, which accepts it or halves it.  A stage whose Newton
-run stalls raises `ConvergenceError` from the stage loop; its message names
-the stage rho and the last residual.
+Each stage's Newton run builds the factors and hierarchies once, with e^u
+fitted to its first iterate, and applies them at every step.  A GMRES call
+that misses its tolerance still returns its best iterate, which is taken as
+an inexact Newton step (Dembo, Eisenstat & Steihaug 1982).  Every step is
+damped by Armijo backtracking on the residual sup-norm, which accepts it or
+halves it.  A stage whose Newton run stalls raises `ConvergenceError` from
+the stage loop; its message names the stage rho and the last residual.
 """
 
 from __future__ import annotations
@@ -117,8 +116,11 @@ class SolverConfig:
     The start is `provided_w` when it is given: r-1 fields, which the
     solver symmetrizes to (w_j + w_{r-j}) / 2 because it iterates
     mirror-symmetric fields only (a symmetric guess is unchanged).
-    Otherwise it is the flat profile (1/r) log Q for the `weight_flat`
-    boundary and the model profile for every other boundary.
+    Otherwise it is the boundary's profile, which is also its Dirichlet
+    data: the flat profile (1/r) log Q for the `weight_flat` boundary and
+    the model profile for every other boundary.
+
+    An invalid setting raises `ConfigurationError` on construction.
     """
 
     tolerance: float = 1e-10
@@ -126,7 +128,7 @@ class SolverConfig:
     boundary: str = "model_poincare"
     provided_w: tuple | None = None
 
-    def validated(self) -> "SolverConfig":
+    def __post_init__(self):
         if self.boundary not in BOUNDARY_STRATEGIES:
             raise ConfigurationError(
                 f"boundary must be one of {BOUNDARY_STRATEGIES}, got {self.boundary!r}")
@@ -135,7 +137,6 @@ class SolverConfig:
         if self.max_iterations < 1:
             raise ConfigurationError(
                 f"max_iterations must be >= 1, got {self.max_iterations}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -217,10 +218,9 @@ class _System:
     Jacobian's Laplacian block is its restriction `lap_active` to the
     active columns.  The Jacobian is never assembled: Newton applies it
     matrix-free, through `pointwise` and `matvec`, and
-    `verify.check_jacobian` probes that product.  The
-    Newton preconditioner (LU factors or V-cycles of its blocks) is built
-    from the first iterate that asks for it and kept for the life of the
-    system.
+    `verify.check_jacobian` probes that product.  The system keeps no
+    state that depends on an iterate: `preconditioner` builds the Newton
+    preconditioner from the state it is given, on every call.
 
     The unknowns are m fields u_1..u_m and the chain slot j = 1..r-1 reads
     w_j = u[fold[j-1]].  Unfolded, fold is the identity and m = r-1: the
@@ -238,14 +238,12 @@ class _System:
         self.fold = (np.minimum(slots, r - slots) if mirror else slots) - 1
         self.mult = np.bincount(self.fold).astype(float)
         self.m = len(self.mult)
-        self.active = active
         self.idx = np.flatnonzero(active)
         self.k = len(self.idx)
         if self.k == 0:
             raise ConfigurationError("active node set is empty")
         self.lap = 0.25 * laplacian_operator(grid, active)
         self.lap_active = self.lap[:, self.idx]
-        self._precond = None
 
     def _densities(self, u: np.ndarray, q: np.ndarray):
         """(e^{u_a}, V_0) at the active nodes, V_0 summed over the chain."""
@@ -304,50 +302,40 @@ class _System:
         P^{-1} = (T x I) blockdiag((1/4) L - d_k diag(e^u))^{-1} (T^-1 x I).
         D holds k(k+1) for k = 1..r-1, or its odd-k part when folded.
         The scale e^u matches the trace of the true pointwise block at the
-        active nodes of the first (u, q) passed in,
+        active nodes of the given (u, q),
         e^u = (sum_j e^{w_j} + V_0) / sum_j lambda_j: the model profile at
         the Q = 0 model state, the exact Jacobian for r = 2, and it keeps
         the V_0 coupling that dominates at large amplitude.  A block with
         at most _DIRECT_SIZE unknowns is LU-factored; a larger one is solved
         by one V-cycle, so there P^{-1} is a fixed approximate inverse and
-        GMRES takes more, cheaper iterations.
+        GMRES takes more, cheaper iterations.  Each call builds the factors
+        anew; `_newton` calls it once per run.
         """
-        if self._precond is None:
-            m, k, r = self.m, self.k, self.r
-            lam = lambda_coefficients(r)
-            cartan = 2.0 * np.eye(r - 1) - np.eye(r - 1, k=1) - np.eye(r - 1, k=-1)
-            folded = np.zeros((m, m))
-            np.add.at(folded.T, self.fold, cartan[:m].T)
-            # F = folded * lam[:m] by columns, and G^{1/2} F G^{-1/2}
-            # scales column b by lam_b / sqrt(mult_b lam_b)
-            sqrt_g = np.sqrt(self.mult * lam[:m])
-            d, v = np.linalg.eigh(sqrt_g[:, None] * folded
-                                  * np.sqrt(lam[:m] / self.mult)[None, :])
-            t = v / sqrt_g[:, None]
-            t_inv = v.T * sqrt_g[None, :]
-            e, v0 = self._densities(u, q)
-            e_u = (e[self.fold].sum(axis=0) + v0) / lam.sum()
-            prolongations = _prolongations(self.grid, self.idx)
-            solvers = [_VCycle(block, prolongations) if prolongations
-                       else _factor(block)
-                       for block in (self.lap_active - diags(dk * e_u)
-                                     for dk in d)]
+        m, k, r = self.m, self.k, self.r
+        lam = lambda_coefficients(r)
+        cartan = 2.0 * np.eye(r - 1) - np.eye(r - 1, k=1) - np.eye(r - 1, k=-1)
+        folded = np.zeros((m, m))
+        np.add.at(folded.T, self.fold, cartan[:m].T)
+        # F = folded * lam[:m] by columns, and G^{1/2} F G^{-1/2}
+        # scales column b by lam_b / sqrt(mult_b lam_b)
+        sqrt_g = np.sqrt(self.mult * lam[:m])
+        d, v = np.linalg.eigh(sqrt_g[:, None] * folded
+                              * np.sqrt(lam[:m] / self.mult)[None, :])
+        t = v / sqrt_g[:, None]
+        t_inv = v.T * sqrt_g[None, :]
+        e, v0 = self._densities(u, q)
+        e_u = (e[self.fold].sum(axis=0) + v0) / lam.sum()
+        prolongations = _prolongations(self.grid, self.idx)
+        solvers = [_VCycle(self.lap_active - diags(dk * e_u), prolongations)
+                   for dk in d]
 
-            def apply(x):
-                y = t_inv @ x.reshape(m, k)
-                return (t @ np.stack([sv.solve(row)
-                                      for sv, row in zip(solvers, y)])
-                        ).reshape(-1)
+        def apply(x):
+            y = t_inv @ x.reshape(m, k)
+            return (t @ np.stack([sv.solve(row)
+                                  for sv, row in zip(solvers, y)])
+                    ).reshape(-1)
 
-            self._precond = apply
-        return self._precond
-
-
-def _factor(block):
-    # the blocks are diagonally dominant, so diagonal pivots are stable and
-    # SymmetricMode factors them about a quarter faster
-    return splu(block.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                options={"SymmetricMode": True})
+        return apply
 
 
 def _coarsen(n: int, nodes: np.ndarray):
@@ -389,9 +377,10 @@ class _VCycle:
 
     Damped Jacobi smoothing, Galerkin coarse operators P^T A P, which need
     no special case for the disc mask, its cut cells or an exhaustion
-    stage's active set, and the coarsest level factored as a small block
-    is.  Every cycle starts from x = 0, so M^{-1} is a fixed linear
-    operator, as GMRES needs of a preconditioner.
+    stage's active set, and the coarsest level LU-factored.  Every cycle
+    starts from x = 0, so M^{-1} is a fixed linear operator, as GMRES needs
+    of a preconditioner.  With no prolongations the block is its own
+    coarsest level and M^{-1} is its exact LU solve.
     """
 
     def __init__(self, block, prolongations):
@@ -400,7 +389,10 @@ class _VCycle:
         for p in prolongations:
             self.levels.append((a, _JACOBI_WEIGHT / a.diagonal(), p))
             a = (p.T @ a @ p).tocsr()
-        self.coarsest = _factor(a)
+        # the blocks are diagonally dominant, so diagonal pivots are stable
+        # and SymmetricMode factors them about a quarter faster
+        self.coarsest = splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                             options={"SymmetricMode": True})
 
     def solve(self, b, level=0):
         if level == len(self.levels):
@@ -459,51 +451,29 @@ def _active_ring(sys: _System) -> np.ndarray:
     return ring
 
 
-def _fill_boundary(sys: _System, q: np.ndarray, strategy: str,
-                   u: np.ndarray) -> None:
-    """Dirichlet data into the boundary nodes of the unknowns u of `sys`:
-    the flat profile for `weight_flat`, the model profile for the other
-    strategies; both are mirror-symmetric in j -> r-j."""
-    grid, r = sys.grid, sys.r
-    if strategy != "weight_flat":
-        if grid.rho_max >= 1.0:
-            raise ConfigurationError(
-                f"{strategy} boundary needs rho_max < 1, got {grid.rho_max}")
-        model = model_log_densities(grid, r)
-        u[:, grid.boundary] = model[:sys.m, grid.boundary]
-        return
-    ring = _active_ring(sys)
-    bad = int((q[ring] <= 0.0).sum())
-    if bad:
-        raise StrategyError(
-            f"weight_flat needs Q > 0 on the boundary ring; {bad} ring "
-            "nodes have Q = 0")
-    vals = np.zeros(grid.nodes)
-    pos = q > 0.0
-    vals[pos] = np.log(q[pos]) / r
-    u[:, grid.boundary] = vals[grid.boundary]
-
-
-def _initial_guess(grid: Grid, r: int, q: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    if cfg.provided_w is not None:
-        if len(cfg.provided_w) != r - 1:
-            raise ConfigurationError(
-                f"provided initial guess needs r-1={r - 1} fields")
-        for f in cfg.provided_w:
-            check_same_grid(grid, f)
-        w = np.stack([f.values for f in cfg.provided_w])
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("provided initial guess contains non-finite values")
-        # the solver iterates the mirror-symmetric fields only
-        return 0.5 * (w + w[::-1])
-    if cfg.boundary != "weight_flat":
+def _profile(grid: Grid, r: int, q: np.ndarray, boundary: str) -> np.ndarray:
+    """Rows j = 1..r-1 of the boundary strategy's profile, the default start
+    and the Dirichlet data: for `weight_flat` the flat profile
+    log(max(Q, 1e-12 max Q)) / r, which needs some Q > 0, and for the other
+    strategies the model profile.  Both are mirror-symmetric in j -> r-j."""
+    if boundary != "weight_flat":
         return model_log_densities(grid, r)
-    qmax = float(q.max())
-    if qmax <= 0.0:
-        raise ConfigurationError(
-            "flat initial guess is undefined for an identically zero weight")
-    floor = qmax * 1e-12
+    floor = float(q.max()) * 1e-12
     return np.tile(np.log(np.maximum(q, floor)) / r, (r - 1, 1))
+
+
+def _provided(grid: Grid, r: int, fields) -> np.ndarray:
+    """A provided guess of r-1 finite fields on `grid`, symmetrized to
+    (w_j + w_{r-j}) / 2: the solver iterates mirror-symmetric fields only."""
+    if len(fields) != r - 1:
+        raise ConfigurationError(
+            f"provided initial guess needs r-1={r - 1} fields")
+    for f in fields:
+        check_same_grid(grid, f)
+    w = np.stack([f.values for f in fields])
+    if not np.all(np.isfinite(w)):
+        raise ValidationError("provided initial guess contains non-finite values")
+    return 0.5 * (w + w[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -519,11 +489,14 @@ def _newton(sys: _System, q: np.ndarray, u: np.ndarray, cfg: SolverConfig,
         raise ValidationError("initial residual is not finite")
     history.append(res)
     iters = 0
+    # fitted to the run's first iterate and applied at every step
+    p_inv = None
     while res > cfg.tolerance:
         if iters >= cfg.max_iterations:
             raise _Stall()
         blocks = sys.pointwise(u, q)
-        p_inv = sys.preconditioner(u, q)
+        if p_inv is None:
+            p_inv = sys.preconditioner(u, q)
         op = LinearOperator((sys.m * sys.k,) * 2, dtype=float,
                             matvec=lambda x: p_inv(sys.matvec(blocks, x)))
         delta, info = gmres(op, p_inv(-n_act.reshape(-1)), rtol=_GMRES_RTOL,
@@ -571,11 +544,12 @@ def solve_toda(weight: WeightDensity, grid: Grid,
 
     Stage rho solves the discrete problem on the subdisc of radius rho: its
     active nodes are the interior nodes with |z| < rho - h/2, and every
-    other node is Dirichlet, holding the value it has when the stage starts
-    (the boundary data, or inside the disc the model profile of the
-    default start).  The `exhaustion` boundary climbs the radii of
-    `_exhaustion_radii`, warm-starting each stage from the last; every
-    other boundary is the one stage rho = rho_max.  The last stage's
+    other node is Dirichlet, holding the value it has when the stage starts:
+    on the grid boundary the strategy's profile (`_profile`), inside the
+    disc the start or the previous stage's solution.  The `exhaustion`
+    boundary climbs the radii of `_exhaustion_radii`, warm-starting each
+    stage from the last; every other boundary is the one stage
+    rho = rho_max.  The last stage's
     active set is the grid's interior, so every solve ends on the interior
     system with the full weight.
 
@@ -591,12 +565,9 @@ def solve_toda(weight: WeightDensity, grid: Grid,
     A stall raises `ConvergenceError` naming the stage rho and the last
     residual.
     """
-    cfg = (config or SolverConfig()).validated()
+    cfg = config or SolverConfig()
     r = weight.r
     q = evaluate_density(weight, grid).values
-    sys = _System(grid, r, grid.interior, mirror=True)
-    u = _initial_guess(grid, r, q, cfg)[:sys.m]
-    _fill_boundary(sys, q, cfg.boundary, u)
     radii = (_exhaustion_radii(grid) if cfg.boundary == "exhaustion"
              else [grid.rho_max])
     cuts = [rho - 0.5 * grid.h for rho in radii]
@@ -604,12 +575,22 @@ def solve_toda(weight: WeightDensity, grid: Grid,
     if not actives[0].any():
         raise ConfigurationError(
             f"exhaustion ladder {radii} leaves no interior nodes at stage 0")
+    stages = [_System(grid, r, active, mirror=True) for active in actives]
+    if cfg.boundary == "weight_flat":
+        bad = int((q[_active_ring(stages[-1])] <= 0.0).sum())
+        if bad:
+            raise StrategyError(
+                f"weight_flat needs Q > 0 on the boundary ring; {bad} ring "
+                "nodes have Q = 0")
+    m = stages[-1].m
+    profile = _profile(grid, r, q, cfg.boundary)
+    u = (profile if cfg.provided_w is None
+         else _provided(grid, r, cfg.provided_w))[:m]
+    u[:, grid.boundary] = profile[:m, grid.boundary]
     history: list = []
     iters = 0
     snaps = []
-    for rho, active in zip(radii, actives):
-        stage = sys if np.array_equal(active, sys.active) \
-            else _System(grid, r, active, mirror=True)
+    for rho, stage in zip(radii, stages):
         try:
             iters += _newton(stage, q, u, cfg, history)
         except _Stall:
@@ -620,7 +601,7 @@ def solve_toda(weight: WeightDensity, grid: Grid,
         log.debug("stage rho=%g done", rho)
 
     res = history[-1]
-    w = u[sys.fold]
+    w = u[stages[-1].fold]
     sol = TodaSolution(
         grid=grid, weight=weight, r=r,
         w=tuple(Field(grid, w[a]) for a in range(r - 1)),

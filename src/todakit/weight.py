@@ -139,9 +139,15 @@ def make_weight(kind: str, r: int, t: float = 1.0, coeffs=None, samples=None,
     return WeightDensity(kind=kind, r=int(r), t=t, coeffs=carr, samples=sarr, value=val)
 
 
+_WEIGHT_KEYS = {"kind", "r", "t", "coeffs", "samples", "value"}
+
+
 def weight_from_dict(doc: dict) -> WeightDensity:
     if not isinstance(doc, dict):
         raise ConfigurationError("weight document must be a JSON object")
+    unknown = sorted(set(doc) - _WEIGHT_KEYS)
+    if unknown:
+        raise ConfigurationError(f"unknown weight keys {unknown}")
     return make_weight(
         kind=doc.get("kind"),
         r=doc.get("r"),

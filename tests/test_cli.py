@@ -154,6 +154,38 @@ def test_stalled_solve_exits_three_with_history(tmp_path, capsys):
     assert "residual history" in err
 
 
+STALL_WEIGHT = {"kind": "poly", "r": 2, "t": 1e8, "coeffs": [[0, 0], [1, 0]]}
+STALL_SOLVER = {"max_iterations": 3}
+
+
+def test_stalled_solve_history_goes_next_to_config_out(tmp_path, capsys,
+                                                       monkeypatch):
+    # the output path comes from the config file, not the --out flag
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"weight": STALL_WEIGHT,
+                               "grid": json.loads(GRID),
+                               "solver": STALL_SOLVER, "out": "out/x.json"}))
+    assert run_cli("solve", "--config", str(cfg)) == 3
+    assert (tmp_path / "out" / "x.residual_history.json").exists()
+    assert not (tmp_path / "solve.residual_history.json").exists()
+    assert "out/x.residual_history.json" in capsys.readouterr().err
+
+
+def test_stalled_thermo_history_goes_next_to_default_out(tmp_path,
+                                                         monkeypatch):
+    # with no output path given, next to the command's default, thermo.csv
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({"solver": STALL_SOLVER}))
+    code = run_cli("thermo", "--config", str(cfg), "--weight",
+                   json.dumps(STALL_WEIGHT), "--grid", GRID)
+    assert code == 3
+    assert (tmp_path / "thermo.residual_history.json").exists()
+    assert not (tmp_path / "thermo.csv").exists()
+
+
 def test_solve_past_n257_exits_zero(tmp_path):
     out = tmp_path / "fine.json"
     code = run_cli("solve", "--weight", WEIGHT, "--grid",

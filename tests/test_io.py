@@ -219,11 +219,26 @@ def test_load_rejects_schema_mismatches(solved):
                               ("weight", "t", True), ("weight", "t", "1"),
                               ("weight", "coeffs", [[False, False],
                                                     [True, False]]),
-                              ("weight", "coeffs", [[0, 0], ["1", 0]])):
+                              ("weight", "coeffs", [[0, 0], ["1", 0]]),
+                              ("weight", "zap", 1)):
         doc = {**base, section: {**base[section], key: bad}}
         with pytest.raises(SchemaError) as err:
             solution_from_dict(doc)
         assert err.value.pointer == "/" + section
+
+    # nor is a field entry stored as a str or a bool, even one numpy reads
+    # as the stored value: the 17-digit string of w_1 at the centre, and
+    # false for the zero at the corner node, which lies outside the disc
+    w1 = base["fields"]["w"][0]
+    centre = len(w1) // 2
+    assert w1[0] == 0.0
+    for node, bad in ((centre, format(w1[centre], ".17g")), (0, False)):
+        w = [list(vals) for vals in base["fields"]["w"]]
+        w[0][node] = bad
+        doc = {**base, "fields": {**base["fields"], "w": w}}
+        with pytest.raises(SchemaError) as err:
+            solution_from_dict(doc)
+        assert err.value.pointer == "/fields"
 
     for key, bad in (("boundary_strategy", "bogus"), ("iterations", -5),
                      ("exhaustion_drifts", "abc"),

@@ -328,12 +328,13 @@ def test_solver_reports_stall_with_history(boundary, rho):
 
 
 def test_solver_config_validation():
+    # an invalid setting raises when the config is built
     with pytest.raises(ConfigurationError):
-        SolverConfig(boundary="periodic").validated()
+        SolverConfig(boundary="periodic")
     with pytest.raises(ConfigurationError):
-        SolverConfig(tolerance=0.0).validated()
+        SolverConfig(tolerance=0.0)
     with pytest.raises(ConfigurationError):
-        SolverConfig(max_iterations=0).validated()
+        SolverConfig(max_iterations=0)
 
 
 def test_model_boundary_requires_subunit_disc():
@@ -355,7 +356,8 @@ def test_weight_flat_boundary_needs_positive_ring():
 def test_weight_flat_ring_is_what_interior_stencils_read():
     # Q = 0 at one boundary neighbour of an interior node breaks the flat
     # Dirichlet data; Q = 0 at a square corner, which no stencil reads,
-    # does not
+    # does not, and the corner keeps the floored flat profile
+    # log(1e-12 max Q) / r
     g = build_grid("cartesian", 17, 0.9)
     cfg = SolverConfig(boundary="weight_flat")
     row = np.flatnonzero(g.y == 0.0)
@@ -371,6 +373,7 @@ def test_weight_flat_ring_is_what_interior_stencils_read():
         else:
             sol = solve_toda(weight, g, cfg)
             assert sol.iterations == 0 and sol.residual_sup == 0.0
+            assert sol.w[0].values[node] == np.log(1e-12) / 2
 
 
 @pytest.mark.parametrize("weight, n, cfg, systems", [
@@ -379,8 +382,7 @@ def test_weight_flat_ring_is_what_interior_stencils_read():
     pytest.param(make_weight("poly", 2, coeffs=[0, 1]), 33,
                  SolverConfig(boundary="exhaustion"), 3, id="exhaustion-3")])
 def test_solve_evaluates_density_once(monkeypatch, weight, n, cfg, systems):
-    # one density evaluation per solve, and one system per distinct active
-    # set (the last exhaustion stage shares the interior system)
+    # one density evaluation per solve, and one system per stage
     import todakit.toda as toda
 
     calls = {"evaluate_density": 0, "_System": 0}
@@ -467,6 +469,25 @@ def test_folded_preconditioner_inverts_folded_degenerate_jacobian(mode, n, r):
     q = np.zeros(g.nodes)
     x = np.random.default_rng(r).standard_normal(sys.m * sys.k)
     back = sys.preconditioner(u, q)(sys.matvec(sys.pointwise(u, q), x))
+    assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
+
+
+def test_preconditioner_is_fitted_to_its_arguments():
+    # each call builds P^-1 from the state it is given: after a call at the
+    # model state, a call at a state with e^u scaled by e inverts the
+    # degenerate Jacobian there
+    import todakit.toda as toda
+
+    g = build_grid("cartesian", 17, 0.9)
+    sys = toda._System(g, 3, g.interior, mirror=True)
+    u = model_log_densities(g, 3)[:sys.m]
+    q = np.zeros(g.nodes)
+    x = np.random.default_rng(0).standard_normal(sys.m * sys.k)
+    first = sys.preconditioner(u, q)(x)
+    second = sys.preconditioner(u + 1.0, q)(x)
+    assert not np.allclose(first, second)
+    back = sys.preconditioner(u + 1.0, q)(
+        sys.matvec(sys.pointwise(u + 1.0, q), x))
     assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
 
 
