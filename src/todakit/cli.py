@@ -11,6 +11,7 @@ resolved output path).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -31,6 +32,10 @@ from .verify import SUITES, render_table, reports_to_dict, run_suite, suite_pass
 from .weight import KINDS, model_constants, weight_from_dict
 
 log = logging.getLogger(__name__)
+
+# consecutive amplitudes of a sweep that one worker task solves in order,
+# each warm-started from the solution of the one before it
+_SWEEP_CHUNK = 4
 
 _WEIGHT_SCHEMA = {
     "type": "object",
@@ -142,14 +147,23 @@ def _floats(raw: str, what: str) -> list:
                           f"got {raw!r}", pointer=f"/{what}") from exc
 
 
-def _validate(doc: dict) -> None:
-    # imported on first use, so that importing the package without running
-    # a command does not pay for jsonschema
-    import jsonschema
+@functools.cache
+def _run_validator():
+    """The validator of `_RUN_SCHEMA`, built once per process.  jsonschema
+    is imported on first use, so that importing the package without running
+    a command does not pay for it.  The schema is a constant, so it is not
+    meta-checked here, on every command; a tier-1 test checks it."""
+    from jsonschema.validators import validator_for
 
-    try:
-        jsonschema.validate(doc, _RUN_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    return validator_for(_RUN_SCHEMA)(_RUN_SCHEMA)
+
+
+def _validate(doc: dict) -> None:
+    from jsonschema.exceptions import best_match
+
+    # the error jsonschema.validate would raise
+    exc = best_match(_run_validator().iter_errors(doc))
+    if exc is not None:
         pointer = "/" + "/".join(str(p) for p in exc.absolute_path)
         raise SchemaError(exc.message, pointer=pointer) from exc
 
@@ -260,19 +274,24 @@ def cmd_model(args) -> int:
     return 0
 
 
-def _sweep_point(payload) -> list:
-    """Solve one amplitude and evaluate every requested beta (worker)."""
-    weight_doc, grid_doc, solver_doc, t, betas, reference = payload
-    weight = weight_from_dict({**weight_doc, "t": t})
+def _sweep_chunk(payload) -> list:
+    """Solve a chunk of consecutive amplitudes and evaluate every requested
+    beta (worker).  Each amplitude after the first starts from the solution
+    of the one before it."""
+    weight_doc, grid_doc, solver_doc, ts, betas, reference = payload
     grid = build_grid(grid_doc["mode"], grid_doc["n"], grid_doc["rho_max"])
-    sol = solve_toda(weight, grid, SolverConfig(**solver_doc))
     rows = []
-    for beta in betas:
-        tf = thermo_field(sol, beta, reference)
-        s = tf.entropy.values[grid.interior]
-        f = tf.free_energy.values[grid.interior]
-        rows.append((t, beta, float(s.min()), float(s.max()),
-                     float(f.min()), float(f.max()), tf.lower_redundancy))
+    warm: dict = {}
+    for t in ts:
+        weight = weight_from_dict({**weight_doc, "t": t})
+        sol = solve_toda(weight, grid, SolverConfig(**solver_doc, **warm))
+        warm = {"provided_w": sol.w}
+        for beta in betas:
+            tf = thermo_field(sol, beta, reference)
+            s = tf.entropy.values[grid.interior]
+            f = tf.free_energy.values[grid.interior]
+            rows.append((t, beta, float(s.min()), float(s.max()),
+                         float(f.min()), float(f.max()), tf.lower_redundancy))
     return rows
 
 
@@ -290,15 +309,18 @@ def cmd_sweep(args) -> int:
     _solver_of(doc)
     ts = sorted(set(doc["t_values"]))
     jobs = doc.get("jobs") or os.cpu_count() or 1
-    payloads = [(doc["weight"], doc["grid"], solver_doc, t, betas, reference)
-                for t in ts]
+    # chunks are fixed by the sorted amplitudes alone, not by --jobs, so the
+    # warm starts, and with them the bytes, do not depend on --jobs
+    payloads = [(doc["weight"], doc["grid"], solver_doc,
+                 ts[i:i + _SWEEP_CHUNK], betas, reference)
+                for i in range(0, len(ts), _SWEEP_CHUNK)]
     rows: list = []
     if jobs == 1 or len(payloads) == 1:
         for p in payloads:
-            rows.extend(_sweep_point(p))
+            rows.extend(_sweep_chunk(p))
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as ex:
-            for chunk in ex.map(_sweep_point, payloads):
+            for chunk in ex.map(_sweep_chunk, payloads):
                 rows.extend(chunk)
     rows.sort(key=lambda row: (row[0], row[1]))
     out = args.out

@@ -90,7 +90,18 @@ _MAX_HALVINGS = 20
 # relative 2-norm tolerance bounds the step's error relative to the step.  On
 # J x = b itself the tolerance would sit under the roundoff floor
 # eps*|J|*|x| of the residual once the stencil's 1/h^2 grows (n ~ 513).
+# The tolerance of each Newton step is the Eisenstat-Walker choice-2
+# forcing term (SIAM J. Sci. Comput. 17 (1996)): _FORCING_MAX on a run's
+# first step, then _FORCING_GAMMA (res_k / res_{k-1})^2 of the residual
+# sup-norms, clipped to [_GMRES_RTOL, _FORCING_MAX].  Early steps stop
+# GMRES as soon as the step is accurate enough for Newton; late steps, where
+# the residual falls quadratically, are solved to the floor _GMRES_RTOL.
+# The choice-2 safeguard max(eta, gamma eta_{k-1}^2) when
+# gamma eta_{k-1}^2 > 0.1 can never fire with eta <= _FORCING_MAX, so it is
+# left out.
 _GMRES_RTOL = 1e-12
+_FORCING_MAX = 1e-4
+_FORCING_GAMMA = 0.9
 _GMRES_ATOL = 0.0
 _GMRES_RESTART = 60
 # restart cycles before GMRES gives up and returns its best iterate as an
@@ -491,6 +502,7 @@ def _newton(sys: _System, q: np.ndarray, u: np.ndarray, cfg: SolverConfig,
     iters = 0
     # fitted to the run's first iterate and applied at every step
     p_inv = None
+    eta = _FORCING_MAX
     while res > cfg.tolerance:
         if iters >= cfg.max_iterations:
             raise _Stall()
@@ -499,7 +511,7 @@ def _newton(sys: _System, q: np.ndarray, u: np.ndarray, cfg: SolverConfig,
             p_inv = sys.preconditioner(u, q)
         op = LinearOperator((sys.m * sys.k,) * 2, dtype=float,
                             matvec=lambda x: p_inv(sys.matvec(blocks, x)))
-        delta, info = gmres(op, p_inv(-n_act.reshape(-1)), rtol=_GMRES_RTOL,
+        delta, info = gmres(op, p_inv(-n_act.reshape(-1)), rtol=eta,
                             atol=_GMRES_ATOL, restart=_GMRES_RESTART,
                             maxiter=_GMRES_MAXITER)
         # gmres returns info > 0 on a miss, with its best iterate: an
@@ -508,7 +520,7 @@ def _newton(sys: _System, q: np.ndarray, u: np.ndarray, cfg: SolverConfig,
         if info:
             log.info("newton iter %d: gmres missed rtol %.0e in %d restart "
                      "cycles; taking its best iterate", iters + 1,
-                     _GMRES_RTOL, info)
+                     eta, info)
         delta = delta.reshape(sys.m, sys.k)
         step = 1.0
         for _ in range(_MAX_HALVINGS + 1):
@@ -518,6 +530,8 @@ def _newton(sys: _System, q: np.ndarray, u: np.ndarray, cfg: SolverConfig,
             res_try = float(np.abs(n_try).max())
             if np.isfinite(res_try) and res_try <= (1.0 - _ARMIJO_SLOPE * step) * res:
                 u[:, sys.idx] = trial[:, sys.idx]
+                eta = min(_FORCING_MAX, max(
+                    _GMRES_RTOL, _FORCING_GAMMA * (res_try / res) ** 2))
                 n_act, res = n_try, res_try
                 break
             step *= _ARMIJO_FACTOR
