@@ -28,23 +28,23 @@ FROZEN = {
     "profile.svg":
         "44c5ac35b05a527cf78c1f4022cc7baa4513f57977216602ff46409e9c33e68a",
     "report.json":
-        "bf2ce4fbcb61872b707fe20e7c7a1a4fa8172a5303a358f0165b337012fa612f",
+        "84e5b69fd59a679d2ea8729ce73ee28c2125746c6e86e8e311eba903b28495a2",
     "sol-cart.json":
-        "a09582e473dc359cac963499f655138e11257060f3748f467dd91b149c986961",
+        "b41e53cb81b2160bc8005245d8d1e705424962cde8ec174011694e1504626bb9",
     "sol-radial.json":
-        "81fff7c49079b9bdbec26685993e50f8e8a97330a7ad60f894d9fedae89d9718",
+        "40eb142edff9fc26e701938664208f75efcefe0ee5da09e98f7410fdbeb30a6c",
     "sweep.csv":
-        "c8da9f00e3ce543d71b81ea88bfad78d6b88172f8ac7812f4d261fd42e206f5a",
+        "5f7d80e3bda8577b4c5671604249d451e0de43cbfb27b0973c056836dc9eb91e",
     "thermo-b-1-flat.csv":
-        "5e23bce204b90efb331948a667801a7ba45e9f68448d352639e82217b6ce67eb",
+        "e203710132b113dd437e8173aa0f3fd31976a30bea465a6d82cbec651a3adbaa",
     "thermo-b-1-poincare.csv":
-        "14eedaea9c438bbe8226417031d03a63a7b1f86dfbe2e3c3d6b69fcbfe60091d",
+        "d20768bf287bbb154bc3bef5296c3a6197a9d8f21ff5653076aeaf0bd39125eb",
     "thermo-b1-flat.csv":
-        "0bb9c89635431ec01408dbdb53363a4171b21328971c9cacb1dcc26bd4b5f453",
+        "80e22f03b9a97d0729176ef433ea1a6cefa3db9bd391378e126a71d2d3b518ef",
     "thermo-b1-poincare.csv":
-        "b03a80f3bde6315c37111c01fcfbfa7c06114bfba956cd4de4ae54c9d3ef1342",
+        "10fb2bfffdd430cfa4b92112b3a167f77f5720e0a536d83c6ade518e2c7520db",
     "thermo-radial.csv":
-        "9f4e86ca48841b6be3ef650d15737741d3a4499d31d0354b7a4eddb8465a5d45",
+        "3105e14df0df6d91f860670773092a0d86ffe22d1dea44dca6f885e6b4124628",
 }
 
 
