@@ -9,7 +9,10 @@
 # equations.  The radial chain runs the LU-factored radial preconditioner,
 # the reload recheck and plot.read_csv on the radial thermo CSV.  The
 # exhaustion solve runs the stage ladder.  The r = 4, t = 1e3 solve takes
-# GMRES misses as inexact Newton steps and must converge.  The stalled
+# inexact Newton steps and must converge, and so must the r = 4, q = z,
+# t = 1e4 solve on n = 65, where GMRES stops at the forcing terms.  The
+# six-amplitude sweep makes two warm-started chunks, and its CSV must be
+# byte-identical with --jobs 1 and --jobs 2.  The stalled
 # solve must exit 3 and leave its residual history next to the intended
 # output, and so must a stalled thermo run whose output path comes from
 # its config file.  A retired solver key such as "continuation_steps" must
@@ -28,6 +31,11 @@ python -m todakit thermo --solution "$RUNNER_TEMP/sol-radial.json" --beta 1 --ou
 python -m todakit plot "$RUNNER_TEMP/thermo-radial.csv" --column S --out "$RUNNER_TEMP/profile.svg"
 python -m todakit solve --boundary exhaustion --weight '{"kind": "poly", "r": 3, "coeffs": [[0, 0], [1, 0]]}' --grid '{"mode": "cartesian", "n": 33, "rho_max": 0.9}' --out "$RUNNER_TEMP/sol-exhaustion.json"
 python -m todakit solve --weight '{"kind": "constant", "r": 4, "t": 1e3, "value": 1}' --grid '{"mode": "cartesian", "n": 17, "rho_max": 0.9}' --out "$RUNNER_TEMP/sol-inexact.json"
+python -m todakit solve --weight '{"kind": "poly", "r": 4, "t": 1e4, "coeffs": [[0, 0], [1, 0]]}' --grid '{"mode": "cartesian", "n": 65, "rho_max": 0.9}' --out "$RUNNER_TEMP/sol-large.json"
+for jobs in 1 2; do
+  python -m todakit sweep --weight '{"kind": "poly", "r": 3, "coeffs": [[0, 0], [1, 0]]}' --grid '{"mode": "cartesian", "n": 33, "rho_max": 0.9}' --t-values 0.5,1,2,4,8,16 --beta 1,-1 --jobs "$jobs" --out "$RUNNER_TEMP/sweep-jobs$jobs.csv"
+done
+cmp "$RUNNER_TEMP/sweep-jobs1.csv" "$RUNNER_TEMP/sweep-jobs2.csv"
 echo '{"solver": {"max_iterations": 3}}' > "$RUNNER_TEMP/stall.json"
 code=0
 python -m todakit solve --config "$RUNNER_TEMP/stall.json" --weight '{"kind": "poly", "r": 2, "t": 1e8, "coeffs": [[0, 0], [1, 0]]}' --grid '{"mode": "cartesian", "n": 17, "rho_max": 0.9}' --out "$RUNNER_TEMP/stall-sol.json" || code=$?

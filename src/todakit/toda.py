@@ -53,11 +53,15 @@ when it has at most _DIRECT_SIZE unknowns, and otherwise by one multigrid
 V-cycle (Galerkin coarse operators on the even-index nodes, damped Jacobi
 smoothing, the coarsest level LU-factored).
 Each stage's Newton run builds the factors and hierarchies once, with e^u
-fitted to its first iterate, and applies them at every step.  A GMRES call
-that misses its tolerance still returns its best iterate, which is taken as
-an inexact Newton step (Dembo, Eisenstat & Steihaug 1982).  Every step is
-damped by Armijo backtracking on the residual sup-norm, which accepts it or
-halves it.  A stage whose Newton run stalls raises `ConvergenceError` from
+fitted to its first iterate, and applies them at every step.  Newton is
+inexact (Dembo, Eisenstat & Steihaug 1982): GMRES stops at the
+Eisenstat-Walker choice-2 forcing term, 1e-4 on a run's first step and then
+0.9 (res_k / res_{k-1})^2 clipped to [1e-12, 1e-4], so early steps from a
+far start take few Krylov iterations and the last ones are solved to the
+floor rtol 1e-12.  A GMRES call that misses its forcing term still returns
+its best iterate, which is taken as the step.  Every step is damped by
+Armijo backtracking on the residual sup-norm, which accepts it or halves
+it.  A stage whose Newton run stalls raises `ConvergenceError` from
 the stage loop; its message names the stage rho and the last residual.
 """
 
@@ -518,9 +522,9 @@ def _newton(sys: _System, q: np.ndarray, u: np.ndarray, cfg: SolverConfig,
         # inexact Newton step, which the Armijo search accepts or halves
         # like any other.  Only a step it cannot accept stalls.
         if info:
-            log.info("newton iter %d: gmres missed rtol %.0e in %d restart "
-                     "cycles; taking its best iterate", iters + 1,
-                     eta, info)
+            log.info("newton iter %d: gmres missed its forcing term rtol "
+                     "%.2e in %d restart cycles; taking its best iterate",
+                     iters + 1, eta, info)
         delta = delta.reshape(sys.m, sys.k)
         step = 1.0
         for _ in range(_MAX_HALVINGS + 1):
