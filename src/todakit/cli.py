@@ -152,7 +152,8 @@ def _run_validator():
     """The validator of `_RUN_SCHEMA`, built once per process.  jsonschema
     is imported on first use, so that importing the package without running
     a command does not pay for it.  The schema is a constant, so it is not
-    meta-checked here, on every command; a tier-1 test checks it."""
+    meta-checked here, on every command, but once by
+    `tests/test_cli.py::test_run_schema_is_valid`."""
     from jsonschema.validators import validator_for
 
     return validator_for(_RUN_SCHEMA)(_RUN_SCHEMA)
@@ -281,11 +282,12 @@ def _sweep_chunk(payload) -> list:
     weight_doc, grid_doc, solver_doc, ts, betas, reference = payload
     grid = build_grid(grid_doc["mode"], grid_doc["n"], grid_doc["rho_max"])
     rows = []
-    warm: dict = {}
+    start = None
     for t in ts:
         weight = weight_from_dict({**weight_doc, "t": t})
-        sol = solve_toda(weight, grid, SolverConfig(**solver_doc, **warm))
-        warm = {"provided_w": sol.w}
+        sol = solve_toda(weight, grid,
+                         SolverConfig(**solver_doc, provided_w=start))
+        start = sol.w
         for beta in betas:
             tf = thermo_field(sol, beta, reference)
             s = tf.entropy.values[grid.interior]
