@@ -11,8 +11,8 @@
 # exhaustion solve runs the stage ladder.  The r = 4, t = 1e3 solve takes
 # inexact Newton steps and must converge, and so must the r = 4, q = z,
 # t = 1e4 solve on n = 65, where GMRES stops at the forcing terms.  The
-# six-amplitude sweep makes two warm-started chunks, and its CSV must be
-# byte-identical with --jobs 1 and --jobs 2.  The stalled
+# six-amplitude sweep's CSV must be byte-identical with --jobs 1 and
+# --jobs 2.  The stalled
 # solve must exit 3 and leave its residual history next to the intended
 # output, and so must a stalled thermo run whose output path comes from
 # its config file.  A retired solver key such as "continuation_steps" must

@@ -33,10 +33,6 @@ from .weight import KINDS, model_constants, weight_from_dict
 
 log = logging.getLogger(__name__)
 
-# consecutive amplitudes of a sweep that one worker task solves in order,
-# each warm-started from the solution of the one before it
-_SWEEP_CHUNK = 4
-
 _WEIGHT_SCHEMA = {
     "type": "object",
     "properties": {
@@ -275,25 +271,19 @@ def cmd_model(args) -> int:
     return 0
 
 
-def _sweep_chunk(payload) -> list:
-    """Solve a chunk of consecutive amplitudes and evaluate every requested
-    beta (worker).  Each amplitude after the first starts from the solution
-    of the one before it."""
-    weight_doc, grid_doc, solver_doc, ts, betas, reference = payload
+def _sweep_point(payload) -> list:
+    """Solve one amplitude and evaluate every requested beta (worker)."""
+    weight_doc, grid_doc, solver_doc, t, betas, reference = payload
+    weight = weight_from_dict({**weight_doc, "t": t})
     grid = build_grid(grid_doc["mode"], grid_doc["n"], grid_doc["rho_max"])
+    sol = solve_toda(weight, grid, SolverConfig(**solver_doc))
     rows = []
-    start = None
-    for t in ts:
-        weight = weight_from_dict({**weight_doc, "t": t})
-        sol = solve_toda(weight, grid,
-                         SolverConfig(**solver_doc, provided_w=start))
-        start = sol.w
-        for beta in betas:
-            tf = thermo_field(sol, beta, reference)
-            s = tf.entropy.values[grid.interior]
-            f = tf.free_energy.values[grid.interior]
-            rows.append((t, beta, float(s.min()), float(s.max()),
-                         float(f.min()), float(f.max()), tf.lower_redundancy))
+    for beta in betas:
+        tf = thermo_field(sol, beta, reference)
+        s = tf.entropy.values[grid.interior]
+        f = tf.free_energy.values[grid.interior]
+        rows.append((t, beta, float(s.min()), float(s.max()),
+                     float(f.min()), float(f.max()), tf.lower_redundancy))
     return rows
 
 
@@ -311,18 +301,15 @@ def cmd_sweep(args) -> int:
     _solver_of(doc)
     ts = sorted(set(doc["t_values"]))
     jobs = doc.get("jobs") or os.cpu_count() or 1
-    # chunks are fixed by the sorted amplitudes alone, not by --jobs, so the
-    # warm starts, and with them the bytes, do not depend on --jobs
-    payloads = [(doc["weight"], doc["grid"], solver_doc,
-                 ts[i:i + _SWEEP_CHUNK], betas, reference)
-                for i in range(0, len(ts), _SWEEP_CHUNK)]
+    payloads = [(doc["weight"], doc["grid"], solver_doc, t, betas, reference)
+                for t in ts]
     rows: list = []
     if jobs == 1 or len(payloads) == 1:
         for p in payloads:
-            rows.extend(_sweep_chunk(p))
+            rows.extend(_sweep_point(p))
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as ex:
-            for chunk in ex.map(_sweep_chunk, payloads):
+            for chunk in ex.map(_sweep_point, payloads):
                 rows.extend(chunk)
     rows.sort(key=lambda row: (row[0], row[1]))
     out = args.out
