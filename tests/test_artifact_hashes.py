@@ -34,7 +34,7 @@ FROZEN = {
     "sol-radial.json":
         "40eb142edff9fc26e701938664208f75efcefe0ee5da09e98f7410fdbeb30a6c",
     "sweep.csv":
-        "5f7d80e3bda8577b4c5671604249d451e0de43cbfb27b0973c056836dc9eb91e",
+        "cf0054cd7936fb52ce06f8a46154510870fb278d5d7e6b7c4f3060d4edbb31b2",
     "thermo-b-1-flat.csv":
         "e203710132b113dd437e8173aa0f3fd31976a30bea465a6d82cbec651a3adbaa",
     "thermo-b-1-poincare.csv":
