@@ -100,7 +100,12 @@ _MAX_HALVINGS = 20
 # sup-norms, clipped to [_GMRES_RTOL, _FORCING_MAX].  Early steps stop
 # GMRES as soon as the step is accurate enough for Newton; late steps, where
 # the residual falls quadratically, are solved to the floor _GMRES_RTOL.
-# The choice-2 safeguard max(eta, gamma eta_{k-1}^2) when
+# The norms differ: the term is a ratio of sup-norms of the Newton residual
+# N, but GMRES applies it to the 2-norm of the preconditioned residual
+# P^-1 (J x - b), whereas Eisenstat and Walker measure both in one norm.
+# The term therefore does not bound the step's linear residual in the
+# sup-norm, and a step near the roundoff floor may leave N a little above
+# the term's prediction.  The choice-2 safeguard max(eta, gamma eta_{k-1}^2) when
 # gamma eta_{k-1}^2 > 0.1 can never fire with eta <= _FORCING_MAX, so it is
 # left out.
 _GMRES_RTOL = 1e-12
