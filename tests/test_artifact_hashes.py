@@ -35,6 +35,8 @@ FROZEN = {
         "40eb142edff9fc26e701938664208f75efcefe0ee5da09e98f7410fdbeb30a6c",
     "sweep.csv":
         "cf0054cd7936fb52ce06f8a46154510870fb278d5d7e6b7c4f3060d4edbb31b2",
+    "sweep.svg":
+        "9e6d1cf96aa540f8fe012e42262e48addfc312c5ac88d35022470f11dbf80356",
     "thermo-b-1-flat.csv":
         "e203710132b113dd437e8173aa0f3fd31976a30bea465a6d82cbec651a3adbaa",
     "thermo-b-1-poincare.csv":
@@ -72,6 +74,7 @@ def write_artifacts(d) -> dict:
          "--grid", '{"mode": "cartesian", "n": 17, "rho_max": 0.9}',
          "--t-values", "0.5,1,2", "--beta", "1,-1", "--jobs", "1",
          "--out", str(d / "sweep.csv"))
+    _run("plot", str(d / "sweep.csv"), "--out", str(d / "sweep.svg"))
     _run("verify", "--suite", "smoke", "--out", str(d / "report.json"))
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(d.iterdir())}
