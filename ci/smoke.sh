@@ -5,18 +5,18 @@
 # The CLI imports jsonschema and scipy.integrate only where it uses them;
 # these commands run both imports against the installed releases (in CI,
 # each leg's pins).  The r = 4 solve iterates the mirror-folded half of the
-# fields, and loading it for thermo rechecks the residual of all r - 1
-# equations.  The radial chain runs the LU-factored radial preconditioner,
-# the reload recheck and plot.read_csv on the radial thermo CSV.  The
-# exhaustion solve runs the stage ladder.  The r = 4, t = 1e3 solve takes
-# inexact Newton steps and must converge, and so must the r = 4, q = z,
-# t = 1e4 solve on n = 65, where GMRES stops at the forcing terms.  The
-# six-amplitude sweep's CSV must be byte-identical with --jobs 1 and
-# --jobs 2.  The stalled
-# solve must exit 3 and leave its residual history next to the intended
-# output, and so must a stalled thermo run whose output path comes from
-# its config file.  A retired solver key such as "continuation_steps" must
-# exit 2.
+# fields, loading it for thermo rechecks the residual of all r - 1
+# equations, and its thermo CSV is drawn as a heatmap.  The radial chain
+# runs the LU-factored radial preconditioner, the reload recheck and the
+# radial profile plot of its thermo CSV.  The exhaustion solve runs the
+# stage ladder.  The r = 4, t = 1e3 solve takes inexact Newton steps and
+# must converge, and so must the r = 4, q = z, t = 1e4 solve on n = 65,
+# where GMRES stops at the forcing terms.  The six-amplitude sweep's CSV
+# must be byte-identical with --jobs 1 and --jobs 2, and it is drawn as a
+# sweep chart, so every plot layout runs.  The stalled solve must exit 3
+# and leave its residual history next to the intended output, and so must
+# a stalled thermo run whose output path comes from its config file.  A
+# retired solver key such as "continuation_steps" must exit 2.
 set -eo pipefail
 
 RUNNER_TEMP=${RUNNER_TEMP:-$(mktemp -d)}
@@ -26,6 +26,7 @@ python -m todakit verify --suite smoke
 python -m todakit model --r 4 --beta 1
 python -m todakit solve --weight '{"kind": "poly", "r": 4, "coeffs": [[0, 0], [1, 0]]}' --grid '{"mode": "cartesian", "n": 33, "rho_max": 0.9}' --out "$RUNNER_TEMP/sol-r4.json"
 python -m todakit thermo --solution "$RUNNER_TEMP/sol-r4.json" --beta 1 --out "$RUNNER_TEMP/thermo-r4.csv"
+python -m todakit plot "$RUNNER_TEMP/thermo-r4.csv" --out "$RUNNER_TEMP/heatmap-r4.svg"
 python -m todakit solve --weight '{"kind": "poly", "r": 3, "coeffs": [[0, 0], [1, 0]]}' --grid '{"mode": "radial", "n": 129, "rho_max": 0.9}' --out "$RUNNER_TEMP/sol-radial.json"
 python -m todakit thermo --solution "$RUNNER_TEMP/sol-radial.json" --beta 1 --out "$RUNNER_TEMP/thermo-radial.csv"
 python -m todakit plot "$RUNNER_TEMP/thermo-radial.csv" --column S --out "$RUNNER_TEMP/profile.svg"
@@ -36,6 +37,7 @@ for jobs in 1 2; do
   python -m todakit sweep --weight '{"kind": "poly", "r": 3, "coeffs": [[0, 0], [1, 0]]}' --grid '{"mode": "cartesian", "n": 33, "rho_max": 0.9}' --t-values 0.5,1,2,4,8,16 --beta 1,-1 --jobs "$jobs" --out "$RUNNER_TEMP/sweep-jobs$jobs.csv"
 done
 cmp "$RUNNER_TEMP/sweep-jobs1.csv" "$RUNNER_TEMP/sweep-jobs2.csv"
+python -m todakit plot "$RUNNER_TEMP/sweep-jobs1.csv" --out "$RUNNER_TEMP/sweep.svg"
 echo '{"solver": {"max_iterations": 3}}' > "$RUNNER_TEMP/stall.json"
 code=0
 python -m todakit solve --config "$RUNNER_TEMP/stall.json" --weight '{"kind": "poly", "r": 2, "t": 1e8, "coeffs": [[0, 0], [1, 0]]}' --grid '{"mode": "cartesian", "n": 17, "rho_max": 0.9}' --out "$RUNNER_TEMP/stall-sol.json" || code=$?

@@ -3,6 +3,12 @@
 All floats are written with 17 significant digits so that a save/load
 round trip reproduces every array bit for bit and reruns of the same
 computation yield byte-identical artifacts.
+
+CSV tables are written in blocks of FLOAT_BLOCK_ROWS rows, and each block
+formats its distinct values once: thermo tables repeat many values (a
+block's x takes at most n values, p_{r-j} equals p_j, and p_0 is 0 at
+beta < 0).  JSON float lists skip that step and are formatted whole,
+since the w and v0 fields of a solution hardly repeat a value.
 """
 
 from __future__ import annotations
@@ -62,10 +68,22 @@ def format_floats(values, sep: str = ", ", end: str = "") -> str:
 
 
 def write_float_rows(fh, rows) -> None:
-    """Write a 2-D float array as comma-separated lines, block by block."""
+    """Write a 2-D float array as comma-separated lines, block by block.
+
+    Each block formats its distinct values once and places their text
+    with a "%s" row template.  `np.unique` merges -0.0 with 0.0 and every
+    NaN into one value; each merged group formats as its members would.
+    """
     for start in range(0, len(rows), FLOAT_BLOCK_ROWS):
-        block = rows[start:start + FLOAT_BLOCK_ROWS]
-        fh.write(format_floats(block, ",", "\n"))
+        block = np.atleast_2d(np.asarray(rows[start:start + FLOAT_BLOCK_ROWS],
+                                         dtype=float))
+        values, inverse = np.unique(block, return_inverse=True)
+        # one line per distinct value; the inverse's shape varies by numpy
+        texts = np.array(format_floats(values, "\n").split("\n"),
+                         dtype=object)
+        nrow, ncol = block.shape
+        template = (",".join(["%s"] * ncol) + "\n") * nrow
+        fh.write(template % tuple(texts[inverse.ravel()].tolist()))
 
 
 def _emit(obj: Any, parts: list, level: int) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -154,18 +155,16 @@ def render_heatmap(values: np.ndarray, extent, title: str = "") -> str:
     if title:
         out.append(f'<text x="{WIDTH // 2}" y="20" font-family="monospace" '
                    f'font-size="14" text-anchor="middle">{_esc(title)}</text>')
-    for iy in range(ny):
-        for ix in range(nx):
-            if not fsub[iy, ix]:
-                continue
-            level = (sub[iy, ix] - lo) / span
-            shade = int(round(255 - 215 * level))
-            x = MARGIN_L + ix * cw
-            # row 0 holds the smallest y; flip so y grows upward
-            y = MARGIN_T + (ny - 1 - iy) * ch
-            out.append(f'<rect x="{_num(x)}" y="{_num(y)}" '
-                       f'width="{_num(cw + 0.5)}" height="{_num(ch + 0.5)}" '
-                       f'fill="rgb({shade},{shade},{shade})"/>')
+    # row 0 holds the smallest y; flip so y grows upward
+    xs = [_num(MARGIN_L + ix * cw) for ix in range(nx)]
+    ys = [_num(MARGIN_T + (ny - 1 - iy) * ch) for iy in range(ny)]
+    size = f'width="{_num(cw + 0.5)}" height="{_num(ch + 0.5)}"'
+    iys, ixs = np.nonzero(fsub)
+    shades = np.rint(255 - 215 * ((sub[fsub] - lo) / span)).astype(int)
+    out.extend(f'<rect x="{xs[ix]}" y="{ys[iy]}" {size} '
+               f'fill="rgb({s},{s},{s})"/>'
+               for iy, ix, s in zip(iys.tolist(), ixs.tolist(),
+                                    shades.tolist()))
     out.append(f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{_num(iw)}" '
                f'height="{_num(ih)}" fill="none" stroke="#333333"/>')
     for frac, val in ((0.0, xmin), (1.0, xmax)):
@@ -189,12 +188,12 @@ def render_heatmap(values: np.ndarray, extent, title: str = "") -> str:
 # CSV-driven entry point
 
 
-def read_csv(path: str) -> tuple:
-    """Parse a '#'-annotated CSV into (metadata dict, column dict).
+def _read_table(path: str) -> tuple:
+    """(metadata dict, header names, data lines) of a '#'-annotated CSV.
 
     The first line that is neither blank nor a '#' comment is the header.
-    Data fields are parsed in bulk by numpy's C float parser, so a field is
-    accepted exactly when `np.loadtxt` accepts it.
+    Every data line must have as many fields as the header, and a header
+    name may appear only once.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in map(str.strip, fh) if ln]
@@ -207,40 +206,65 @@ def read_csv(path: str) -> tuple:
     if len(table) < 2:
         raise ValidationError(f"{path}: no tabular data found")
     header = [c.strip() for c in table[0].split(",")]
+    repeated = next((c for k, c in enumerate(header) if c in header[:k]),
+                    None)
+    if repeated is not None:
+        raise ValidationError(f"{path}: column {repeated!r} appears twice "
+                              f"in the header")
     rows = table[1:]
-    bad = next((ln for ln in rows if ln.count(",") + 1 != len(header)), None)
-    if bad is not None:
+    if set(map(str.count, rows, repeat(","))) != {len(header) - 1}:
+        bad = next(ln for ln in rows if ln.count(",") + 1 != len(header))
         raise ValidationError(
             f"{path}: row {bad!r} has {bad.count(',') + 1} fields, header "
             f"has {len(header)}")
+    return meta, header, rows
+
+
+def _parse_columns(path: str, header: list, rows: list, names) -> dict:
+    """Parse the `names` columns of `rows` in bulk with numpy's C float
+    parser, so a field is accepted exactly when `np.loadtxt` accepts it;
+    fields of other columns are not converted."""
+    names = list(dict.fromkeys(names))
+    usecols = [header.index(name) for name in names]
     try:
-        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
+                          usecols=usecols)
     except ValueError as exc:
         # numpy counts rows from the first data line, not the file's first
         raise ValidationError(f"{path}: bad data row ({exc})") from exc
-    return meta, {name: data[:, k] for k, name in enumerate(header)}
+    return {name: data[:, k] for k, name in enumerate(names)}
+
+
+def read_csv(path: str) -> tuple:
+    """Parse a '#'-annotated CSV into (metadata dict, column dict), every
+    column parsed."""
+    meta, header, rows = _read_table(path)
+    return meta, _parse_columns(path, header, rows, header)
 
 
 def plot_csv(in_path: str, out_path: str, column: str | None = None) -> str:
     """Dispatch on the CSV layout and write an SVG; returns the kind drawn.
 
     Radial profiles and sweeps become polyline charts; cartesian node
-    tables become grayscale heatmaps of one column.
+    tables become grayscale heatmaps of one column.  Only the columns the
+    chart draws are parsed; every row's field count is still checked.
     """
-    meta, cols = read_csv(in_path)
-    names = list(cols)
-    if names[0] == "rho":
+    meta, header, rows = _read_table(in_path)
+    if header[0] == "rho":
         wanted = [column] if column else [c for c in ("S", "F", "R")
-                                          if c in cols]
-        _require(wanted, cols, in_path)
+                                          if c in header]
+        _require(wanted, header, in_path)
+        cols = _parse_columns(in_path, header, rows, ["rho"] + wanted)
         svg = render_line_chart(
             cols["rho"], [(c, cols[c]) for c in wanted],
             title=meta.get("weight", ""), xlabel="rho",
             ylabel=",".join(wanted))
         kind = "radial profile"
-    elif names[0] == "t":
+    elif header[0] == "t":
         pick = column or "lower_redundancy"
-        _require([pick], cols, in_path)
+        _require([pick], header, in_path)
+        cols = _parse_columns(in_path, header, rows,
+                              [c for c in ("t", "beta", pick) if c in header])
         betas = sorted(set(cols["beta"])) if "beta" in cols else [None]
         series = []
         ts = None
@@ -252,14 +276,20 @@ def plot_csv(in_path: str, out_path: str, column: str | None = None) -> str:
                 sel = cols["beta"] == b
                 label = f"{pick} beta={b:g}"
             order = np.argsort(cols["t"][sel], kind="stable")
-            ts = cols["t"][sel][order]
+            t_sel = cols["t"][sel][order]
+            # every series is drawn against one x axis
+            if ts is not None and not np.array_equal(t_sel, ts):
+                raise ValidationError(
+                    f"{in_path}: the betas do not share one set of t values")
+            ts = t_sel
             series.append((label, cols[pick][sel][order]))
         svg = render_line_chart(ts, series, title=meta.get("weight", ""),
                                 xlabel="t", ylabel=pick)
         kind = "sweep"
-    elif names[:2] == ["x", "y"]:
+    elif header[:2] == ["x", "y"]:
         pick = column or "S"
-        _require([pick], cols, in_path)
+        _require([pick], header, in_path)
+        cols = _parse_columns(in_path, header, rows, ["x", "y", pick])
         x, y, v = cols["x"], cols["y"], cols[pick]
         n = int(round(math.sqrt(x.size)))
         if n * n != x.size:
@@ -271,16 +301,16 @@ def plot_csv(in_path: str, out_path: str, column: str | None = None) -> str:
         kind = "field heatmap"
     else:
         raise ValidationError(
-            f"{in_path}: unrecognized layout (columns {names[:3]}...)")
+            f"{in_path}: unrecognized layout (columns {header[:3]}...)")
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)
     log.info("wrote %s plot %s", kind, out_path)
     return kind
 
 
-def _require(wanted, cols, path):
-    missing = [c for c in wanted if c not in cols]
+def _require(wanted, header, path):
+    missing = [c for c in wanted if c not in header]
     if missing:
         raise ConfigurationError(
             f"{path}: column(s) {missing} not present; available "
-            f"{sorted(cols)}")
+            f"{sorted(header)}")

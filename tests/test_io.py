@@ -71,6 +71,22 @@ def test_block_rows_match_format_float(drawn, nrows, ncol):
     _assert_same_lines(buf.getvalue(), _reference_rows(arr))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(SPECIAL), min_size=1, max_size=6),
+       st.sampled_from([1, 7, FLOAT_BLOCK_ROWS, FLOAT_BLOCK_ROWS + 3]),
+       st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_block_rows_from_a_small_pool_match_format_float(pool, nrows, ncol,
+                                                          seed):
+    # each cell is drawn from a few values, so every block repeats them
+    # the way thermo tables do; the shared text of -0.0 and 0.0, and of
+    # NaNs of either sign and any payload, must still be format_float's
+    picks = np.random.default_rng(seed).integers(len(pool), size=(nrows, ncol))
+    arr = np.array(pool)[picks]
+    buf = io.StringIO()
+    write_float_rows(buf, arr)
+    _assert_same_lines(buf.getvalue(), _reference_rows(arr))
+
+
 def test_block_codec_covers_every_special_value():
     arr = np.array(SPECIAL)
     assert format_floats(arr) == ", ".join(format_float(v) for v in SPECIAL)
