@@ -1,7 +1,7 @@
 """Distil perfbench records of a parent and a change into one BENCH file.
 
     python3 ci/bench_distill.py --parent P/.perfbench_out \\
-        --change C/.perfbench_out [--parent-copy Q/.perfbench_out] \\
+        --change C/.perfbench_out --parent-copy Q/.perfbench_out \\
         --out BENCH_<n>.json
 
 Each directory holds the `--trace 0` records that `perfbench/run.py` wrote
@@ -104,15 +104,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
-    parser.add_argument("--parent-copy")
+    parser.add_argument("--parent-copy", required=True)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         end_to_end = json.load(fh)["end_to_end"]
     trees = {"parent": load_records(args.parent),
-             "change": load_records(args.change)}
-    if args.parent_copy:
-        trees["parent_copy"] = load_records(args.parent_copy)
+             "change": load_records(args.change),
+             "parent_copy": load_records(args.parent_copy)}
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(distill(trees, end_to_end), fh, indent=1)
         fh.write("\n")
