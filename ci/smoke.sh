@@ -16,7 +16,10 @@
 # sweep chart, so every plot layout runs.  The stalled solve must exit 3
 # and leave its residual history next to the intended output, and so must
 # a stalled thermo run whose output path comes from its config file.  A
-# retired solver key such as "continuation_steps" must exit 2.
+# retired solver key such as "continuation_steps" must exit 2.  So must a
+# sweep with an infinite amplitude, and it must write no CSV: every
+# amplitude is built into a weight before the first solve, so a rejected
+# one stops the run at /t_values instead of inside the solve loop.
 set -eo pipefail
 
 RUNNER_TEMP=${RUNNER_TEMP:-$(mktemp -d)}
@@ -52,3 +55,7 @@ echo '{"solver": {"continuation_steps": 3}}' > "$RUNNER_TEMP/retired.json"
 code=0
 python -m todakit solve --config "$RUNNER_TEMP/retired.json" --weight '{"kind": "poly", "r": 2, "coeffs": [[0, 0], [1, 0]]}' --grid '{"mode": "cartesian", "n": 17, "rho_max": 0.9}' --out "$RUNNER_TEMP/retired-sol.json" || code=$?
 test "$code" -eq 2
+code=0
+python -m todakit sweep --weight '{"kind": "poly", "r": 2, "coeffs": [[0, 0], [1, 0]]}' --grid '{"mode": "cartesian", "n": 17, "rho_max": 0.9}' --t-values 1,inf --jobs 2 --out "$RUNNER_TEMP/inf-sweep.csv" || code=$?
+test "$code" -eq 2
+test ! -e "$RUNNER_TEMP/inf-sweep.csv"

@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands: solve, thermo, model, sweep, verify, plot.  Configuration
-comes from flags or a JSON config file (flags win).  Exit codes: 0 on
+comes from flags or a JSON config file (flags win).  A command builds its
+solver inputs once, before the first solve: the weight, grid and
+SolverConfig, the weight of every sweep amplitude and every beta.  Sweep
+workers receive these built objects, not documents.  Exit codes: 0 on
 success, 1 on failed verification or runtime errors, 2 on configuration
-schema violations (the offending JSON pointer is printed), 3 when the
-solver fails to converge (the residual history is written next to the
-resolved output path).
+schema violations and on values a constructor rejects (the offending JSON
+pointer is printed), 3 when the solver fails to converge (the residual
+history is written next to the resolved output path).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .plot import plot_csv
 from .thermo import REFERENCES, thermo_field, write_thermo_csv
 from .toda import BOUNDARY_STRATEGIES, SolverConfig, solve_toda
 from .verify import SUITES, render_table, reports_to_dict, run_suite, suite_passed
-from .weight import KINDS, model_constants, weight_from_dict
+from .weight import KINDS, _check_beta, model_constants, weight_from_dict
 
 log = logging.getLogger(__name__)
 
@@ -185,32 +188,34 @@ def _assemble(args, keys, out: str | None = None) -> dict:
     return doc
 
 
-def _weight_of(doc: dict):
+def _built(key: str, make, *args, **kwargs):
+    """make(*args, **kwargs); a value it rejects is a SchemaError at /key."""
     try:
-        return weight_from_dict(doc["weight"])
+        return make(*args, **kwargs)
     except ConfigurationError as exc:
-        raise SchemaError(str(exc), pointer="/weight") from exc
+        raise SchemaError(str(exc), pointer=f"/{key}") from exc
 
 
-def _grid_of(doc: dict):
-    g = doc["grid"]
-    try:
-        return build_grid(g["mode"], g["n"], g["rho_max"])
-    except (ConfigurationError, TodaKitError) as exc:
-        raise SchemaError(str(exc), pointer="/grid") from exc
-
-
-def _solver_of(doc: dict) -> SolverConfig:
-    try:
-        return SolverConfig(**doc.get("solver", {}))
-    except (TypeError, ConfigurationError) as exc:
-        raise SchemaError(str(exc), pointer="/solver") from exc
-
-
-def _require(doc: dict, key: str, command: str) -> None:
-    if key not in doc:
-        raise SchemaError(f"{command} requires {key!r} (flag --{key} "
-                          "or config file)", pointer=f"/{key}")
+def _inputs(doc: dict, command: str, *required: str,
+            one_beta: bool = False) -> tuple:
+    """(weight, grid, SolverConfig, betas) of a run document, built once,
+    before any solve.  A missing `required` key, more than one beta when
+    `one_beta`, or a value a constructor rejects is a SchemaError at its
+    key.  An absent weight or grid is None; the betas default to [1.0]."""
+    for key in required:
+        if key not in doc:
+            raise SchemaError(f"{command} requires {key!r} (flag --{key} "
+                              "or config file)", pointer=f"/{key}")
+    betas = [_built("beta", _check_beta, b) for b in doc.get("beta", [1.0])]
+    if one_beta and len(betas) != 1:
+        raise SchemaError(f"{command} takes exactly one beta", pointer="/beta")
+    weight = grid = None
+    if "weight" in doc:
+        weight = _built("weight", weight_from_dict, doc["weight"])
+    if "grid" in doc:
+        grid = _built("grid", build_grid, **doc["grid"])
+    cfg = _built("solver", SolverConfig, **doc.get("solver", {}))
+    return weight, grid, cfg, betas
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +225,7 @@ def _require(doc: dict, key: str, command: str) -> None:
 def cmd_solve(args) -> int:
     doc = _assemble(args, ("weight", "grid", "solver", "out"),
                     out="solution.json")
-    _require(doc, "weight", "solve")
-    _require(doc, "grid", "solve")
-    weight = _weight_of(doc)
-    grid = _grid_of(doc)
-    cfg = _solver_of(doc)
+    weight, grid, cfg, _ = _inputs(doc, "solve", "weight", "grid")
     out = args.out
     sol = solve_toda(weight, grid, cfg)
     save_solution(out, sol)
@@ -237,21 +238,17 @@ def cmd_solve(args) -> int:
 def cmd_thermo(args) -> int:
     doc = _assemble(args, ("weight", "grid", "solver", "beta", "reference",
                            "solution", "out"), out="thermo.csv")
-    beta = doc.get("beta", [1.0])
-    if len(beta) != 1:
-        raise SchemaError("thermo takes exactly one beta", pointer="/beta")
+    stored = "solution" in doc
+    weight, grid, cfg, (beta,) = _inputs(
+        doc, "thermo", *(() if stored else ("weight", "grid")), one_beta=True)
     reference = doc.get("reference", "flat")
-    if "solution" in doc:
-        sol = load_solution(doc["solution"])
-    else:
-        _require(doc, "weight", "thermo")
-        _require(doc, "grid", "thermo")
-        sol = solve_toda(_weight_of(doc), _grid_of(doc), _solver_of(doc))
-    tf = thermo_field(sol, beta[0], reference)
+    sol = (load_solution(doc["solution"]) if stored
+           else solve_toda(weight, grid, cfg))
+    tf = thermo_field(sol, beta, reference)
     out = args.out
     write_thermo_csv(out, sol, tf)
     s = tf.entropy.values[sol.grid.interior]
-    print(f"thermo beta={beta[0]:g} reference={reference}: "
+    print(f"thermo beta={beta:g} reference={reference}: "
           f"S in [{format_float(float(s.min()))}, "
           f"{format_float(float(s.max()))}], "
           f"lower redundancy {format_float(tf.lower_redundancy)} -> {out}")
@@ -260,29 +257,23 @@ def cmd_thermo(args) -> int:
 
 def cmd_model(args) -> int:
     doc = _assemble(args, ("r", "beta", "out"))
-    _require(doc, "r", "model")
-    beta = doc.get("beta", [1.0])
-    if len(beta) != 1:
-        raise SchemaError("model takes exactly one beta", pointer="/beta")
-    constants = model_constants(doc["r"], beta[0]).to_dict()
+    *_, (beta,) = _inputs(doc, "model", "r", one_beta=True)
+    constants = model_constants(doc["r"], beta).to_dict()
     if "out" in doc:
         write_json(doc["out"], constants)
     sys.stdout.write(dumps_json(constants))
     return 0
 
 
-def _sweep_point(payload) -> list:
+def _sweep_point(weight, grid, cfg, betas, reference) -> list:
     """Solve one amplitude and evaluate every requested beta (worker)."""
-    weight_doc, grid_doc, solver_doc, t, betas, reference = payload
-    weight = weight_from_dict({**weight_doc, "t": t})
-    grid = build_grid(grid_doc["mode"], grid_doc["n"], grid_doc["rho_max"])
-    sol = solve_toda(weight, grid, SolverConfig(**solver_doc))
+    sol = solve_toda(weight, grid, cfg)
     rows = []
     for beta in betas:
         tf = thermo_field(sol, beta, reference)
         s = tf.entropy.values[grid.interior]
         f = tf.free_energy.values[grid.interior]
-        rows.append((t, beta, float(s.min()), float(s.max()),
+        rows.append((weight.t, beta, float(s.min()), float(s.max()),
                      float(f.min()), float(f.max()), tf.lower_redundancy))
     return rows
 
@@ -290,26 +281,20 @@ def _sweep_point(payload) -> list:
 def cmd_sweep(args) -> int:
     doc = _assemble(args, ("weight", "grid", "solver", "beta", "t_values",
                            "reference", "out", "jobs"), out="sweep.csv")
-    _require(doc, "weight", "sweep")
-    _require(doc, "grid", "sweep")
-    _require(doc, "t_values", "sweep")
-    _weight_of(doc)   # fail fast on a bad weight before spawning workers
-    _grid_of(doc)
-    betas = doc.get("beta", [1.0])
+    _, grid, cfg, betas = _inputs(doc, "sweep", "weight", "grid", "t_values")
     reference = doc.get("reference", "flat")
-    solver_doc = doc.get("solver", {})
-    _solver_of(doc)
-    ts = sorted(set(doc["t_values"]))
+    weights = [_built("t_values", weight_from_dict, {**doc["weight"], "t": t})
+               for t in sorted(set(doc["t_values"]))]
+    point = functools.partial(_sweep_point, grid=grid, cfg=cfg, betas=betas,
+                              reference=reference)
     jobs = doc.get("jobs") or os.cpu_count() or 1
-    payloads = [(doc["weight"], doc["grid"], solver_doc, t, betas, reference)
-                for t in ts]
     rows: list = []
-    if jobs == 1 or len(payloads) == 1:
-        for p in payloads:
-            rows.extend(_sweep_point(p))
+    if jobs == 1 or len(weights) == 1:
+        for weight in weights:
+            rows.extend(point(weight))
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as ex:
-            for chunk in ex.map(_sweep_point, payloads):
+        with ProcessPoolExecutor(max_workers=min(jobs, len(weights))) as ex:
+            for chunk in ex.map(point, weights):
                 rows.extend(chunk)
     rows.sort(key=lambda row: (row[0], row[1]))
     out = args.out
@@ -319,7 +304,8 @@ def cmd_sweep(args) -> int:
     header = ["t", "beta", "inf_S", "sup_S", "inf_F", "sup_F",
               "lower_redundancy"]
     write_csv(out, meta, header, np.asarray(rows, dtype=float))
-    print(f"sweep over {len(ts)} amplitudes x {len(betas)} betas -> {out}")
+    print(f"sweep over {len(weights)} amplitudes x {len(betas)} betas "
+          f"-> {out}")
     return 0
 
 

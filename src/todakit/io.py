@@ -222,10 +222,11 @@ def solution_from_dict(doc: dict) -> TodaSolution:
         raise SchemaError(f"unsupported schema {schema!r}", pointer="/schema")
     r = _pointer_get(doc, "r", "/r", int)
     gdoc = _pointer_get(doc, "grid", "/grid", dict)
+    if sorted(gdoc) != ["mode", "n", "rho_max"]:
+        raise SchemaError("grid keys must be mode, n and rho_max, got "
+                          f"{sorted(gdoc)}", pointer="/grid")
     try:
-        grid = build_grid(gdoc["mode"], gdoc["n"], gdoc["rho_max"])
-    except KeyError as exc:
-        raise SchemaError(f"missing grid key {exc}", pointer="/grid") from exc
+        grid = build_grid(**gdoc)
     except Exception as exc:
         raise SchemaError(f"bad grid: {exc}", pointer="/grid") from exc
     wdoc = _pointer_get(doc, "weight", "/weight", dict)

@@ -68,6 +68,7 @@ the stage loop; its message names the stage rho and the last residual.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,8 @@ from .errors import (
     StrategyError,
     ValidationError,
 )
-from .grid import Field, Grid, check_same_grid, laplacian_operator
+from .grid import (Field, Grid, check_same_grid, is_number,
+                   laplacian_operator)
 from .weight import WeightDensity, evaluate_density, lambda_coefficients
 
 log = logging.getLogger(__name__)
@@ -152,11 +154,13 @@ class SolverConfig:
         if self.boundary not in BOUNDARY_STRATEGIES:
             raise ConfigurationError(
                 f"boundary must be one of {BOUNDARY_STRATEGIES}, got {self.boundary!r}")
-        if not (0.0 < self.tolerance < 1.0):
-            raise ConfigurationError(f"tolerance must be in (0, 1), got {self.tolerance}")
-        if self.max_iterations < 1:
+        if not (is_number(self.tolerance) and 0.0 < self.tolerance < 1.0):
             raise ConfigurationError(
-                f"max_iterations must be >= 1, got {self.max_iterations}")
+                f"tolerance must be a number in (0, 1), got {self.tolerance!r}")
+        if not (is_number(self.max_iterations, numbers.Integral)
+                and self.max_iterations >= 1):
+            raise ConfigurationError(
+                f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,13 @@ def _instance(sol: TodaSolution, beta: float | None = None) -> str:
     return " ".join(bits)
 
 
+def _plane_like(sol: TodaSolution) -> bool:
+    """Whether `sol` is a constant Q > 0 solved with the weight_flat
+    boundary: the flat profile, which has no blow-up boundary data."""
+    return (sol.weight.kind == "constant" and sol.weight.value > 0.0
+            and sol.boundary_strategy == "weight_flat")
+
+
 def _binding(grid: Grid, parts) -> tuple:
     """(margin, worst, label) of the part with the smallest interior minimum.
 
@@ -247,7 +254,7 @@ def check_density_band(sol: TodaSolution) -> CheckReport:
     with equality, which the slack absorbs.
     """
     grid, r = sol.grid, sol.r
-    if sol.weight.kind == "constant":
+    if _plane_like(sol):
         return _not_applicable(
             "density_band", _instance(sol),
             "constant weight collapses the band to equalities")
@@ -378,26 +385,26 @@ def check_redundancy(sol: TodaSolution, beta: float, *,
                      tf: ThermoField | None = None) -> CheckReport:
     """Dichotomy for the redundancy floor.
 
-    Constant weight is the plane-like branch: redundancy vanishes
+    On the plane-like branch (`_plane_like`) redundancy vanishes
     identically (for beta < 0 the degenerate slot is excluded, leaving the
     uniform ensemble on r-1 slots, so the floor is 1 - log(r-1)/log r).
-    Every other instance here carries blow-up boundary data, so the floor
-    must be strictly positive.  The degenerate instance must reproduce its
-    closed-form floor 1 - S_model/log r.  `tf`, when given, is
-    thermo_field(sol, beta).
+    A degenerate solution, Q = 0 of any kind, must reproduce its
+    closed-form floor 1 - S_model/log r.  Every other solution carries
+    blow-up boundary data, so its floor must be strictly positive.  `tf`,
+    when given, is thermo_field(sol, beta).
     """
     if tf is None:
         tf = thermo_field(sol, beta)
     lo = tf.lower_redundancy
     inst = _instance(sol, beta)
     r = sol.r
-    if sol.weight.kind == "constant":
+    if _plane_like(sol):
         expected = 0.0 if beta > 0 else 1.0 - math.log(r - 1) / math.log(r)
         err = abs(lo - expected)
         return _report("redundancy_floor", inst, 1e-12 - err, 0.0,
                        notes=f"plane-like branch, floor {expected:.12g}, "
                              f"deviation {err:.3e}")
-    if sol.weight.kind == "zero":
+    if not sol.v0.values.any():  # V_0 vanishes exactly where Q does
         expected = 1.0 - model_entropy(r, beta) / math.log(r)
         err = abs(lo - expected)
         margin = CLOSED_FORM_TOL - err

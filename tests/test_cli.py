@@ -268,6 +268,46 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert serial.read_bytes() == par.read_bytes()
 
 
+def test_sweep_builds_its_inputs_once(tmp_path, monkeypatch):
+    # the parent builds the grid once and hands the workers built inputs
+    import todakit.cli
+
+    calls = []
+    real = todakit.cli.build_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args or kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(todakit.cli, "build_grid", counted)
+    assert run_cli("sweep", "--weight", WEIGHT, "--grid", GRID,
+                   "--t-values", "0.5,1,2", "--jobs", "1",
+                   "--out", str(tmp_path / "s.csv")) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, pointer", [
+    (("sweep", "--weight", WEIGHT, "--grid", GRID, "--t-values", "1,inf",
+      "--jobs", "1"), "/t_values"),
+    (("thermo", "--weight", WEIGHT, "--grid", GRID, "--beta", "nan"),
+     "/beta"),
+    (("model", "--r", "3", "--beta", "inf"), "/beta"),
+])
+def test_rejected_input_exits_two_before_any_solve(tmp_path, capsys,
+                                                   monkeypatch, argv,
+                                                   pointer):
+    # every amplitude and beta is built before the first solve
+    import todakit.cli
+
+    calls = []
+    monkeypatch.setattr(todakit.cli, "solve_toda",
+                        lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert f"config error at {pointer}" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_verify_smoke_suite(tmp_path, capsys):
     report = tmp_path / "report.json"
     code = run_cli("verify", "--suite", "smoke", "--out", str(report))

@@ -218,8 +218,10 @@ def test_load_rejects_schema_mismatches(solved):
         solution_from_dict(doc)
     assert err.value.pointer == "/grid"
 
-    # a number stored as a str, a bool or a non-integer n is not coerced
+    # a number stored as a str, a bool or a non-integer n is not coerced,
+    # and an unknown grid or weight key is not ignored
     for section, key, bad in (("grid", "n", "17"), ("grid", "n", 17.9),
+                              ("grid", "zap", 1),
                               ("grid", "rho_max", "0.9"),
                               ("grid", "rho_max", True),
                               ("weight", "t", True), ("weight", "t", "1"),

@@ -335,6 +335,12 @@ def test_solver_config_validation():
         SolverConfig(tolerance=0.0)
     with pytest.raises(ConfigurationError):
         SolverConfig(max_iterations=0)
+    # types are checked as build_grid and make_weight check them: no bool,
+    # str or non-integer count is coerced
+    for bad in ({"max_iterations": 2.5}, {"max_iterations": True},
+                {"tolerance": "0.1"}):
+        with pytest.raises(ConfigurationError):
+            SolverConfig(**bad)
 
 
 def test_model_boundary_requires_subunit_disc():

@@ -39,6 +39,16 @@ def poly_sol(grid33):
     return solve_toda(make_weight("poly", 4, coeffs=[0, 1]), grid33)
 
 
+@pytest.fixture(scope="module")
+def constant_model_sols(grid33):
+    # constant weights under the default model_poincare boundary: Q > 0
+    # carries blow-up data like any bounded-domain instance, and value 0 is
+    # Q = 0, the degenerate instance
+    return {(r, value): solve_toda(make_weight("constant", r, value=value),
+                                   grid33)
+            for r in (3, 4, 5) for value in (1.0, 0.0)}
+
+
 def test_report_pass_rule():
     rep = CheckReport(name="x", instance="i", passed=True, margin=-1e-12,
                       slack=1e-9)
@@ -119,9 +129,14 @@ def test_model_constants_check():
     assert "deficit gaps" in rep.notes
 
 
-def test_density_band_branches(flat_sol, zero_sol, poly_sol, grid33):
+def test_density_band_branches(flat_sol, zero_sol, poly_sol, grid33,
+                               constant_model_sols):
     rep = check_density_band(flat_sol)
     assert rep.passed and "not applicable" in rep.notes
+
+    for sol in constant_model_sols.values():
+        rep = check_density_band(sol)
+        assert rep.passed and "not applicable" not in rep.notes
 
     rep = check_density_band(zero_sol)  # attains the bound with equality
     assert rep.passed
@@ -150,9 +165,20 @@ def test_entropy_bounds_attainment(flat_sol, zero_sol, poly_sol):
     assert rep.passed
 
 
-def test_redundancy_branches(flat_sol, zero_sol, poly_sol):
+def test_redundancy_branches(flat_sol, zero_sol, poly_sol,
+                             constant_model_sols):
     rep = check_redundancy(flat_sol, 1.0)
     assert rep.passed and "plane-like" in rep.notes
+
+    for (r, value), sol in constant_model_sols.items():
+        for beta in (1.0, -1.0):
+            rep = check_redundancy(sol, beta)
+            assert rep.passed, (r, value, beta, rep.notes)
+            if value > 0.0:
+                assert "bounded-domain" in rep.notes and rep.margin > 0.0
+            else:
+                expected = 1.0 - model_entropy(r, beta) / math.log(r)
+                assert f"degenerate closed form {expected:.12g}" in rep.notes
 
     rep = check_redundancy(flat_sol, -1.0)
     assert rep.passed
