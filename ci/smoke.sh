@@ -2,9 +2,10 @@
 # CLI smoke run: ./ci/smoke.sh from the repository root.  Outputs go to
 # $RUNNER_TEMP, a fresh temporary directory when it is unset.
 #
-# The CLI imports jsonschema and scipy.integrate only where it uses them;
-# these commands run both imports against the installed releases (in CI,
-# each leg's pins).  The r = 4 solve iterates the mirror-folded half of the
+# The CLI checks its inputs itself and needs no JSON Schema library.  It
+# imports scipy.integrate only for the model constants; these
+# commands run that import against the installed releases (in CI, each
+# leg's pins).  The r = 4 solve iterates the mirror-folded half of the
 # fields, loading it for thermo rechecks the residual of all r - 1
 # equations, and its thermo CSV is drawn as a heatmap.  The radial chain
 # runs the LU-factored radial preconditioner, the reload recheck and the
@@ -19,7 +20,9 @@
 # retired solver key such as "continuation_steps" must exit 2.  So must a
 # sweep with an infinite amplitude, and it must write no CSV: every
 # amplitude is built into a weight before the first solve, so a rejected
-# one stops the run at /t_values instead of inside the solve loop.
+# one stops the run at /t_values instead of inside the solve loop.  A
+# solve whose weight has a scalar "coeffs" must exit 2 and write no
+# solution.
 set -eo pipefail
 
 RUNNER_TEMP=${RUNNER_TEMP:-$(mktemp -d)}
@@ -59,3 +62,7 @@ code=0
 python -m todakit sweep --weight '{"kind": "poly", "r": 2, "coeffs": [[0, 0], [1, 0]]}' --grid '{"mode": "cartesian", "n": 17, "rho_max": 0.9}' --t-values 1,inf --jobs 2 --out "$RUNNER_TEMP/inf-sweep.csv" || code=$?
 test "$code" -eq 2
 test ! -e "$RUNNER_TEMP/inf-sweep.csv"
+code=0
+python -m todakit solve --weight '{"kind": "poly", "r": 2, "coeffs": 5}' --grid '{"mode": "cartesian", "n": 17, "rho_max": 0.9}' --out "$RUNNER_TEMP/scalar-coeffs.json" || code=$?
+test "$code" -eq 2
+test ! -e "$RUNNER_TEMP/scalar-coeffs.json"

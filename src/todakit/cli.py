@@ -4,11 +4,12 @@ Subcommands: solve, thermo, model, sweep, verify, plot.  Configuration
 comes from flags or a JSON config file (flags win).  A command builds its
 solver inputs once, before the first solve: the weight, grid and
 SolverConfig, the weight of every sweep amplitude and every beta.  Sweep
-workers receive these built objects, not documents.  Exit codes: 0 on
-success, 1 on failed verification or runtime errors, 2 on configuration
-schema violations and on values a constructor rejects (the offending JSON
-pointer is printed), 3 when the solver fails to converge (the residual
-history is written next to the resolved output path).
+workers receive these built objects, not documents; the constructors
+check the values they build and the table `_KEYS` every other key.  Exit
+codes: 0 on success, 1 on failed verification or runtime errors, 2 on a
+missing input file or a rejected value (the offending JSON pointer is
+printed), 3 when the solver fails to converge (the residual history is
+written next to the resolved output path).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import functools
 import json
 import logging
+import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -25,75 +27,53 @@ import numpy as np
 
 from .errors import (ConfigurationError, ConvergenceError, SchemaError,
                      TodaKitError)
-from .grid import MODES, build_grid
+from .grid import build_grid, is_number
 from .io import (dumps_json, format_float, load_solution, save_solution,
                  write_csv, write_json)
 from .plot import plot_csv
 from .thermo import REFERENCES, thermo_field, write_thermo_csv
 from .toda import BOUNDARY_STRATEGIES, SolverConfig, solve_toda
 from .verify import SUITES, render_table, reports_to_dict, run_suite, suite_passed
-from .weight import KINDS, _check_beta, model_constants, weight_from_dict
+from .weight import _check_beta, model_constants, weight_from_dict
 
 log = logging.getLogger(__name__)
 
-_WEIGHT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": list(KINDS)},
-        "r": {"type": "integer", "minimum": 2},
-        "t": {"type": "number", "exclusiveMinimum": 0},
-        "coeffs": {"type": "array", "minItems": 1,
-                   "items": {"type": "array", "items": {"type": "number"},
-                             "minItems": 2, "maxItems": 2}},
-        "value": {"type": "number", "minimum": 0},
-        "samples": {"type": "array", "minItems": 1,
-                    "items": {"type": "number", "minimum": 0}},
-    },
-    "required": ["kind", "r"],
-    "additionalProperties": False,
-}
 
-_GRID_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "mode": {"enum": list(MODES)},
-        "n": {"type": "integer", "minimum": 8},
-        "rho_max": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["mode", "n", "rho_max"],
-    "additionalProperties": False,
-}
+def _text(value) -> bool:
+    return isinstance(value, str) and value != ""
 
-_SOLVER_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "tolerance": {"type": "number", "exclusiveMinimum": 0},
-        "max_iterations": {"type": "integer", "minimum": 1},
-        "boundary": {"enum": list(BOUNDARY_STRATEGIES)},
-    },
-    "additionalProperties": False,
-}
 
-_RUN_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "weight": _WEIGHT_SCHEMA,
-        "grid": _GRID_SCHEMA,
-        "solver": _SOLVER_SCHEMA,
-        "beta": {"type": "array", "minItems": 1,
-                 "items": {"type": "number", "not": {"const": 0}}},
-        "t_values": {"type": "array", "minItems": 1,
-                     "items": {"type": "number", "exclusiveMinimum": 0}},
-        "reference": {"enum": list(REFERENCES)},
-        "out": {"type": "string", "minLength": 1},
-        "solution": {"type": "string", "minLength": 1},
-        "suite": {"enum": list(SUITES)},
-        "column": {"type": "string", "minLength": 1},
-        "jobs": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
-        "r": {"type": "integer", "minimum": 2},
-    },
-    "additionalProperties": False,
+def _integer(low):
+    return lambda value: is_number(value, numbers.Integral) and value >= low
+
+
+def _number_list(value) -> bool:
+    return (isinstance(value, list) and len(value) > 0
+            and all(map(is_number, value)))
+
+
+# What each run-document key must be, checked before any solve.  The
+# constructors check the rest: weight_from_dict the weight, build_grid and
+# SolverConfig the values in the grid and solver objects, make_weight each
+# amplitude in t_values and _check_beta each beta.
+_KEYS = {
+    "grid": ("an object with keys mode, n and rho_max",
+             lambda value: isinstance(value, dict)
+             and value.keys() == {"mode", "n", "rho_max"}),
+    "solver": ("an object with keys among tolerance, max_iterations and "
+               "boundary",
+               lambda value: isinstance(value, dict) and value.keys()
+               <= {"tolerance", "max_iterations", "boundary"}),
+    "beta": ("a nonempty list of numbers", _number_list),
+    "t_values": ("a nonempty list of numbers", _number_list),
+    "reference": (f"one of {REFERENCES}", REFERENCES.__contains__),
+    "suite": (f"one of {SUITES}", SUITES.__contains__),
+    "out": ("a nonempty string", _text),
+    "solution": ("a nonempty string", _text),
+    "column": ("a nonempty string", _text),
+    "jobs": ("an integer >= 1", _integer(1)),
+    "seed": ("an integer >= 0", _integer(0)),
+    "r": ("an integer >= 2", _integer(2)),
 }
 
 
@@ -117,9 +97,7 @@ def _json_object(source: str, what: str, pointer: str,
     a SchemaError at `pointer`."""
     text = source
     if not inline:
-        if not os.path.exists(source):
-            raise SchemaError(f"{what}: no such file {source!r}",
-                              pointer=pointer)
+        _require_file(source, pointer)
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     try:
@@ -138,6 +116,11 @@ def _json_arg(raw: str, what: str) -> dict:
     return _json_object(text, what, f"/{what}", inline=text.startswith("{"))
 
 
+def _require_file(path: str, pointer: str) -> None:
+    if not os.path.exists(path):
+        raise SchemaError(f"no such file {path!r}", pointer=pointer)
+
+
 def _floats(raw: str, what: str) -> list:
     try:
         return [float(tok) for tok in raw.split(",") if tok.strip()]
@@ -146,33 +129,12 @@ def _floats(raw: str, what: str) -> list:
                           f"got {raw!r}", pointer=f"/{what}") from exc
 
 
-@functools.cache
-def _run_validator():
-    """The validator of `_RUN_SCHEMA`, built once per process.  jsonschema
-    is imported on first use, so that importing the package without running
-    a command does not pay for it.  The schema is a constant, so it is not
-    meta-checked here, on every command, but once by
-    `tests/test_cli.py::test_run_schema_is_valid`."""
-    from jsonschema.validators import validator_for
-
-    return validator_for(_RUN_SCHEMA)(_RUN_SCHEMA)
-
-
-def _validate(doc: dict) -> None:
-    from jsonschema.exceptions import best_match
-
-    # the error jsonschema.validate would raise
-    exc = best_match(_run_validator().iter_errors(doc))
-    if exc is not None:
-        pointer = "/" + "/".join(str(p) for p in exc.absolute_path)
-        raise SchemaError(exc.message, pointer=pointer) from exc
-
-
 def _assemble(args, keys, out: str | None = None) -> dict:
-    """Merge the config file (if any) with flags; flags win.  The output
-    path resolves here, before any solve, into `args.out`: the --out flag,
-    then the config file's "out", then the command's default `out`; a
-    stalled solve writes its residual history next to it."""
+    """Merge the config file (if any) with flags (flags win) and check
+    every key against `_KEYS`.  The output path resolves here, before any
+    solve, into `args.out`: the --out flag, then the config file's "out",
+    then the command's default `out`; a stalled solve writes its residual
+    history next to it."""
     doc: dict = {}
     if getattr(args, "config", None):
         base = _json_object(args.config, "config file", "/config")
@@ -181,19 +143,24 @@ def _assemble(args, keys, out: str | None = None) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             doc[key] = val
+    for key, (what, ok) in _KEYS.items():
+        if key in doc and not ok(doc[key]):
+            raise SchemaError(f"{key} must be {what}, got {doc[key]!r}",
+                              pointer=f"/{key}")
     if "solver" in keys and getattr(args, "boundary", None):
         doc["solver"] = {**doc.get("solver", {}), "boundary": args.boundary}
-    _validate(doc)
     args.out = doc.get("out", out)
     return doc
 
 
 def _built(key: str, make, *args, **kwargs):
-    """make(*args, **kwargs); a value it rejects is a SchemaError at /key."""
+    """make(*args, **kwargs); a value it rejects is a SchemaError at /key,
+    or at /key/member when the error names a member of the object."""
     try:
         return make(*args, **kwargs)
     except ConfigurationError as exc:
-        raise SchemaError(str(exc), pointer=f"/{key}") from exc
+        member = f"/{exc.key}" if exc.key else ""
+        raise SchemaError(str(exc), pointer=f"/{key}{member}") from exc
 
 
 def _inputs(doc: dict, command: str, *required: str,
@@ -241,6 +208,8 @@ def cmd_thermo(args) -> int:
     stored = "solution" in doc
     weight, grid, cfg, (beta,) = _inputs(
         doc, "thermo", *(() if stored else ("weight", "grid")), one_beta=True)
+    if stored:
+        _require_file(doc["solution"], "/solution")
     reference = doc.get("reference", "flat")
     sol = (load_solution(doc["solution"]) if stored
            else solve_toda(weight, grid, cfg))
@@ -283,8 +252,11 @@ def cmd_sweep(args) -> int:
                            "reference", "out", "jobs"), out="sweep.csv")
     _, grid, cfg, betas = _inputs(doc, "sweep", "weight", "grid", "t_values")
     reference = doc.get("reference", "flat")
-    weights = [_built("t_values", weight_from_dict, {**doc["weight"], "t": t})
-               for t in sorted(set(doc["t_values"]))]
+    try:  # the weight is built above, so only an amplitude can fail here
+        weights = [weight_from_dict({**doc["weight"], "t": t})
+                   for t in sorted(set(doc["t_values"]))]
+    except ConfigurationError as exc:
+        raise SchemaError(str(exc), pointer="/t_values") from exc
     point = functools.partial(_sweep_point, grid=grid, cfg=cfg, betas=betas,
                               reference=reference)
     jobs = doc.get("jobs") or os.cpu_count() or 1
@@ -323,8 +295,7 @@ def cmd_verify(args) -> int:
 def cmd_plot(args) -> int:
     doc = _assemble(args, ("out", "column"),
                     out=os.path.splitext(args.input)[0] + ".svg")
-    if not os.path.exists(args.input):
-        raise SchemaError(f"no such file {args.input!r}", pointer="/input")
+    _require_file(args.input, "/input")
     out = args.out
     kind = plot_csv(args.input, out, doc.get("column"))
     print(f"{kind} -> {out}")

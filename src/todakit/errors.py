@@ -11,7 +11,12 @@ class TodaKitError(Exception):
 
 
 class ConfigurationError(TodaKitError):
-    """A parameter value is outside its documented domain."""
+    """A parameter value is outside its documented domain; `key` names the
+    parameter, as a document field, when a constructor rejects one."""
+
+    def __init__(self, message, key=""):
+        super().__init__(message)
+        self.key = key
 
 
 class ShapeError(TodaKitError):

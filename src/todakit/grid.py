@@ -89,14 +89,16 @@ def is_number(value, kind=numbers.Real) -> bool:
 
 def build_grid(mode: str, n: int, rho_max: float) -> Grid:
     if mode not in MODES:
-        raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
+        raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}",
+                                 key="mode")
     if not is_number(n, numbers.Integral):
-        raise ConfigurationError(f"n must be an integer, got {n!r}")
+        raise ConfigurationError(f"n must be an integer, got {n!r}", key="n")
     if n < 8:
-        raise ConfigurationError(f"n must be at least 8, got {n}")
+        raise ConfigurationError(f"n must be at least 8, got {n}", key="n")
     if not (is_number(rho_max) and np.isfinite(rho_max) and rho_max > 0.0):
         raise ConfigurationError(
-            f"rho_max must be positive and finite, got {rho_max!r}")
+            f"rho_max must be positive and finite, got {rho_max!r}",
+            key="rho_max")
     rho_max = float(rho_max)
 
     if mode == "cartesian":

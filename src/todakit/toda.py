@@ -153,14 +153,17 @@ class SolverConfig:
     def __post_init__(self):
         if self.boundary not in BOUNDARY_STRATEGIES:
             raise ConfigurationError(
-                f"boundary must be one of {BOUNDARY_STRATEGIES}, got {self.boundary!r}")
+                f"boundary must be one of {BOUNDARY_STRATEGIES}, got {self.boundary!r}",
+                key="boundary")
         if not (is_number(self.tolerance) and 0.0 < self.tolerance < 1.0):
             raise ConfigurationError(
-                f"tolerance must be a number in (0, 1), got {self.tolerance!r}")
+                f"tolerance must be a number in (0, 1), got {self.tolerance!r}",
+                key="tolerance")
         if not (is_number(self.max_iterations, numbers.Integral)
                 and self.max_iterations >= 1):
             raise ConfigurationError(
-                f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
+                f"max_iterations must be an integer >= 1, got {self.max_iterations!r}",
+                key="max_iterations")
 
 
 @dataclass(frozen=True)

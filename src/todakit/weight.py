@@ -78,36 +78,43 @@ class WeightDensity:
         return doc
 
 
-def _numbers(values, what: str, dtype) -> np.ndarray:
-    """`values` as a `dtype` array, every entry a number unless `values` is
-    a numeric array; numpy alone reads true as 1 and "0.5" as 0.5."""
+def _numbers(values, what: str, dtype, key: str) -> np.ndarray:
+    """`values`, a nonempty list, as a `dtype` array, every entry a number
+    unless `values` is a numeric array; numpy alone reads true as 1 and
+    "0.5" as 0.5."""
     kind = numbers.Complex if dtype is complex else numbers.Real
     numeric = isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
     try:
-        if numeric or all(is_number(v, kind)
-                          for v in np.asarray(values, dtype=object).flat):
+        entries = np.asarray(values, dtype=object)
+        if entries.ndim == 0 or entries.size == 0:
+            raise ConfigurationError(
+                f"{what} must be a nonempty list, got {values!r}", key=key)
+        if numeric or all(is_number(v, kind) for v in entries.flat):
             return np.asarray(values, dtype=dtype)
     except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{what} are not numeric: {exc}") from None
-    raise ConfigurationError(f"{what} must be numbers, not bool or str")
+        raise ConfigurationError(f"{what} are not numeric: {exc}",
+                                 key=key) from None
+    raise ConfigurationError(f"{what} must be numbers, not bool or str",
+                             key=key)
 
 
 def make_weight(kind: str, r: int, t: float = 1.0, coeffs=None, samples=None,
                 value=None) -> WeightDensity:
     if kind not in KINDS:
-        raise ConfigurationError(f"kind must be one of {KINDS}, got {kind!r}")
+        raise ConfigurationError(f"kind must be one of {KINDS}, got {kind!r}",
+                                 key="kind")
     if not is_number(r, numbers.Integral) or r < 2:
-        raise ConfigurationError(f"r must be an integer >= 2, got {r!r}")
+        raise ConfigurationError(f"r must be an integer >= 2, got {r!r}",
+                                 key="r")
     if not (is_number(t) and math.isfinite(t) and t > 0.0):
-        raise ConfigurationError(f"t must be positive and finite, got {t!r}")
+        raise ConfigurationError(f"t must be positive and finite, got {t!r}",
+                                 key="t")
     t = float(t)
 
     carr = sarr = None
     val = None
     if kind == "poly":
-        if coeffs is None or len(coeffs) == 0:
-            raise ConfigurationError("poly weight requires nonempty coeffs")
-        arr = _numbers(coeffs, "poly coeffs", complex)
+        arr = _numbers(coeffs, "poly coeffs", complex, "coeffs")
         if arr.ndim == 2 and arr.shape[1] == 2:
             # JSON wire form: ascending-degree [re, im] pairs
             carr = arr[:, 0].real + 1j * arr[:, 1].real
@@ -115,26 +122,27 @@ def make_weight(kind: str, r: int, t: float = 1.0, coeffs=None, samples=None,
             carr = arr
         else:
             raise ConfigurationError(
-                "poly coeffs must be complex scalars or [re, im] pairs")
+                "poly coeffs must be complex scalars or [re, im] pairs",
+                key="coeffs")
         if not np.all(np.isfinite(carr.view(float))):
-            raise ConfigurationError("poly coeffs must be finite")
+            raise ConfigurationError("poly coeffs must be finite",
+                                     key="coeffs")
         carr = carr.copy()
         carr.setflags(write=False)
     elif kind == "constant":
         if not (is_number(value) and math.isfinite(value) and value >= 0.0):
             raise ConfigurationError(
-                f"constant weight needs a value >= 0, got {value!r}")
+                f"constant weight needs a value >= 0, got {value!r}",
+                key="value")
         val = float(value)
     elif kind in ("radial", "grid"):
-        if samples is None or len(samples) == 0:
-            raise ConfigurationError(f"{kind} weight requires nonempty samples")
-        sarr = _numbers(samples, "samples", float)
-        if sarr.ndim != 1:
-            raise ConfigurationError("samples must be a flat list")
-        if kind == "radial" and len(sarr) < 2:
-            raise ConfigurationError("radial weight requires at least 2 samples")
-        if not np.all(np.isfinite(sarr)) or np.any(sarr < 0.0):
-            raise ConfigurationError("samples must be finite and >= 0")
+        sarr = _numbers(samples, f"{kind} samples", float, "samples")
+        least = 2 if kind == "radial" else 1
+        if (sarr.ndim != 1 or len(sarr) < least
+                or not np.all(np.isfinite(sarr) & (sarr >= 0.0))):
+            raise ConfigurationError(
+                f"{kind} samples must be a flat list of at least {least} "
+                "finite values >= 0", key="samples")
         sarr.setflags(write=False)
     return WeightDensity(kind=kind, r=int(r), t=t, coeffs=carr, samples=sarr, value=val)
 
@@ -143,16 +151,25 @@ _WEIGHT_KEYS = {"kind", "r", "t", "coeffs", "samples", "value"}
 
 
 def weight_from_dict(doc: dict) -> WeightDensity:
+    """The weight of a JSON document; `coeffs` takes only the [re, im] pair
+    form that `to_dict` writes."""
     if not isinstance(doc, dict):
         raise ConfigurationError("weight document must be a JSON object")
     unknown = sorted(set(doc) - _WEIGHT_KEYS)
     if unknown:
         raise ConfigurationError(f"unknown weight keys {unknown}")
+    coeffs = doc.get("coeffs")
+    if coeffs is not None and not (
+            isinstance(coeffs, list)
+            and all(isinstance(c, list) and len(c) == 2 for c in coeffs)):
+        raise ConfigurationError(
+            f"coeffs must be a list of [re, im] pairs, got {coeffs!r}",
+            key="coeffs")
     return make_weight(
         kind=doc.get("kind"),
         r=doc.get("r"),
         t=doc.get("t", 1.0),
-        coeffs=doc.get("coeffs"),
+        coeffs=coeffs,
         samples=doc.get("samples"),
         value=doc.get("value"),
     )
@@ -316,7 +333,7 @@ def model_constants(r: int, beta: float) -> ModelConstants:
 
 
 def _check_beta(beta: float) -> float:
-    beta = float(beta)
-    if not math.isfinite(beta) or beta == 0.0:
-        raise ConfigurationError(f"beta must be finite and nonzero, got {beta}")
-    return beta
+    if not (is_number(beta) and math.isfinite(beta) and beta != 0.0):
+        raise ConfigurationError(
+            f"beta must be a finite nonzero number, got {beta!r}")
+    return float(beta)

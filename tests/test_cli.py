@@ -286,26 +286,84 @@ def test_sweep_builds_its_inputs_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+SOLVE = ("solve", "--weight", WEIGHT, "--grid", GRID)
+SWEEP = ("sweep", "--weight", WEIGHT, "--grid", GRID, "--jobs", "1")
+
+
+def _weight(**fields):
+    return json.dumps({**json.loads(WEIGHT), **fields})
+
+
+def _grid(**fields):
+    return json.dumps({**json.loads(GRID), **fields})
+
+
+# A dict in argv is written to a config file and passed as --config: it
+# holds what no flag can express.
 @pytest.mark.parametrize("argv, pointer", [
-    (("sweep", "--weight", WEIGHT, "--grid", GRID, "--t-values", "1,inf",
-      "--jobs", "1"), "/t_values"),
+    (SWEEP + ("--t-values", "1,inf"), "/t_values"),
     (("thermo", "--weight", WEIGHT, "--grid", GRID, "--beta", "nan"),
      "/beta"),
     (("model", "--r", "3", "--beta", "inf"), "/beta"),
+    (("solve", "--weight", _weight(r=0), "--grid", GRID), "/weight/r"),
+    (("solve", "--weight", _weight(t=0), "--grid", GRID), "/weight/t"),
+    (("solve", "--weight", _weight(kind="bogus"), "--grid", GRID),
+     "/weight/kind"),
+    (("solve", "--weight", _weight(coeffs=[0, 1]), "--grid", GRID),
+     "/weight/coeffs"),
+    (("solve", "--weight", _weight(coeffs=5), "--grid", GRID),
+     "/weight/coeffs"),
+    (("solve", "--weight", _weight(zap=1), "--grid", GRID), "/weight"),
+    (("solve", "--grid", GRID, {"weight": "x"}), "/weight"),
+    (("solve", "--weight", WEIGHT, "--grid", _grid(n=4)), "/grid/n"),
+    (("solve", "--weight", WEIGHT, "--grid", _grid(zap=1)), "/grid"),
+    (("solve", "--weight", WEIGHT, "--grid",
+      '{"mode": "cartesian", "n": 17}'), "/grid"),
+    (SOLVE + ({"solver": {"provided_w": [[0.0]]}},), "/solver"),
+    (SOLVE + ({"solver": {"continuation_steps": 3}},), "/solver"),
+    (SOLVE + ("--boundary", "exhaustion", {"solver": "x"}), "/solver"),
+    (SOLVE + ({"solver": {"max_iterations": 0}},), "/solver/max_iterations"),
+    (SOLVE + ({"solver": {"tolerance": 2}},), "/solver/tolerance"),
+    (SOLVE + ({"out": 5},), "/out"),
+    (("thermo", {"solution": 3}), "/solution"),
+    (("plot", "absent.csv", {"column": 3}), "/column"),
+    (("thermo", "--weight", WEIGHT, "--grid", GRID,
+      {"reference": "bogus"}), "/reference"),
+    (("verify", {"suite": "bogus"}), "/suite"),
+    (("verify", "--seed", "-1"), "/seed"),
+    (SWEEP[:-2] + ("--t-values", "1", "--jobs", "0"), "/jobs"),
+    (SWEEP[:-2] + ("--t-values", "1", {"jobs": "2"}), "/jobs"),
+    (("model", "--r", "1"), "/r"),
+    (("model", {"r": "3"}), "/r"),
+    (SWEEP + ("--t-values", "1", {"beta": ["x"]}), "/beta"),
+    (SWEEP + ("--t-values", "1", {"beta": [True]}), "/beta"),
+    (SWEEP + ("--t-values", "1", {"beta": []}), "/beta"),
+    (SWEEP + ({"t_values": []},), "/t_values"),
+    (SWEEP + ({"t_values": ["1"]},), "/t_values"),
+    (SWEEP + ({"t_values": [[1]]},), "/t_values"),
+    (("thermo", "--solution", "missing.json"), "/solution"),
 ])
 def test_rejected_input_exits_two_before_any_solve(tmp_path, capsys,
                                                    monkeypatch, argv,
                                                    pointer):
-    # every amplitude and beta is built before the first solve
+    # every input is checked and built before the first solve
     import todakit.cli
 
     calls = []
     monkeypatch.setattr(todakit.cli, "solve_toda",
                         lambda *args, **kwargs: calls.append(args))
-    out = tmp_path / "out"
-    assert run_cli(*argv, "--out", str(out)) == 2
-    assert f"config error at {pointer}" in capsys.readouterr().err
-    assert calls == [] and not out.exists()
+    monkeypatch.chdir(tmp_path)
+    flags = []
+    for arg in argv:
+        if isinstance(arg, dict):
+            (tmp_path / "run.json").write_text(json.dumps(arg))
+            flags += ["--config", "run.json"]
+        else:
+            flags.append(arg)
+    before = sorted(tmp_path.iterdir())
+    assert run_cli(*flags) == 2
+    assert f"config error at {pointer}: " in capsys.readouterr().err
+    assert calls == [] and sorted(tmp_path.iterdir()) == before
 
 
 def test_verify_smoke_suite(tmp_path, capsys):
@@ -375,22 +433,19 @@ def test_module_entry_point(tmp_path):
     assert doc["lambda"] == [2, 2]
 
 
-def test_run_schema_is_valid():
-    # the CLI validates every command against this constant schema without
-    # meta-checking it
-    from jsonschema.validators import validator_for
-
-    from todakit.cli import _RUN_SCHEMA
-
-    validator_for(_RUN_SCHEMA).check_schema(_RUN_SCHEMA)
-
-
 def test_import_defers_schema_and_quadrature():
-    # jsonschema and scipy.integrate are slow to import and only run-document
-    # validation and the model constants need them
-    code = ("import sys, todakit, todakit.cli; print(sorted(m for m in "
-            "('jsonschema', 'scipy.integrate') if m in sys.modules))")
+    # scipy.integrate is slow to import and only the model constants need
+    # it; the CLI checks its inputs itself and runs where no JSON Schema
+    # library can be imported
+    code = ("import sys, todakit, todakit.cli; "
+            "print('scipy.integrate' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "False"
+    code = ("import sys; sys.modules['jsonschema'] = None; "
+            "from todakit.cli import main; "
+            "sys.exit(main(['model', '--r', '3']))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

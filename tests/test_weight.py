@@ -138,6 +138,10 @@ def test_model_entropy_bounds(r, beta):
 def test_model_entropy_rejects_zero_beta():
     with pytest.raises(ConfigurationError):
         model_entropy(4, 0.0)
+    # bool and str are not numbers, though float() reads both as 1
+    for beta in (True, "1"):
+        with pytest.raises(ConfigurationError):
+            model_entropy(4, beta)
 
 
 def test_model_constants_lambda_row():
@@ -182,6 +186,12 @@ def test_make_weight_validates():
             make_weight("radial", 3, samples=samples)
     with pytest.raises(ConfigurationError):
         make_weight("poly", 3, coeffs=[0, True])
+    # a scalar is no list of coefficients or samples
+    for kwargs in ({"coeffs": 5}, {"coeffs": True}):
+        with pytest.raises(ConfigurationError):
+            make_weight("poly", 3, **kwargs)
+    with pytest.raises(ConfigurationError):
+        make_weight("radial", 3, samples=5)
 
 
 def test_describe_formats():
