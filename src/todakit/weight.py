@@ -85,7 +85,7 @@ def _numbers(values, what: str, dtype, key: str) -> np.ndarray:
     kind = numbers.Complex if dtype is complex else numbers.Real
     numeric = isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
     try:
-        entries = np.asarray(values, dtype=object)
+        entries = values if numeric else np.asarray(values, dtype=object)
         if entries.ndim == 0 or entries.size == 0:
             raise ConfigurationError(
                 f"{what} must be a nonempty list, got {values!r}", key=key)
