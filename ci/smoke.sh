@@ -22,7 +22,10 @@
 # amplitude is built into a weight before the first solve, so a rejected
 # one stops the run at /t_values instead of inside the solve loop.  A
 # solve whose weight has a scalar "coeffs" must exit 2 and write no
-# solution.
+# solution.  A saved solution edited to "n": 4 must exit 2 at /solution
+# and write no CSV: solution files are checked by the run document's own
+# key table and constructors, and their errors point at the --solution
+# input first, then into the file.
 set -eo pipefail
 
 RUNNER_TEMP=${RUNNER_TEMP:-$(mktemp -d)}
@@ -66,3 +69,9 @@ code=0
 python -m todakit solve --weight '{"kind": "poly", "r": 2, "coeffs": 5}' --grid '{"mode": "cartesian", "n": 17, "rho_max": 0.9}' --out "$RUNNER_TEMP/scalar-coeffs.json" || code=$?
 test "$code" -eq 2
 test ! -e "$RUNNER_TEMP/scalar-coeffs.json"
+sed 's/"n": 33/"n": 4/' "$RUNNER_TEMP/sol-r4.json" > "$RUNNER_TEMP/sol-r4-n4.json"
+code=0
+python -m todakit thermo --solution "$RUNNER_TEMP/sol-r4-n4.json" --beta 1 --out "$RUNNER_TEMP/thermo-n4.csv" 2> "$RUNNER_TEMP/thermo-n4.err" || code=$?
+test "$code" -eq 2
+grep -q "config error at /solution: .* at /grid/n: " "$RUNNER_TEMP/thermo-n4.err"
+test ! -e "$RUNNER_TEMP/thermo-n4.csv"

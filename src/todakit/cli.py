@@ -4,12 +4,15 @@ Subcommands: solve, thermo, model, sweep, verify, plot.  Configuration
 comes from flags or a JSON config file (flags win).  A command builds its
 solver inputs once, before the first solve: the weight, grid and
 SolverConfig, the weight of every sweep amplitude and every beta.  Sweep
-workers receive these built objects, not documents; the constructors
-check the values they build and the table `_KEYS` every other key.  Exit
-codes: 0 on success, 1 on failed verification or runtime errors, 2 on a
-missing input file or a rejected value (the offending JSON pointer is
-printed), 3 when the solver fails to converge (the residual history is
-written next to the resolved output path).
+workers receive these built objects, not documents.  Every JSON input (a
+config file, --weight and --grid, a --solution file) is read and checked
+in `io`: the constructors check the values they build and the key table
+`io._KEYS` every other key.  Exit codes: 0 on success, 1 on failed
+verification or runtime errors, 2 on a missing input file or a rejected
+value (the offending JSON pointer is printed; for a --solution file,
+/solution and the pointer into the file), 3 when the solver fails to
+converge (the residual history is written next to the resolved output
+path).
 """
 
 from __future__ import annotations
@@ -18,63 +21,24 @@ import argparse
 import functools
 import json
 import logging
-import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .errors import (ConfigurationError, ConvergenceError, SchemaError,
-                     TodaKitError)
-from .grid import build_grid, is_number
-from .io import (dumps_json, format_float, load_solution, save_solution,
-                 write_csv, write_json)
+from .errors import ConvergenceError, SchemaError, TodaKitError
+from .grid import build_grid
+from .io import (REFERENCES, SUITES, _KEYS, _built, _checked, _json_object,
+                 _require_file, dumps_json, format_float, load_solution,
+                 save_solution, write_csv, write_json)
 from .plot import plot_csv
-from .thermo import REFERENCES, thermo_field, write_thermo_csv
+from .thermo import thermo_field, write_thermo_csv
 from .toda import BOUNDARY_STRATEGIES, SolverConfig, solve_toda
-from .verify import SUITES, render_table, reports_to_dict, run_suite, suite_passed
+from .verify import render_table, reports_to_dict, run_suite, suite_passed
 from .weight import _check_beta, model_constants, weight_from_dict
 
 log = logging.getLogger(__name__)
-
-
-def _text(value) -> bool:
-    return isinstance(value, str) and value != ""
-
-
-def _integer(low):
-    return lambda value: is_number(value, numbers.Integral) and value >= low
-
-
-def _number_list(value) -> bool:
-    return (isinstance(value, list) and len(value) > 0
-            and all(map(is_number, value)))
-
-
-# What each run-document key must be, checked before any solve.  The
-# constructors check the rest: weight_from_dict the weight, build_grid and
-# SolverConfig the values in the grid and solver objects, make_weight each
-# amplitude in t_values and _check_beta each beta.
-_KEYS = {
-    "grid": ("an object with keys mode, n and rho_max",
-             lambda value: isinstance(value, dict)
-             and value.keys() == {"mode", "n", "rho_max"}),
-    "solver": ("an object with keys among tolerance, max_iterations and "
-               "boundary",
-               lambda value: isinstance(value, dict) and value.keys()
-               <= {"tolerance", "max_iterations", "boundary"}),
-    "beta": ("a nonempty list of numbers", _number_list),
-    "t_values": ("a nonempty list of numbers", _number_list),
-    "reference": (f"one of {REFERENCES}", REFERENCES.__contains__),
-    "suite": (f"one of {SUITES}", SUITES.__contains__),
-    "out": ("a nonempty string", _text),
-    "solution": ("a nonempty string", _text),
-    "column": ("a nonempty string", _text),
-    "jobs": ("an integer >= 1", _integer(1)),
-    "seed": ("an integer >= 0", _integer(0)),
-    "r": ("an integer >= 2", _integer(2)),
-}
 
 
 def _setup_logging() -> None:
@@ -90,35 +54,10 @@ def _setup_logging() -> None:
         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _json_object(source: str, what: str, pointer: str,
-                 inline: bool = False) -> dict:
-    """The JSON object in the file `source`, or in the text `source` itself
-    when `inline`; a missing file, invalid JSON or any other JSON value is
-    a SchemaError at `pointer`."""
-    text = source
-    if not inline:
-        _require_file(source, pointer)
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{what}: invalid JSON ({exc})",
-                          pointer=pointer) from exc
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{what}: expected a JSON object", pointer=pointer)
-    return doc
-
-
-def _json_arg(raw: str, what: str) -> dict:
+def _json_arg(raw: str, key: str) -> dict:
     """Inline JSON (starts with '{') or the path of a JSON file."""
     text = raw.strip()
-    return _json_object(text, what, f"/{what}", inline=text.startswith("{"))
-
-
-def _require_file(path: str, pointer: str) -> None:
-    if not os.path.exists(path):
-        raise SchemaError(f"no such file {path!r}", pointer=pointer)
+    return _json_object(text, f"/{key}", inline=text.startswith("{"))
 
 
 def _floats(raw: str, what: str) -> list:
@@ -137,30 +76,17 @@ def _assemble(args, keys, out: str | None = None) -> dict:
     history next to it."""
     doc: dict = {}
     if getattr(args, "config", None):
-        base = _json_object(args.config, "config file", "/config")
+        base = _json_object(args.config, "/config")
         doc.update({k: v for k, v in base.items() if k in keys})
     for key in keys:
         val = getattr(args, key, None)
         if val is not None:
             doc[key] = val
-    for key, (what, ok) in _KEYS.items():
-        if key in doc and not ok(doc[key]):
-            raise SchemaError(f"{key} must be {what}, got {doc[key]!r}",
-                              pointer=f"/{key}")
+    _checked(doc, _KEYS)
     if "solver" in keys and getattr(args, "boundary", None):
         doc["solver"] = {**doc.get("solver", {}), "boundary": args.boundary}
     args.out = doc.get("out", out)
     return doc
-
-
-def _built(key: str, make, *args, **kwargs):
-    """make(*args, **kwargs); a value it rejects is a SchemaError at /key,
-    or at /key/member when the error names a member of the object."""
-    try:
-        return make(*args, **kwargs)
-    except ConfigurationError as exc:
-        member = f"/{exc.key}" if exc.key else ""
-        raise SchemaError(str(exc), pointer=f"/{key}{member}") from exc
 
 
 def _inputs(doc: dict, command: str, *required: str,
@@ -202,16 +128,24 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _stored(path: str):
+    """The solution in the file `path`; what the file holds wrong is a
+    SchemaError at /solution that names the file and its pointer there."""
+    try:
+        return load_solution(path)
+    except SchemaError as exc:
+        raise SchemaError(f"solution file {path!r} at {exc.pointer or '/'}: "
+                          f"{exc}", pointer="/solution") from exc
+
+
 def cmd_thermo(args) -> int:
     doc = _assemble(args, ("weight", "grid", "solver", "beta", "reference",
                            "solution", "out"), out="thermo.csv")
     stored = "solution" in doc
     weight, grid, cfg, (beta,) = _inputs(
         doc, "thermo", *(() if stored else ("weight", "grid")), one_beta=True)
-    if stored:
-        _require_file(doc["solution"], "/solution")
     reference = doc.get("reference", "flat")
-    sol = (load_solution(doc["solution"]) if stored
+    sol = (_stored(doc["solution"]) if stored
            else solve_toda(weight, grid, cfg))
     tf = thermo_field(sol, beta, reference)
     out = args.out
@@ -252,11 +186,9 @@ def cmd_sweep(args) -> int:
                            "reference", "out", "jobs"), out="sweep.csv")
     _, grid, cfg, betas = _inputs(doc, "sweep", "weight", "grid", "t_values")
     reference = doc.get("reference", "flat")
-    try:  # the weight is built above, so only an amplitude can fail here
-        weights = [weight_from_dict({**doc["weight"], "t": t})
-                   for t in sorted(set(doc["t_values"]))]
-    except ConfigurationError as exc:
-        raise SchemaError(str(exc), pointer="/t_values") from exc
+    # the weight is built above and _KEYS took each amplitude
+    weights = [weight_from_dict({**doc["weight"], "t": t})
+               for t in sorted(set(doc["t_values"]))]
     point = functools.partial(_sweep_point, grid=grid, cfg=cfg, betas=betas,
                               reference=reference)
     jobs = doc.get("jobs") or os.cpu_count() or 1

@@ -18,6 +18,7 @@ nodes, which the Toda solver and `verify` apply.
 
 from __future__ import annotations
 
+import cmath
 import logging
 import numbers
 from dataclasses import dataclass
@@ -82,9 +83,15 @@ def make_field(grid: Grid, values) -> Field:
 
 
 def is_number(value, kind=numbers.Real) -> bool:
-    """Whether `value` is a number of `kind`, numpy scalars included; not a
-    bool (JSON true/false, a subclass of int) nor a str such as "0.9"."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """Whether `value` is a finite number of `kind` that a float (a complex
+    for kind Complex) holds, numpy scalars included; not a bool (JSON
+    true/false, a subclass of int), a str such as "0.9", nan, inf or an
+    integer too large for a float."""
+    try:
+        return (isinstance(value, kind) and not isinstance(value, bool)
+                and cmath.isfinite(value))
+    except OverflowError:
+        return False
 
 
 def build_grid(mode: str, n: int, rho_max: float) -> Grid:
@@ -95,7 +102,7 @@ def build_grid(mode: str, n: int, rho_max: float) -> Grid:
         raise ConfigurationError(f"n must be an integer, got {n!r}", key="n")
     if n < 8:
         raise ConfigurationError(f"n must be at least 8, got {n}", key="n")
-    if not (is_number(rho_max) and np.isfinite(rho_max) and rho_max > 0.0):
+    if not (is_number(rho_max) and rho_max > 0.0):
         raise ConfigurationError(
             f"rho_max must be positive and finite, got {rho_max!r}",
             key="rho_max")

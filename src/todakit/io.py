@@ -1,8 +1,13 @@
-"""Deterministic serialization for solutions and derived tables.
+"""Deterministic serialization for solutions and derived tables, and the
+one reader and checker of the package's two JSON documents.
 
 All floats are written with 17 significant digits so that a save/load
 round trip reproduces every array bit for bit and reruns of the same
 computation yield byte-identical artifacts.
+
+`_json_object` reads every JSON input, a run's config and JSON flags and
+a solution file; one key table per document (`_KEYS`, `_SOLUTION_KEYS`)
+checks its keys and `_built` points a constructor's error at /key/member.
 
 CSV tables are written in blocks of FLOAT_BLOCK_ROWS rows, and each block
 formats its distinct values once: thermo tables repeat many values (a
@@ -15,12 +20,14 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
+import reprlib
 from typing import Any
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .errors import ConfigurationError, SchemaError, ValidationError
 from .grid import build_grid, is_number, make_field
 from .toda import (BOUNDARY_STRATEGIES, TodaSolution, compute_v0,
                    toda_residual)
@@ -36,6 +43,11 @@ RELOAD_RESIDUAL_TOL = 1e-12
 #: rows formatted per block by `write_float_rows`; bounds the Python floats
 #: and text held at once while a large table is written
 FLOAT_BLOCK_ROWS = 4096
+
+#: what a run document's `reference` (thermo) and `suite` (verify) may be;
+#: defined here for `_KEYS`, since thermo imports this module
+REFERENCES = ("flat", "poincare")
+SUITES = ("core", "smoke")
 
 
 def format_float(x: float) -> str:
@@ -196,17 +208,108 @@ def save_solution(path: str, sol: TodaSolution) -> None:
     write_json(path, solution_to_dict(sol))
 
 
-def _pointer_get(doc: dict, key: str, pointer: str, typ=None):
-    if key not in doc:
-        raise SchemaError(f"missing key {key!r}", pointer=pointer)
-    val = doc[key]
-    # JSON true/false load as bool, a subclass of int: never a number here
-    if typ is not None and (not isinstance(val, typ)
-                            or (isinstance(val, bool) and typ is not bool)):
-        raise SchemaError(
-            f"expected {getattr(typ, '__name__', typ)} at {key!r}, "
-            f"got {type(val).__name__}", pointer=pointer)
-    return val
+def _text(value) -> bool:
+    return isinstance(value, str) and value != ""
+
+
+def _integer(low):
+    return lambda value: is_number(value, numbers.Integral) and value >= low
+
+
+def _number_list(value) -> bool:
+    return (isinstance(value, list) and len(value) > 0
+            and all(map(is_number, value)))
+
+
+# What each run-document key must be, checked before any solve.  The
+# constructors check the rest: weight_from_dict the weight (and, once it
+# builds, each t_values amplitude), build_grid and SolverConfig the values
+# in the grid and solver objects and _check_beta each beta.
+_KEYS = {
+    "grid": ("an object with keys mode, n and rho_max",
+             lambda value: isinstance(value, dict)
+             and value.keys() == {"mode", "n", "rho_max"}),
+    "solver": ("an object with keys among tolerance, max_iterations and "
+               "boundary",
+               lambda value: isinstance(value, dict) and value.keys()
+               <= {"tolerance", "max_iterations", "boundary"}),
+    "beta": ("a nonempty list of finite numbers", _number_list),
+    "t_values": ("a nonempty list of positive finite numbers",
+                 lambda value: _number_list(value) and min(value) > 0),
+    "reference": (f"one of {REFERENCES}", REFERENCES.__contains__),
+    "suite": (f"one of {SUITES}", SUITES.__contains__),
+    "out": ("a nonempty string", _text),
+    "solution": ("a nonempty string", _text),
+    "column": ("a nonempty string", _text),
+    "jobs": ("an integer >= 1", _integer(1)),
+    "seed": ("an integer >= 0", _integer(0)),
+    "r": ("an integer >= 2", _integer(2)),
+}
+
+# What each solution-document key must be; every key but exhaustion_drifts
+# is required.  build_grid and weight_from_dict check the values in the
+# grid and weight objects, solution_from_dict the fields.
+_SOLUTION_KEYS = {
+    "schema": (repr(SOLUTION_SCHEMA), lambda value: value == SOLUTION_SCHEMA),
+    "r": _KEYS["r"],
+    "grid": _KEYS["grid"],
+    "weight": ("an object", lambda value: isinstance(value, dict)),
+    "boundary_strategy": (f"one of {BOUNDARY_STRATEGIES}",
+                          BOUNDARY_STRATEGIES.__contains__),
+    "residual_sup": ("a finite number", is_number),
+    "iterations": ("an integer >= 0", _integer(0)),
+    "fields": ("an object with lists w and v0",
+               lambda value: isinstance(value, dict)
+               and value.keys() == {"w", "v0"}
+               and all(isinstance(vals, list) for vals in value.values())),
+    "exhaustion_drifts": ("a list of finite numbers",
+                          lambda value: isinstance(value, list)
+                          and all(map(is_number, value))),
+}
+
+
+def _checked(doc: dict, table: dict) -> dict:
+    """`doc`, once each key of `table` that it holds is what the table
+    says; the first that is not is a SchemaError at /key."""
+    for key, (what, ok) in table.items():
+        if key in doc and not ok(doc[key]):
+            raise SchemaError(
+                f"{key} must be {what}, got {reprlib.repr(doc[key])}",
+                pointer=f"/{key}")
+    return doc
+
+
+def _built(key: str, make, *args, **kwargs):
+    """make(*args, **kwargs); a value it rejects is a SchemaError at /key,
+    or at /key/member when the error names a member of the object."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigurationError as exc:
+        member = f"/{exc.key}" if exc.key else ""
+        raise SchemaError(str(exc), pointer=f"/{key}{member}") from exc
+
+
+def _require_file(path: str, pointer: str) -> None:
+    if not os.path.exists(path):
+        raise SchemaError(f"no such file {path!r}", pointer=pointer)
+
+
+def _json_object(source: str, pointer: str = "", inline: bool = False) -> dict:
+    """The JSON object in the file `source`, or in the text `source` itself
+    when `inline`; a missing file, invalid JSON or any other JSON value is
+    a SchemaError at `pointer`."""
+    text = source
+    if not inline:
+        _require_file(source, pointer)
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON ({exc})", pointer=pointer) from exc
+    if not isinstance(doc, dict):
+        raise SchemaError("expected a JSON object", pointer=pointer)
+    return doc
 
 
 def solution_from_dict(doc: dict) -> TodaSolution:
@@ -217,32 +320,19 @@ def solution_from_dict(doc: dict) -> TodaSolution:
     """
     if not isinstance(doc, dict):
         raise SchemaError("solution document must be an object", pointer="")
-    schema = _pointer_get(doc, "schema", "/schema", str)
-    if schema != SOLUTION_SCHEMA:
-        raise SchemaError(f"unsupported schema {schema!r}", pointer="/schema")
-    r = _pointer_get(doc, "r", "/r", int)
-    gdoc = _pointer_get(doc, "grid", "/grid", dict)
-    if sorted(gdoc) != ["mode", "n", "rho_max"]:
-        raise SchemaError("grid keys must be mode, n and rho_max, got "
-                          f"{sorted(gdoc)}", pointer="/grid")
-    try:
-        grid = build_grid(**gdoc)
-    except Exception as exc:
-        raise SchemaError(f"bad grid: {exc}", pointer="/grid") from exc
-    wdoc = _pointer_get(doc, "weight", "/weight", dict)
-    try:
-        weight = weight_from_dict(wdoc)
-    except Exception as exc:
-        raise SchemaError(f"bad weight: {exc}", pointer="/weight") from exc
+    for key in _SOLUTION_KEYS:
+        if key not in doc and key != "exhaustion_drifts":
+            raise SchemaError(f"missing key {key!r}", pointer=f"/{key}")
+    r = _checked(doc, _SOLUTION_KEYS)["r"]
+    grid = _built("grid", build_grid, **doc["grid"])
+    weight = _built("weight", weight_from_dict, doc["weight"])
     if weight.r != r:
         raise SchemaError(f"weight rank {weight.r} != solution rank {r}",
                           pointer="/weight/r")
-    fields = _pointer_get(doc, "fields", "/fields", dict)
-    wlists = _pointer_get(fields, "w", "/fields/w", list)
+    wlists, v0list = doc["fields"]["w"], doc["fields"]["v0"]
     if len(wlists) != r - 1:
         raise SchemaError(f"expected {r - 1} w components, got {len(wlists)}",
                           pointer="/fields/w")
-    v0list = _pointer_get(fields, "v0", "/fields/v0", list)
     for vals in (*wlists, v0list):
         # numpy would read "0.5" as 0.5 and true as 1; a set of the entry
         # types is built in C, fast enough for the fields of a large grid
@@ -255,34 +345,12 @@ def solution_from_dict(doc: dict) -> TodaSolution:
         v0 = make_field(grid, np.asarray(v0list, dtype=float))
     except Exception as exc:
         raise SchemaError(f"bad field data: {exc}", pointer="/fields") from exc
-    iterations = _pointer_get(doc, "iterations", "/iterations", int)
-    if iterations < 0:
-        raise SchemaError(f"iterations must be >= 0, got {iterations}",
-                          pointer="/iterations")
-    strategy = _pointer_get(doc, "boundary_strategy", "/boundary_strategy",
-                            str)
-    if strategy not in BOUNDARY_STRATEGIES:
-        raise SchemaError(
-            f"boundary_strategy must be one of {BOUNDARY_STRATEGIES}, "
-            f"got {strategy!r}", pointer="/boundary_strategy")
-    drifts = doc.get("exhaustion_drifts", [])
-    if not (isinstance(drifts, list)
-            and all(is_number(d) and math.isfinite(d) for d in drifts)):
-        raise SchemaError("exhaustion_drifts must be a list of finite numbers",
-                          pointer="/exhaustion_drifts")
     sol = TodaSolution(
-        grid=grid,
-        weight=weight,
-        r=r,
-        w=w,
-        v0=v0,
-        residual_sup=float(_pointer_get(doc, "residual_sup", "/residual_sup",
-                                        (int, float))),
-        iterations=int(iterations),
-        boundary_strategy=strategy,
-        residual_history=(),
-        exhaustion_drifts=tuple(drifts),
-    )
+        grid=grid, weight=weight, r=r, w=w, v0=v0,
+        residual_sup=float(doc["residual_sup"]),
+        iterations=int(doc["iterations"]),
+        boundary_strategy=doc["boundary_strategy"], residual_history=(),
+        exhaustion_drifts=tuple(doc.get("exhaustion_drifts", ())))
     qf = evaluate_density(weight, grid)
     expected_v0 = compute_v0(np.stack([f.values for f in w]), qf.values)
     drift = float(np.max(np.abs(expected_v0 - v0.values)))
@@ -300,11 +368,6 @@ def solution_from_dict(doc: dict) -> TodaSolution:
 
 
 def load_solution(path: str) -> TodaSolution:
-    if not os.path.exists(path):
-        raise ValidationError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}", pointer="") from exc
-    return solution_from_dict(doc)
+    """The solution stored in the file `path`; a missing file, invalid JSON
+    or a rejected value is a SchemaError at its pointer into the file."""
+    return solution_from_dict(_json_object(path))

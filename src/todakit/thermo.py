@@ -37,13 +37,11 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import Field, Grid
-from .io import format_float, write_csv
+from .io import REFERENCES, format_float, write_csv
 from .toda import TodaSolution, model_profile
 from .weight import _check_beta, _ensemble, _entropy_of, lambda_coefficients
 
 log = logging.getLogger(__name__)
-
-REFERENCES = ("flat", "poincare")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import Grid, build_grid, inner_mask, laplacian_operator, worst_node
+from .io import SUITES
 from .thermo import ThermoField, model_free_energy_field, thermo_field
 from .toda import (SolverConfig, TodaSolution, _System, energy_density,
                    model_log_densities, solve_toda)
@@ -486,9 +487,6 @@ def check_exhaustion(weight: WeightDensity, grid: Grid) -> CheckReport:
 
 # ---------------------------------------------------------------------------
 # suites
-
-
-SUITES = ("core", "smoke")
 
 
 def _suite_weights(r: int) -> list:

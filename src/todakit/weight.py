@@ -79,9 +79,9 @@ class WeightDensity:
 
 
 def _numbers(values, what: str, dtype, key: str) -> np.ndarray:
-    """`values`, a nonempty list, as a `dtype` array, every entry a number
-    unless `values` is a numeric array; numpy alone reads true as 1 and
-    "0.5" as 0.5."""
+    """`values`, a nonempty list, as a `dtype` array, every entry a finite
+    number unless `values` is a numeric array; numpy alone reads true as 1
+    and "0.5" as 0.5."""
     kind = numbers.Complex if dtype is complex else numbers.Real
     numeric = isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
     try:
@@ -94,8 +94,8 @@ def _numbers(values, what: str, dtype, key: str) -> np.ndarray:
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{what} are not numeric: {exc}",
                                  key=key) from None
-    raise ConfigurationError(f"{what} must be numbers, not bool or str",
-                             key=key)
+    raise ConfigurationError(
+        f"{what} must be finite numbers, not bool or str", key=key)
 
 
 def make_weight(kind: str, r: int, t: float = 1.0, coeffs=None, samples=None,
@@ -106,7 +106,7 @@ def make_weight(kind: str, r: int, t: float = 1.0, coeffs=None, samples=None,
     if not is_number(r, numbers.Integral) or r < 2:
         raise ConfigurationError(f"r must be an integer >= 2, got {r!r}",
                                  key="r")
-    if not (is_number(t) and math.isfinite(t) and t > 0.0):
+    if not (is_number(t) and t > 0.0):
         raise ConfigurationError(f"t must be positive and finite, got {t!r}",
                                  key="t")
     t = float(t)
@@ -130,7 +130,7 @@ def make_weight(kind: str, r: int, t: float = 1.0, coeffs=None, samples=None,
         carr = carr.copy()
         carr.setflags(write=False)
     elif kind == "constant":
-        if not (is_number(value) and math.isfinite(value) and value >= 0.0):
+        if not (is_number(value) and value >= 0.0):
             raise ConfigurationError(
                 f"constant weight needs a value >= 0, got {value!r}",
                 key="value")
@@ -333,7 +333,7 @@ def model_constants(r: int, beta: float) -> ModelConstants:
 
 
 def _check_beta(beta: float) -> float:
-    if not (is_number(beta) and math.isfinite(beta) and beta != 0.0):
+    if not (is_number(beta) and beta != 0.0):
         raise ConfigurationError(
             f"beta must be a finite nonzero number, got {beta!r}")
     return float(beta)

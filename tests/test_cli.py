@@ -342,6 +342,13 @@ def _grid(**fields):
     (SWEEP + ({"t_values": ["1"]},), "/t_values"),
     (SWEEP + ({"t_values": [[1]]},), "/t_values"),
     (("thermo", "--solution", "missing.json"), "/solution"),
+    # integers too large for a float
+    (("solve", "--weight", '{"kind": "constant", "r": 2, "value": 1%s}'
+      % ("0" * 400), "--grid", GRID), "/weight/value"),
+    (("solve", "--weight", WEIGHT, "--grid", _grid(rho_max=10 ** 400)),
+     "/grid/rho_max"),
+    (("thermo", "--weight", WEIGHT, "--grid", GRID, {"beta": [10 ** 400]}),
+     "/beta"),
 ])
 def test_rejected_input_exits_two_before_any_solve(tmp_path, capsys,
                                                    monkeypatch, argv,
@@ -364,6 +371,29 @@ def test_rejected_input_exits_two_before_any_solve(tmp_path, capsys,
     assert run_cli(*flags) == 2
     assert f"config error at {pointer}: " in capsys.readouterr().err
     assert calls == [] and sorted(tmp_path.iterdir()) == before
+
+
+def test_corrupt_solution_file_exits_two_at_solution(tmp_path, capsys):
+    # a solution file's errors point at /solution, then into the file
+    good = tmp_path / "sol.json"
+    assert run_cli("solve", "--weight", WEIGHT, "--grid", GRID,
+                   "--out", str(good)) == 0
+    base = json.loads(good.read_text())
+    for edit, pointer in (({"grid": {**base["grid"], "n": 4}}, "/grid/n"),
+                          ({"weight": {**base["weight"], "r": True}},
+                           "/weight/r"),
+                          ({"fields": {"w": base["fields"]["w"]}},
+                           "/fields")):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**base, **edit}))
+        out = tmp_path / "thermo.csv"
+        capsys.readouterr()
+        assert run_cli("thermo", "--solution", str(bad),
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error at /solution: solution file "
+                              f"{str(bad)!r} at {pointer}: "), err
+        assert not out.exists()
 
 
 def test_verify_smoke_suite(tmp_path, capsys):

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from todakit.errors import SchemaError, ValidationError
 from todakit.grid import build_grid
-from todakit.io import (FLOAT_BLOCK_ROWS, dumps_json, format_float,
-                        format_floats, load_solution, save_solution,
-                        solution_from_dict, solution_to_dict,
+from todakit.io import (FLOAT_BLOCK_ROWS, _SOLUTION_KEYS, dumps_json,
+                        format_float, format_floats, load_solution,
+                        save_solution, solution_from_dict, solution_to_dict,
                         write_float_rows, write_json)
 from todakit.toda import SolverConfig, solve_toda
 from todakit.weight import make_weight
@@ -187,76 +187,73 @@ def test_load_rejects_tampered_residual(solved, tmp_path):
 
 def test_load_rejects_schema_mismatches(solved):
     base = solution_to_dict(solved)
+    grid, weight, fields = base["grid"], base["weight"], base["fields"]
+    # (key, rejected value, pointer), at least one per key of the table; a
+    # number stored as a str, a bool, a non-integer n or an integer too
+    # large for a float is not coerced, and an unknown grid or weight key
+    # is not ignored
+    cases = [
+        ("schema", "toda-solution/99", "/schema"),
+        ("r", True, "/r"),
+        ("r", 1, "/r"),
+        ("grid", {"mode": "cartesian", "n": 4, "rho_max": 0.9}, "/grid/n"),
+        ("grid", {**grid, "n": "17"}, "/grid/n"),
+        ("grid", {**grid, "n": 17.9}, "/grid/n"),
+        ("grid", {**grid, "zap": 1}, "/grid"),
+        ("grid", {**grid, "rho_max": "0.9"}, "/grid/rho_max"),
+        ("grid", {**grid, "rho_max": True}, "/grid/rho_max"),
+        ("grid", {**grid, "rho_max": 10 ** 400}, "/grid/rho_max"),
+        ("weight", {**weight, "r": 5}, "/weight/r"),
+        ("weight", {**weight, "r": True}, "/weight/r"),
+        ("weight", {**weight, "t": True}, "/weight/t"),
+        ("weight", {**weight, "t": "1"}, "/weight/t"),
+        ("weight", {**weight, "coeffs": [[False, False], [True, False]]},
+         "/weight/coeffs"),
+        ("weight", {**weight, "coeffs": [[0, 0], ["1", 0]]},
+         "/weight/coeffs"),
+        ("weight", {**weight, "zap": 1}, "/weight"),
+        ("weight", [], "/weight"),
+        ("boundary_strategy", "bogus", "/boundary_strategy"),
+        ("residual_sup", True, "/residual_sup"),
+        ("residual_sup", 10 ** 400, "/residual_sup"),
+        ("iterations", -5, "/iterations"),
+        ("iterations", True, "/iterations"),
+        ("fields", {**fields, "w": fields["w"][:1]}, "/fields/w"),
+        ("fields", {"w": fields["w"]}, "/fields"),
+        ("fields", {**fields, "w": 3}, "/fields"),
+        ("exhaustion_drifts", "abc", "/exhaustion_drifts"),
+        ("exhaustion_drifts", [0.1, "inf"], "/exhaustion_drifts"),
+        ("exhaustion_drifts", [True], "/exhaustion_drifts"),
+    ]
+    assert {key for key, _, _ in cases} == set(_SOLUTION_KEYS)
+    for key, bad, pointer in cases:
+        with pytest.raises(SchemaError) as err:
+            solution_from_dict({**base, key: bad})
+        assert err.value.pointer == pointer, (key, bad)
 
-    doc = dict(base)
-    doc["schema"] = "toda-solution/99"
-    with pytest.raises(SchemaError) as err:
-        solution_from_dict(doc)
-    assert err.value.pointer == "/schema"
-
-    doc = dict(base)
-    doc.pop("fields")
-    with pytest.raises(SchemaError) as err:
-        solution_from_dict(doc)
-    assert err.value.pointer == "/fields"
-
-    doc = dict(base)
-    doc["fields"] = {**base["fields"], "w": base["fields"]["w"][:1]}
-    with pytest.raises(SchemaError) as err:
-        solution_from_dict(doc)
-    assert err.value.pointer == "/fields/w"
-
-    doc = dict(base)
-    doc["weight"] = {**base["weight"], "r": 5}
-    with pytest.raises(SchemaError) as err:
-        solution_from_dict(doc)
-    assert err.value.pointer == "/weight/r"
-
-    doc = dict(base)
-    doc["grid"] = {"mode": "cartesian", "n": 4, "rho_max": 0.9}
-    with pytest.raises(SchemaError) as err:
-        solution_from_dict(doc)
-    assert err.value.pointer == "/grid"
-
-    # a number stored as a str, a bool or a non-integer n is not coerced,
-    # and an unknown grid or weight key is not ignored
-    for section, key, bad in (("grid", "n", "17"), ("grid", "n", 17.9),
-                              ("grid", "zap", 1),
-                              ("grid", "rho_max", "0.9"),
-                              ("grid", "rho_max", True),
-                              ("weight", "t", True), ("weight", "t", "1"),
-                              ("weight", "coeffs", [[False, False],
-                                                    [True, False]]),
-                              ("weight", "coeffs", [[0, 0], ["1", 0]]),
-                              ("weight", "zap", 1)):
-        doc = {**base, section: {**base[section], key: bad}}
+    # every key but exhaustion_drifts is required
+    for key in _SOLUTION_KEYS:
+        doc = {k: v for k, v in base.items() if k != key}
+        if key == "exhaustion_drifts":
+            assert solution_from_dict(doc).exhaustion_drifts == ()
+            continue
         with pytest.raises(SchemaError) as err:
             solution_from_dict(doc)
-        assert err.value.pointer == "/" + section
+        assert err.value.pointer == "/" + key
 
     # nor is a field entry stored as a str or a bool, even one numpy reads
     # as the stored value: the 17-digit string of w_1 at the centre, and
     # false for the zero at the corner node, which lies outside the disc
-    w1 = base["fields"]["w"][0]
+    w1 = fields["w"][0]
     centre = len(w1) // 2
     assert w1[0] == 0.0
     for node, bad in ((centre, format(w1[centre], ".17g")), (0, False)):
-        w = [list(vals) for vals in base["fields"]["w"]]
+        w = [list(vals) for vals in fields["w"]]
         w[0][node] = bad
-        doc = {**base, "fields": {**base["fields"], "w": w}}
+        doc = {**base, "fields": {**fields, "w": w}}
         with pytest.raises(SchemaError) as err:
             solution_from_dict(doc)
         assert err.value.pointer == "/fields"
-
-    for key, bad in (("boundary_strategy", "bogus"), ("iterations", -5),
-                     ("exhaustion_drifts", "abc"),
-                     ("exhaustion_drifts", [0.1, "inf"]),
-                     ("exhaustion_drifts", [True]), ("iterations", True),
-                     ("residual_sup", True)):
-        doc = {**base, key: bad}
-        with pytest.raises(SchemaError) as err:
-            solution_from_dict(doc)
-        assert err.value.pointer == "/" + key
 
 
 def test_load_rejects_invalid_json(tmp_path):
@@ -264,7 +261,7 @@ def test_load_rejects_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(SchemaError):
         load_solution(str(path))
-    with pytest.raises(ValidationError):
+    with pytest.raises(SchemaError):
         load_solution(str(tmp_path / "absent.json"))
 
 
