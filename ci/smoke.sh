@@ -25,7 +25,10 @@
 # solution.  A saved solution edited to "n": 4 must exit 2 at /solution
 # and write no CSV: solution files are checked by the run document's own
 # key table and constructors, and their errors point at the --solution
-# input first, then into the file.
+# input first, then into the file.  A weight_flat solve of a zero weight
+# must exit 2 and write no solution: flat Dirichlet data needs Q > 0 on
+# the boundary ring, and an input found inadmissible mid-solve is an input
+# error like a rejected document value, not a runtime failure.
 set -eo pipefail
 
 RUNNER_TEMP=${RUNNER_TEMP:-$(mktemp -d)}
@@ -75,3 +78,8 @@ python -m todakit thermo --solution "$RUNNER_TEMP/sol-r4-n4.json" --beta 1 --out
 test "$code" -eq 2
 grep -q "config error at /solution: .* at /grid/n: " "$RUNNER_TEMP/thermo-n4.err"
 test ! -e "$RUNNER_TEMP/thermo-n4.csv"
+code=0
+python -m todakit solve --boundary weight_flat --weight '{"kind": "zero", "r": 2}' --grid '{"mode": "cartesian", "n": 17, "rho_max": 0.9}' --out "$RUNNER_TEMP/flat-zero.json" 2> "$RUNNER_TEMP/flat-zero.err" || code=$?
+test "$code" -eq 2
+grep -q "^config error at /: weight_flat needs Q > 0" "$RUNNER_TEMP/flat-zero.err"
+test ! -e "$RUNNER_TEMP/flat-zero.json"

@@ -1,16 +1,7 @@
 """Solver and ensemble analytics for cyclic Toda field equations on planar grids."""
 
-from .errors import (
-    ConfigurationError,
-    ConvergenceError,
-    DomainError,
-    InternalError,
-    SchemaError,
-    ShapeError,
-    StrategyError,
-    TodaKitError,
-    ValidationError,
-)
+from .errors import (ConfigurationError, ConvergenceError, InternalError,
+                     TodaKitError, ValidationError)
 from .grid import Field, Grid, build_grid, inner_mask
 from .toda import (
     SolverConfig,

@@ -7,17 +7,19 @@ SolverConfig, the weight of every sweep amplitude and every beta.  Sweep
 workers receive these built objects, not documents.  Every JSON input (a
 config file, --weight and --grid, a --solution file) is read and checked
 in `io`: the constructors check the values they build and the key table
-`io._KEYS` every other key.  Exit codes: 0 on success, 1 on failed
-verification or runtime errors, 2 on a missing input file or a rejected
-value (the offending JSON pointer is printed; for a --solution file,
-/solution and the pointer into the file), 3 when the solver fails to
-converge (the residual history is written next to the resolved output
-path).
+`io._KEYS` every other key.  Exit codes: 0 on success; 1 when a verify
+check fails or on a ValidationError (non-finite numeric state, a
+malformed CSV file); 2 on every input error, a ConfigurationError, with
+its JSON pointer (for a --solution file, /solution and the pointer into
+the file), including one found mid-run, which may carry the pointer /;
+3 when the solver fails to converge (the residual history is written
+next to the resolved output path).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import logging
@@ -27,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .errors import ConvergenceError, SchemaError, TodaKitError
+from .errors import ConfigurationError, ConvergenceError, TodaKitError
 from .grid import build_grid
 from .io import (REFERENCES, SUITES, _KEYS, _built, _checked, _json_object,
                  _require_file, dumps_json, format_float, load_solution,
@@ -64,8 +66,8 @@ def _floats(raw: str, what: str) -> list:
     try:
         return [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
-        raise SchemaError(f"{what}: expected comma-separated numbers, "
-                          f"got {raw!r}", pointer=f"/{what}") from exc
+        raise ConfigurationError(f"{what}: expected comma-separated numbers, "
+                                 f"got {raw!r}", pointer=f"/{what}") from exc
 
 
 def _assemble(args, keys, out: str | None = None) -> dict:
@@ -93,15 +95,17 @@ def _inputs(doc: dict, command: str, *required: str,
             one_beta: bool = False) -> tuple:
     """(weight, grid, SolverConfig, betas) of a run document, built once,
     before any solve.  A missing `required` key, more than one beta when
-    `one_beta`, or a value a constructor rejects is a SchemaError at its
-    key.  An absent weight or grid is None; the betas default to [1.0]."""
+    `one_beta`, or a value a constructor rejects is a ConfigurationError
+    at its key.  An absent weight or grid is None; betas default to [1.0]."""
     for key in required:
         if key not in doc:
-            raise SchemaError(f"{command} requires {key!r} (flag --{key} "
-                              "or config file)", pointer=f"/{key}")
+            raise ConfigurationError(f"{command} requires {key!r} (flag "
+                                     f"--{key} or config file)",
+                                     pointer=f"/{key}")
     betas = [_built("beta", _check_beta, b) for b in doc.get("beta", [1.0])]
     if one_beta and len(betas) != 1:
-        raise SchemaError(f"{command} takes exactly one beta", pointer="/beta")
+        raise ConfigurationError(f"{command} takes exactly one beta",
+                                 pointer="/beta")
     weight = grid = None
     if "weight" in doc:
         weight = _built("weight", weight_from_dict, doc["weight"])
@@ -130,12 +134,14 @@ def cmd_solve(args) -> int:
 
 def _stored(path: str):
     """The solution in the file `path`; what the file holds wrong is a
-    SchemaError at /solution that names the file and its pointer there."""
+    ConfigurationError at /solution that names the file and its pointer
+    there."""
     try:
         return load_solution(path)
-    except SchemaError as exc:
-        raise SchemaError(f"solution file {path!r} at {exc.pointer or '/'}: "
-                          f"{exc}", pointer="/solution") from exc
+    except ConfigurationError as exc:
+        raise ConfigurationError(
+            f"solution file {path!r} at {exc.pointer or '/'}: {exc}",
+            pointer="/solution") from exc
 
 
 def cmd_thermo(args) -> int:
@@ -184,10 +190,11 @@ def _sweep_point(weight, grid, cfg, betas, reference) -> list:
 def cmd_sweep(args) -> int:
     doc = _assemble(args, ("weight", "grid", "solver", "beta", "t_values",
                            "reference", "out", "jobs"), out="sweep.csv")
-    _, grid, cfg, betas = _inputs(doc, "sweep", "weight", "grid", "t_values")
+    weight, grid, cfg, betas = _inputs(doc, "sweep", "weight", "grid",
+                                       "t_values")
     reference = doc.get("reference", "flat")
-    # the weight is built above and _KEYS took each amplitude
-    weights = [weight_from_dict({**doc["weight"], "t": t})
+    # _KEYS took each amplitude as a positive finite number
+    weights = [dataclasses.replace(weight, t=float(t))
                for t in sorted(set(doc["t_values"]))]
     point = functools.partial(_sweep_point, grid=grid, cfg=cfg, betas=betas,
                               reference=reference)
@@ -306,10 +313,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = None
     try:
-        # flag type-callables can raise SchemaError during parsing
+        # flag type-callables can raise ConfigurationError during parsing
         args = parser.parse_args(argv)
         return args.func(args)
-    except SchemaError as exc:
+    except ConfigurationError as exc:
         print(f"config error at {exc.pointer or '/'}: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

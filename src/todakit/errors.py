@@ -2,7 +2,10 @@
 
 Every error raised on a user-facing path names the offending parameter or
 carries the diagnostic payload (residual history, JSON pointer) the caller
-needs to act on the failure.
+needs to act on the failure.  Every rejected input is a ConfigurationError,
+whether a document check, a constructor or a solve, thermo field or plot
+finds it; the CLI exits 2 on it, 1 on the other errors and 3 on a
+ConvergenceError.
 """
 
 
@@ -11,28 +14,20 @@ class TodaKitError(Exception):
 
 
 class ConfigurationError(TodaKitError):
-    """A parameter value is outside its documented domain; `key` names the
-    parameter, as a document field, when a constructor rejects one."""
+    """An input is outside its documented domain.  `pointer` is the JSON
+    pointer of the offending value ("/n" from a constructor, "/grid/n"
+    once the document key is prefixed), "" when no single value is to
+    blame, as for most input errors found mid-run."""
 
-    def __init__(self, message, key=""):
+    def __init__(self, message, pointer=""):
         super().__init__(message)
-        self.key = key
-
-
-class ShapeError(TodaKitError):
-    """A field or sample array does not match the grid it claims to live on."""
-
-
-class DomainError(TodaKitError):
-    """An operation was asked to act on an empty or invalid node set."""
+        self.pointer = pointer
 
 
 class ValidationError(TodaKitError):
-    """Numerical state failed an internal sanity check (non-finite values)."""
-
-
-class StrategyError(TodaKitError):
-    """A boundary strategy cannot be applied to the given weight or grid."""
+    """Numerical state failed a sanity check (non-finite values), or a data
+    file is malformed (a bad CSV row, a repeated column, an unknown
+    layout).  The CLI exits 1."""
 
 
 class ConvergenceError(TodaKitError):
@@ -41,14 +36,6 @@ class ConvergenceError(TodaKitError):
     def __init__(self, message, residual_history=None):
         super().__init__(message)
         self.residual_history = list(residual_history or [])
-
-
-class SchemaError(TodaKitError):
-    """A JSON document violated its schema; carries a JSON pointer."""
-
-    def __init__(self, message, pointer=""):
-        super().__init__(message)
-        self.pointer = pointer
 
 
 class InternalError(TodaKitError):

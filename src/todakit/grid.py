@@ -26,11 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import ConfigurationError, DomainError, ShapeError, ValidationError
+from .errors import ConfigurationError, ValidationError
 
 log = logging.getLogger(__name__)
 
 MODES = ("cartesian", "radial")
+
+# The most nodes build_grid accepts: cartesian n = 1025, one refinement past
+# the largest grids in use (cartesian n = 513, radial n = 8193), so a grid's
+# arrays stay under 9 MB each and a huge n fails at /n, not in np.arange.
+MAX_NODES = 1025 * 1025
 
 
 @dataclass(frozen=True)
@@ -64,7 +69,7 @@ class Field:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.grid.nodes,):
-            raise ShapeError(
+            raise ConfigurationError(
                 f"field has shape {vals.shape}, grid {self.grid.key()} has "
                 f"{self.grid.nodes} nodes"
             )
@@ -97,15 +102,21 @@ def is_number(value, kind=numbers.Real) -> bool:
 def build_grid(mode: str, n: int, rho_max: float) -> Grid:
     if mode not in MODES:
         raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}",
-                                 key="mode")
+                                 pointer="/mode")
     if not is_number(n, numbers.Integral):
-        raise ConfigurationError(f"n must be an integer, got {n!r}", key="n")
+        raise ConfigurationError(f"n must be an integer, got {n!r}",
+                                 pointer="/n")
     if n < 8:
-        raise ConfigurationError(f"n must be at least 8, got {n}", key="n")
+        raise ConfigurationError(f"n must be at least 8, got {n}",
+                                 pointer="/n")
+    if (n * n if mode == "cartesian" else n) > MAX_NODES:
+        raise ConfigurationError(
+            f"n = {n} gives more than {MAX_NODES} {mode} grid nodes",
+            pointer="/n")
     if not (is_number(rho_max) and rho_max > 0.0):
         raise ConfigurationError(
             f"rho_max must be positive and finite, got {rho_max!r}",
-            key="rho_max")
+            pointer="/rho_max")
     rho_max = float(rho_max)
 
     if mode == "cartesian":
@@ -136,7 +147,7 @@ def build_grid(mode: str, n: int, rho_max: float) -> Grid:
 
 def check_same_grid(grid: Grid, field: Field) -> None:
     if field.grid.key() != grid.key():
-        raise ShapeError(
+        raise ConfigurationError(
             f"field lives on grid {field.grid.key()}, expected {grid.key()}"
         )
 
@@ -186,7 +197,7 @@ def inner_mask(grid: Grid, margin: float) -> np.ndarray:
         raise ConfigurationError(f"margin must be nonnegative, got {margin}")
     cut = grid.rho_max - margin
     if cut <= 0:
-        raise DomainError(f"margin {margin} swallows the whole domain")
+        raise ConfigurationError(f"margin {margin} swallows the whole domain")
     return grid.interior & (grid.r2 <= cut * cut)
 
 

@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ConfigurationError, SchemaError, ValidationError
+from .errors import ConfigurationError, ValidationError
 from .grid import build_grid, is_number, make_field
 from .toda import (BOUNDARY_STRATEGIES, TodaSolution, compute_v0,
                    toda_residual)
@@ -270,34 +270,35 @@ _SOLUTION_KEYS = {
 
 def _checked(doc: dict, table: dict) -> dict:
     """`doc`, once each key of `table` that it holds is what the table
-    says; the first that is not is a SchemaError at /key."""
+    says; the first that is not is a ConfigurationError at /key."""
     for key, (what, ok) in table.items():
         if key in doc and not ok(doc[key]):
-            raise SchemaError(
+            raise ConfigurationError(
                 f"{key} must be {what}, got {reprlib.repr(doc[key])}",
                 pointer=f"/{key}")
     return doc
 
 
 def _built(key: str, make, *args, **kwargs):
-    """make(*args, **kwargs); a value it rejects is a SchemaError at /key,
-    or at /key/member when the error names a member of the object."""
+    """make(*args, **kwargs); the pointer of a ConfigurationError it raises
+    gains the prefix /key, so a rejected member n of the grid is at
+    /grid/n and a rejected grid as a whole at /grid."""
     try:
         return make(*args, **kwargs)
     except ConfigurationError as exc:
-        member = f"/{exc.key}" if exc.key else ""
-        raise SchemaError(str(exc), pointer=f"/{key}{member}") from exc
+        exc.pointer = f"/{key}{exc.pointer}"
+        raise
 
 
 def _require_file(path: str, pointer: str) -> None:
     if not os.path.exists(path):
-        raise SchemaError(f"no such file {path!r}", pointer=pointer)
+        raise ConfigurationError(f"no such file {path!r}", pointer=pointer)
 
 
 def _json_object(source: str, pointer: str = "", inline: bool = False) -> dict:
     """The JSON object in the file `source`, or in the text `source` itself
     when `inline`; a missing file, invalid JSON or any other JSON value is
-    a SchemaError at `pointer`."""
+    a ConfigurationError at `pointer`."""
     text = source
     if not inline:
         _require_file(source, pointer)
@@ -306,9 +307,10 @@ def _json_object(source: str, pointer: str = "", inline: bool = False) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON ({exc})", pointer=pointer) from exc
+        raise ConfigurationError(f"invalid JSON ({exc})",
+                                 pointer=pointer) from exc
     if not isinstance(doc, dict):
-        raise SchemaError("expected a JSON object", pointer=pointer)
+        raise ConfigurationError("expected a JSON object", pointer=pointer)
     return doc
 
 
@@ -316,35 +318,40 @@ def solution_from_dict(doc: dict) -> TodaSolution:
     """Validate a solution document and rebuild the solution.
 
     The stored v0 and residual_sup are recomputed from the stored fields,
-    and a drift beyond RELOAD_RESIDUAL_TOL in either is a SchemaError.
+    and a drift beyond RELOAD_RESIDUAL_TOL in either is an input error.
     """
     if not isinstance(doc, dict):
-        raise SchemaError("solution document must be an object", pointer="")
+        raise ConfigurationError("solution document must be an object")
     for key in _SOLUTION_KEYS:
         if key not in doc and key != "exhaustion_drifts":
-            raise SchemaError(f"missing key {key!r}", pointer=f"/{key}")
+            raise ConfigurationError(f"missing key {key!r}",
+                                     pointer=f"/{key}")
     r = _checked(doc, _SOLUTION_KEYS)["r"]
     grid = _built("grid", build_grid, **doc["grid"])
     weight = _built("weight", weight_from_dict, doc["weight"])
     if weight.r != r:
-        raise SchemaError(f"weight rank {weight.r} != solution rank {r}",
-                          pointer="/weight/r")
+        raise ConfigurationError(
+            f"weight rank {weight.r} != solution rank {r}",
+            pointer="/weight/r")
     wlists, v0list = doc["fields"]["w"], doc["fields"]["v0"]
     if len(wlists) != r - 1:
-        raise SchemaError(f"expected {r - 1} w components, got {len(wlists)}",
-                          pointer="/fields/w")
+        raise ConfigurationError(
+            f"expected {r - 1} w components, got {len(wlists)}",
+            pointer="/fields/w")
     for vals in (*wlists, v0list):
         # numpy would read "0.5" as 0.5 and true as 1; a set of the entry
         # types is built in C, fast enough for the fields of a large grid
         if not (isinstance(vals, list) and set(map(type, vals)) <= {float, int}):
-            raise SchemaError("field entries must be numbers",
-                              pointer="/fields")
+            raise ConfigurationError("field entries must be numbers",
+                                     pointer="/fields")
     try:
         w = tuple(make_field(grid, np.asarray(vals, dtype=float))
                   for vals in wlists)
         v0 = make_field(grid, np.asarray(v0list, dtype=float))
-    except Exception as exc:
-        raise SchemaError(f"bad field data: {exc}", pointer="/fields") from exc
+    except (ConfigurationError, ValidationError, OverflowError) as exc:
+        # a wrong length, a NaN literal, or an int too large for a float
+        raise ConfigurationError(f"bad field data: {exc}",
+                                 pointer="/fields") from exc
     sol = TodaSolution(
         grid=grid, weight=weight, r=r, w=w, v0=v0,
         residual_sup=float(doc["residual_sup"]),
@@ -355,13 +362,13 @@ def solution_from_dict(doc: dict) -> TodaSolution:
     expected_v0 = compute_v0(np.stack([f.values for f in w]), qf.values)
     drift = float(np.max(np.abs(expected_v0 - v0.values)))
     if drift > RELOAD_RESIDUAL_TOL:
-        raise SchemaError(
+        raise ConfigurationError(
             f"stored v0 deviates from recomputation by {drift:.3e}",
             pointer="/fields/v0")
     res = toda_residual(sol.w, qf)
     sup = max(float(np.abs(f.values).max()) for f in res)
     if abs(sup - sol.residual_sup) > RELOAD_RESIDUAL_TOL:
-        raise SchemaError(
+        raise ConfigurationError(
             f"stored residual_sup {sol.residual_sup:.17g} disagrees with "
             f"recomputed {sup:.17g}", pointer="/residual_sup")
     return sol
@@ -369,5 +376,5 @@ def solution_from_dict(doc: dict) -> TodaSolution:
 
 def load_solution(path: str) -> TodaSolution:
     """The solution stored in the file `path`; a missing file, invalid JSON
-    or a rejected value is a SchemaError at its pointer into the file."""
+    or a rejected value is a ConfigurationError at its pointer there."""
     return solution_from_dict(_json_object(path))

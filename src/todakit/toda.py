@@ -75,12 +75,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, diags
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
-from .errors import (
-    ConfigurationError,
-    ConvergenceError,
-    StrategyError,
-    ValidationError,
-)
+from .errors import ConfigurationError, ConvergenceError, ValidationError
 from .grid import (Field, Grid, check_same_grid, is_number,
                    laplacian_operator)
 from .weight import WeightDensity, evaluate_density, lambda_coefficients
@@ -154,16 +149,16 @@ class SolverConfig:
         if self.boundary not in BOUNDARY_STRATEGIES:
             raise ConfigurationError(
                 f"boundary must be one of {BOUNDARY_STRATEGIES}, got {self.boundary!r}",
-                key="boundary")
+                pointer="/boundary")
         if not (is_number(self.tolerance) and 0.0 < self.tolerance < 1.0):
             raise ConfigurationError(
                 f"tolerance must be a number in (0, 1), got {self.tolerance!r}",
-                key="tolerance")
+                pointer="/tolerance")
         if not (is_number(self.max_iterations, numbers.Integral)
                 and self.max_iterations >= 1):
             raise ConfigurationError(
                 f"max_iterations must be an integer >= 1, got {self.max_iterations!r}",
-                key="max_iterations")
+                pointer="/max_iterations")
 
 
 @dataclass(frozen=True)
@@ -609,7 +604,7 @@ def solve_toda(weight: WeightDensity, grid: Grid,
     if cfg.boundary == "weight_flat":
         bad = int((q[_active_ring(stages[-1])] <= 0.0).sum())
         if bad:
-            raise StrategyError(
+            raise ConfigurationError(
                 f"weight_flat needs Q > 0 on the boundary ring; {bad} ring "
                 "nodes have Q = 0")
     m = stages[-1].m

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InternalError, ShapeError, ValidationError
+from .errors import ConfigurationError, InternalError, ValidationError
 from .grid import Field, Grid, is_number
 
 log = logging.getLogger(__name__)
@@ -78,43 +78,43 @@ class WeightDensity:
         return doc
 
 
-def _numbers(values, what: str, dtype, key: str) -> np.ndarray:
+def _numbers(values, what: str, dtype, pointer: str) -> np.ndarray:
     """`values`, a nonempty list, as a `dtype` array, every entry a finite
     number unless `values` is a numeric array; numpy alone reads true as 1
-    and "0.5" as 0.5."""
+    and "0.5" as 0.5; a rejected list is an error at `pointer`."""
     kind = numbers.Complex if dtype is complex else numbers.Real
     numeric = isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
     try:
         entries = values if numeric else np.asarray(values, dtype=object)
         if entries.ndim == 0 or entries.size == 0:
-            raise ConfigurationError(
-                f"{what} must be a nonempty list, got {values!r}", key=key)
+            raise ConfigurationError(f"{what} must be a nonempty list, "
+                                     f"got {values!r}", pointer=pointer)
         if numeric or all(is_number(v, kind) for v in entries.flat):
             return np.asarray(values, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{what} are not numeric: {exc}",
-                                 key=key) from None
+                                 pointer=pointer) from None
     raise ConfigurationError(
-        f"{what} must be finite numbers, not bool or str", key=key)
+        f"{what} must be finite numbers, not bool or str", pointer=pointer)
 
 
 def make_weight(kind: str, r: int, t: float = 1.0, coeffs=None, samples=None,
                 value=None) -> WeightDensity:
     if kind not in KINDS:
         raise ConfigurationError(f"kind must be one of {KINDS}, got {kind!r}",
-                                 key="kind")
+                                 pointer="/kind")
     if not is_number(r, numbers.Integral) or r < 2:
         raise ConfigurationError(f"r must be an integer >= 2, got {r!r}",
-                                 key="r")
+                                 pointer="/r")
     if not (is_number(t) and t > 0.0):
         raise ConfigurationError(f"t must be positive and finite, got {t!r}",
-                                 key="t")
+                                 pointer="/t")
     t = float(t)
 
     carr = sarr = None
     val = None
     if kind == "poly":
-        arr = _numbers(coeffs, "poly coeffs", complex, "coeffs")
+        arr = _numbers(coeffs, "poly coeffs", complex, "/coeffs")
         if arr.ndim == 2 and arr.shape[1] == 2:
             # JSON wire form: ascending-degree [re, im] pairs
             carr = arr[:, 0].real + 1j * arr[:, 1].real
@@ -123,26 +123,26 @@ def make_weight(kind: str, r: int, t: float = 1.0, coeffs=None, samples=None,
         else:
             raise ConfigurationError(
                 "poly coeffs must be complex scalars or [re, im] pairs",
-                key="coeffs")
+                pointer="/coeffs")
         if not np.all(np.isfinite(carr.view(float))):
             raise ConfigurationError("poly coeffs must be finite",
-                                     key="coeffs")
+                                     pointer="/coeffs")
         carr = carr.copy()
         carr.setflags(write=False)
     elif kind == "constant":
         if not (is_number(value) and value >= 0.0):
             raise ConfigurationError(
                 f"constant weight needs a value >= 0, got {value!r}",
-                key="value")
+                pointer="/value")
         val = float(value)
     elif kind in ("radial", "grid"):
-        sarr = _numbers(samples, f"{kind} samples", float, "samples")
+        sarr = _numbers(samples, f"{kind} samples", float, "/samples")
         least = 2 if kind == "radial" else 1
         if (sarr.ndim != 1 or len(sarr) < least
                 or not np.all(np.isfinite(sarr) & (sarr >= 0.0))):
             raise ConfigurationError(
                 f"{kind} samples must be a flat list of at least {least} "
-                "finite values >= 0", key="samples")
+                "finite values >= 0", pointer="/samples")
         sarr.setflags(write=False)
     return WeightDensity(kind=kind, r=int(r), t=t, coeffs=carr, samples=sarr, value=val)
 
@@ -164,7 +164,7 @@ def weight_from_dict(doc: dict) -> WeightDensity:
             and all(isinstance(c, list) and len(c) == 2 for c in coeffs)):
         raise ConfigurationError(
             f"coeffs must be a list of [re, im] pairs, got {coeffs!r}",
-            key="coeffs")
+            pointer="/coeffs")
     return make_weight(
         kind=doc.get("kind"),
         r=doc.get("r"),
@@ -202,7 +202,7 @@ def evaluate_density(weight: WeightDensity, grid: Grid) -> Field:
         q = t2 * np.interp(rho, lattice, weight.samples)
     else:  # grid samples
         if len(weight.samples) != grid.nodes:
-            raise ShapeError(
+            raise ConfigurationError(
                 f"grid weight has {len(weight.samples)} samples, "
                 f"grid {grid.key()} has {grid.nodes} nodes"
             )

@@ -349,6 +349,10 @@ def _grid(**fields):
      "/grid/rho_max"),
     (("thermo", "--weight", WEIGHT, "--grid", GRID, {"beta": [10 ** 400]}),
      "/beta"),
+    # grids with more nodes than build_grid accepts
+    (("solve", "--weight", WEIGHT, "--grid", _grid(mode="radial", n=10 ** 20)),
+     "/grid/n"),
+    (("solve", "--weight", WEIGHT, "--grid", _grid(n=1026)), "/grid/n"),
 ])
 def test_rejected_input_exits_two_before_any_solve(tmp_path, capsys,
                                                    monkeypatch, argv,
@@ -380,6 +384,8 @@ def test_corrupt_solution_file_exits_two_at_solution(tmp_path, capsys):
                    "--out", str(good)) == 0
     base = json.loads(good.read_text())
     for edit, pointer in (({"grid": {**base["grid"], "n": 4}}, "/grid/n"),
+                          ({"grid": {**base["grid"], "n": 10 ** 20}},
+                           "/grid/n"),
                           ({"weight": {**base["weight"], "r": True}},
                            "/weight/r"),
                           ({"fields": {"w": base["fields"]["w"]}},
@@ -394,6 +400,42 @@ def test_corrupt_solution_file_exits_two_at_solution(tmp_path, capsys):
         assert err.startswith(f"config error at /solution: solution file "
                               f"{str(bad)!r} at {pointer}: "), err
         assert not out.exists()
+
+
+SAMPLES3 = '{"kind": "grid", "r": 2, "samples": [1, 1, 1]}'
+
+
+# Inputs the solve, the thermo field or the plot finds inadmissible: each
+# is a ConfigurationError like a rejected document value, so it exits 2
+# and writes nothing.  `setup` writes the file the command reads.
+@pytest.mark.parametrize("setup, argv", [
+    ((), ("solve", "--weight", WEIGHT, "--grid", _grid(rho_max=1.5))),
+    ((), ("solve", "--weight", SAMPLES3, "--grid", GRID)),
+    # raised in a worker: the error pickles back across the process pool
+    ((), ("sweep", "--weight", SAMPLES3, "--grid", GRID,
+          "--t-values", "1,2", "--jobs", "2")),
+    ((), ("solve", "--weight",
+          '{"kind": "poly", "r": 2, "coeffs": [[1, 0], [1, 0]]}',
+          "--grid", _grid(mode="radial"))),
+    ((), ("solve", "--boundary", "weight_flat",
+          "--weight", '{"kind": "zero", "r": 2}', "--grid", GRID)),
+    (("thermo", "--weight", WEIGHT, "--grid", GRID, "--out", "t.csv"),
+     ("plot", "t.csv", "--column", "nope")),
+    (("solve", "--boundary", "weight_flat",
+      "--weight", '{"kind": "constant", "r": 2, "value": 1}',
+      "--grid", _grid(rho_max=2), "--out", "sol.json"),
+     ("thermo", "--solution", "sol.json", "--reference", "poincare")),
+])
+def test_input_error_found_mid_run_exits_two(tmp_path, capsys, monkeypatch,
+                                             setup, argv):
+    monkeypatch.chdir(tmp_path)
+    if setup:
+        assert run_cli(*setup) == 0
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith("config error at /")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_verify_smoke_suite(tmp_path, capsys):

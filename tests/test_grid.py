@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from todakit.errors import (ConfigurationError, DomainError, ShapeError,
-                            ValidationError)
-from todakit.grid import (Field, build_grid, check_same_grid, inner_mask,
-                          laplacian_operator, make_field, worst_node)
+from todakit.errors import ConfigurationError, ValidationError
+from todakit.grid import (MAX_NODES, Field, build_grid, check_same_grid,
+                          inner_mask, laplacian_operator, make_field,
+                          worst_node)
 
 
 def test_cartesian_layout():
@@ -52,6 +52,20 @@ def test_build_grid_rejects_bad_parameters():
             build_grid("cartesian", n, rho_max)
 
 
+def test_build_grid_bounds_the_node_count():
+    # the largest grids in use build; a larger n is rejected at /n before
+    # any array is allocated, even an n that np.arange cannot take
+    assert build_grid("cartesian", 513, 0.9).nodes == 513 * 513
+    assert build_grid("radial", 8193, 0.9).nodes == 8193
+    assert build_grid("cartesian", 1025, 0.9).nodes == MAX_NODES
+    assert build_grid("radial", MAX_NODES, 0.9).nodes == MAX_NODES
+    for mode, n in (("cartesian", 1026), ("cartesian", 10 ** 20),
+                    ("radial", MAX_NODES + 1), ("radial", 10 ** 20)):
+        with pytest.raises(ConfigurationError) as err:
+            build_grid(mode, n, 0.9)
+        assert err.value.pointer == "/n"
+
+
 def test_laplacian_quadratic_is_exact_cartesian():
     # 5-point stencil is exact on x^2 + y^2 (Lap = 4)
     g = build_grid("cartesian", 17, 1.0)
@@ -87,7 +101,7 @@ def test_field_is_write_locked():
 
 def test_make_field_validates():
     g = build_grid("cartesian", 9, 1.0)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigurationError):
         make_field(g, np.zeros(5))
     bad = np.zeros(g.nodes)
     bad[3] = np.nan
@@ -101,7 +115,7 @@ def test_inner_mask_shrinks_with_margin():
     m1 = inner_mask(g, 3 * g.h)
     assert m1.sum() < m0.sum()
     assert np.all(~m1 | m0)  # nested
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         inner_mask(g, 1.0)
 
 
@@ -117,7 +131,7 @@ def test_check_same_grid():
     g1 = build_grid("cartesian", 9, 1.0)
     g2 = build_grid("cartesian", 17, 1.0)
     f = make_field(g2, np.zeros(g2.nodes))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigurationError):
         check_same_grid(g1, f)
 
 

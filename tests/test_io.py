@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from todakit.errors import SchemaError, ValidationError
+from todakit.errors import ConfigurationError, ValidationError
 from todakit.grid import build_grid
 from todakit.io import (FLOAT_BLOCK_ROWS, _SOLUTION_KEYS, dumps_json,
                         format_float, format_floats, load_solution,
@@ -171,7 +171,7 @@ def test_load_rejects_tampered_field(solved, tmp_path):
     save_solution(str(path), solved)
     doc = json.loads(path.read_text())
     doc["fields"]["w"][0][40] += 1e-6
-    with pytest.raises(SchemaError) as err:
+    with pytest.raises(ConfigurationError) as err:
         solution_from_dict(doc)
     # the edited w breaks either the stored v0 or the stored residual
     assert err.value.pointer in ("/fields/v0", "/residual_sup")
@@ -180,7 +180,7 @@ def test_load_rejects_tampered_field(solved, tmp_path):
 def test_load_rejects_tampered_residual(solved, tmp_path):
     doc = solution_to_dict(solved)
     doc["residual_sup"] = 0.5
-    with pytest.raises(SchemaError) as err:
+    with pytest.raises(ConfigurationError) as err:
         solution_from_dict(doc)
     assert err.value.pointer == "/residual_sup"
 
@@ -199,6 +199,7 @@ def test_load_rejects_schema_mismatches(solved):
         ("grid", {"mode": "cartesian", "n": 4, "rho_max": 0.9}, "/grid/n"),
         ("grid", {**grid, "n": "17"}, "/grid/n"),
         ("grid", {**grid, "n": 17.9}, "/grid/n"),
+        ("grid", {**grid, "n": 10 ** 20}, "/grid/n"),
         ("grid", {**grid, "zap": 1}, "/grid"),
         ("grid", {**grid, "rho_max": "0.9"}, "/grid/rho_max"),
         ("grid", {**grid, "rho_max": True}, "/grid/rho_max"),
@@ -227,7 +228,7 @@ def test_load_rejects_schema_mismatches(solved):
     ]
     assert {key for key, _, _ in cases} == set(_SOLUTION_KEYS)
     for key, bad, pointer in cases:
-        with pytest.raises(SchemaError) as err:
+        with pytest.raises(ConfigurationError) as err:
             solution_from_dict({**base, key: bad})
         assert err.value.pointer == pointer, (key, bad)
 
@@ -237,21 +238,23 @@ def test_load_rejects_schema_mismatches(solved):
         if key == "exhaustion_drifts":
             assert solution_from_dict(doc).exhaustion_drifts == ()
             continue
-        with pytest.raises(SchemaError) as err:
+        with pytest.raises(ConfigurationError) as err:
             solution_from_dict(doc)
         assert err.value.pointer == "/" + key
 
     # nor is a field entry stored as a str or a bool, even one numpy reads
     # as the stored value: the 17-digit string of w_1 at the centre, and
-    # false for the zero at the corner node, which lies outside the disc
+    # false for the zero at the corner node, which lies outside the disc;
+    # an integer too large for a float fails at /fields too
     w1 = fields["w"][0]
     centre = len(w1) // 2
     assert w1[0] == 0.0
-    for node, bad in ((centre, format(w1[centre], ".17g")), (0, False)):
+    for node, bad in ((centre, format(w1[centre], ".17g")), (0, False),
+                      (centre, 10 ** 400)):
         w = [list(vals) for vals in fields["w"]]
         w[0][node] = bad
         doc = {**base, "fields": {**fields, "w": w}}
-        with pytest.raises(SchemaError) as err:
+        with pytest.raises(ConfigurationError) as err:
             solution_from_dict(doc)
         assert err.value.pointer == "/fields"
 
@@ -259,9 +262,9 @@ def test_load_rejects_schema_mismatches(solved):
 def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    with pytest.raises(SchemaError):
+    with pytest.raises(ConfigurationError):
         load_solution(str(path))
-    with pytest.raises(SchemaError):
+    with pytest.raises(ConfigurationError):
         load_solution(str(tmp_path / "absent.json"))
 
 

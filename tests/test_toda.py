@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from todakit.errors import (ConfigurationError, ConvergenceError,
-                            StrategyError, ValidationError)
+                            ValidationError)
 from todakit.grid import Field, build_grid, inner_mask, make_field
 from todakit.toda import (SolverConfig, compute_v0, energy_density,
                           model_log_densities, recover_diagonal_metric,
@@ -355,7 +355,7 @@ def test_weight_flat_boundary_needs_positive_ring():
     g = build_grid("cartesian", 17, 0.9)
     cfg = SolverConfig(boundary="weight_flat")
     weight = make_weight("grid", 2, samples=g.interior.astype(float))
-    with pytest.raises(StrategyError):
+    with pytest.raises(ConfigurationError):
         solve_toda(weight, g, cfg)
 
 
@@ -374,7 +374,7 @@ def test_weight_flat_ring_is_what_interior_stencils_read():
         samples[node] = 0.0
         weight = make_weight("grid", 2, samples=samples)
         if fails:
-            with pytest.raises(StrategyError):
+            with pytest.raises(ConfigurationError):
                 solve_toda(weight, g, cfg)
         else:
             sol = solve_toda(weight, g, cfg)

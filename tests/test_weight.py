@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import beta as beta_fn, digamma
 
-from todakit.errors import ConfigurationError, ShapeError
+from todakit.errors import ConfigurationError
 from todakit.grid import build_grid
 from todakit.weight import (KINDS, beta_integrals, evaluate_density,
                             lambda_coefficients, make_weight, model_constants,
@@ -255,7 +255,7 @@ def test_grid_samples_must_match_node_count():
     g = build_grid("cartesian", 9, 0.8)
     w = make_weight("grid", 2, samples=np.ones(g.nodes))
     assert np.all(evaluate_density(w, g).values == 1.0)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigurationError):
         evaluate_density(make_weight("grid", 2, samples=[1.0, 2.0]), g)
 
 
