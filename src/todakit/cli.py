@@ -11,7 +11,10 @@ in `io`: the constructors check the values they build and the key table
 check fails or on a ValidationError (non-finite numeric state, a
 malformed CSV file); 2 on every input error, a ConfigurationError, with
 its JSON pointer (for a --solution file, /solution and the pointer into
-the file), including one found mid-run, which may carry the pointer /;
+the file).  A weight, grid and boundary that no solve can take together
+are rejected before the first solve, at the value to blame; an input
+error found mid-run (a plot column the CSV lacks, a reference a stored
+grid cannot carry) may carry the pointer /;
 3 when the solver fails to converge (the residual history is written
 next to the resolved output path).
 """
@@ -36,7 +39,8 @@ from .io import (REFERENCES, SUITES, _KEYS, _built, _checked, _json_object,
                  save_solution, write_csv, write_json)
 from .plot import plot_csv
 from .thermo import thermo_field, write_thermo_csv
-from .toda import BOUNDARY_STRATEGIES, SolverConfig, solve_toda
+from .toda import (BOUNDARY_STRATEGIES, SolverConfig, check_solvable,
+                   solve_toda)
 from .verify import render_table, reports_to_dict, run_suite, suite_passed
 from .weight import _check_beta, model_constants, weight_from_dict
 
@@ -95,8 +99,10 @@ def _inputs(doc: dict, command: str, *required: str,
             one_beta: bool = False) -> tuple:
     """(weight, grid, SolverConfig, betas) of a run document, built once,
     before any solve.  A missing `required` key, more than one beta when
-    `one_beta`, or a value a constructor rejects is a ConfigurationError
-    at its key.  An absent weight or grid is None; betas default to [1.0]."""
+    `one_beta`, a value a constructor rejects, or a weight and grid that
+    `check_solvable` rejects for the solver's boundary is a
+    ConfigurationError at its key.  An absent weight or grid is None;
+    betas default to [1.0]."""
     for key in required:
         if key not in doc:
             raise ConfigurationError(f"{command} requires {key!r} (flag "
@@ -112,6 +118,8 @@ def _inputs(doc: dict, command: str, *required: str,
     if "grid" in doc:
         grid = _built("grid", build_grid, **doc["grid"])
     cfg = _built("solver", SolverConfig, **doc.get("solver", {}))
+    if weight is not None and grid is not None:
+        check_solvable(weight, grid, cfg.boundary)
     return weight, grid, cfg, betas
 
 

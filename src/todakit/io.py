@@ -358,7 +358,7 @@ def solution_from_dict(doc: dict) -> TodaSolution:
         iterations=int(doc["iterations"]),
         boundary_strategy=doc["boundary_strategy"], residual_history=(),
         exhaustion_drifts=tuple(doc.get("exhaustion_drifts", ())))
-    qf = evaluate_density(weight, grid)
+    qf = _built("weight", evaluate_density, weight, grid)
     expected_v0 = compute_v0(np.stack([f.values for f in w]), qf.values)
     drift = float(np.max(np.abs(expected_v0 - v0.values)))
     if drift > RELOAD_RESIDUAL_TOL:

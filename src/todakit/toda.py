@@ -47,11 +47,12 @@ its pointwise block is -e^u * C Lambda (C the A_{r-1} Cartan matrix,
 Lambda = diag(lambda_j)), whose eigenvalues are k(k+1), k = 1..r-1, so in
 the eigenbasis of C Lambda it is r-1 scalar Helmholtz operators
 (1/4) Lap - k(k+1) e^u.  The folded unknowns keep the mirror-symmetric
-modes only, the r//2 operators with k odd.  Each is solved by a sparse LU
-factor on radial grids (where it is tridiagonal) and on cartesian grids
-when it has at most _DIRECT_SIZE unknowns, and otherwise by one multigrid
-V-cycle (Galerkin coarse operators on the even-index nodes, damped Jacobi
-smoothing, the coarsest level LU-factored).
+modes only, the r//2 operators with k odd.  On radial grids each is
+tridiagonal and solved by a sparse LU factor.  On cartesian grids each is
+symmetric negative definite: a block with at most _DIRECT_SIZE unknowns is
+solved by a LAPACK banded Cholesky factor, and a larger one by one
+multigrid V-cycle (Galerkin coarse operators on the even-index nodes,
+damped Jacobi smoothing, the coarsest level Cholesky-factored).
 Each stage's Newton run builds the factors and hierarchies once, with e^u
 fitted to its first iterate, and applies them at every step.  Newton is
 inexact (Dembo, Eisenstat & Steihaug 1982): GMRES stops at the
@@ -72,6 +73,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import coo_matrix, diags
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
@@ -114,11 +116,21 @@ _GMRES_RESTART = 60
 # inexact step; scipy's default (ten times the unknowns) is no bound at all
 _GMRES_MAXITER = 10
 # Cartesian preconditioner blocks with at most this many unknowns are
-# LU-factored whole; larger ones are solved by one multigrid V-cycle whose
-# coarsest level is the first with at most this many unknowns.  Solves of
-# cartesian q = z with r = 2 and 4 cost the same either way at 4000-4900
-# unknowns (n = 73-81), and the cycle wins above.  Radial blocks are
-# tridiagonal, so their LU factor is exact and O(n) at every size.
+# factored whole by banded Cholesky; larger ones are solved by one
+# multigrid V-cycle whose coarsest level is the first with at most this
+# many unknowns.  Solves of cartesian q = z, rho_max = 0.9, whole factor /
+# one-level V-cycle, ms (median of 7, one BLAS thread, 2-vCPU x86-64 VM):
+#       n  unknowns      r = 2          r = 4
+#      57      2377    7.0 / 10.0    13.0 / 14.4
+#      65      3125    7.3 /  8.1    16.5 / 16.6
+#      69      3521    8.0 /  8.6    18.6 / 14.9
+#      73      3969    9.8 /  9.5    18.8 / 14.0
+#      77      4421   11.3 / 12.1    22.9 / 14.7
+#      81      4905   12.1 / 11.4    27.4 / 17.0
+#     113      9689   47.4 / 33.7    89.1 / 44.4
+# The cycle wins from about 3500 unknowns at r = 4 and from about 4900 at
+# r = 2; this bound lies between.  Radial blocks are tridiagonal, so their
+# LU factor is exact and O(n) at every size.
 _DIRECT_SIZE = 4000
 _JACOBI_WEIGHT = 0.8
 _SMOOTHING_SWEEPS = 2
@@ -327,9 +339,10 @@ class _System:
         active nodes of the given (u, q),
         e^u = (sum_j e^{w_j} + V_0) / sum_j lambda_j: the model profile at
         the Q = 0 model state, the exact Jacobian for r = 2, and it keeps
-        the V_0 coupling that dominates at large amplitude.  A block with
-        at most _DIRECT_SIZE unknowns is LU-factored; a larger one is solved
-        by one V-cycle, so there P^{-1} is a fixed approximate inverse and
+        the V_0 coupling that dominates at large amplitude.  A radial
+        block is LU-factored.  A cartesian block with at most _DIRECT_SIZE
+        unknowns is factored by banded Cholesky; a larger one is solved by
+        one V-cycle, so there P^{-1} is a fixed approximate inverse and
         GMRES takes more, cheaper iterations.  Each call builds the factors
         anew; `_newton` calls it once per run.
         """
@@ -347,9 +360,17 @@ class _System:
         t_inv = v.T * sqrt_g[None, :]
         e, v0 = self._densities(u, q)
         e_u = (e[self.fold].sum(axis=0) + v0) / lam.sum()
-        prolongations = _prolongations(self.grid, self.idx)
-        solvers = [_VCycle(self.lap_active - diags(dk * e_u), prolongations)
-                   for dk in d]
+        blocks = [self.lap_active - diags(dk * e_u) for dk in d]
+        if self.grid.mode == "cartesian":
+            prolongations = _prolongations(self.grid, self.idx)
+            solvers = [_VCycle(a, prolongations) for a in blocks]
+        else:
+            # radial blocks are tridiagonal but not symmetric (the drift
+            # terms of the axis-limited stencil); they are diagonally
+            # dominant, so diagonal pivots are stable and SymmetricMode
+            # factors them about a quarter faster
+            solvers = [splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                            options={"SymmetricMode": True}) for a in blocks]
 
         def apply(x):
             y = t_inv @ x.reshape(m, k)
@@ -382,11 +403,9 @@ def _coarsen(n: int, nodes: np.ndarray):
 
 
 def _prolongations(grid: Grid, idx: np.ndarray) -> list:
-    """Prolongations of the V-cycle hierarchy on the active nodes `idx`,
-    finest first; empty when they are few enough to factor directly, and
-    on radial grids, whose tridiagonal blocks factor in O(n)."""
-    if grid.mode != "cartesian":
-        return []
+    """Prolongations of the V-cycle hierarchy on the active nodes `idx` of
+    a cartesian grid, finest first; empty when they are few enough to
+    factor directly."""
     n, nodes, out = grid.n, idx, []
     while len(nodes) > _DIRECT_SIZE:
         p, nodes, n = _coarsen(n, nodes)
@@ -394,15 +413,47 @@ def _prolongations(grid: Grid, idx: np.ndarray) -> list:
     return out
 
 
+class _BandedCholesky:
+    """x = A^{-1} b for a symmetric negative definite sparse block A.
+
+    LAPACK's banded Cholesky factor -A = U^T U (dpbtrf) is taken in the
+    block's own node order, the active nodes' row-major order, whose
+    bandwidth is the largest column offset (one grid row of active
+    nodes, 63 at n = 65).  It reads the upper band only; it needs no
+    fill-reducing ordering and no pivoting.
+    """
+
+    def __init__(self, a):
+        a = a.tocoo()
+        upper = a.col >= a.row
+        rows, cols = a.row[upper], a.col[upper]
+        width = int((cols - rows).max())
+        band = np.zeros((width + 1, a.shape[0]))
+        band[width + rows - cols, cols] = -a.data[upper]
+        self.factor, info = dpbtrf(band, overwrite_ab=True)
+        if info:
+            raise ValidationError(
+                f"preconditioner block is not negative definite (leading "
+                f"minor {info}); its scale e^u is not finite")
+
+    def solve(self, b):
+        x, _ = dpbtrs(self.factor, b)
+        return -x
+
+
 class _VCycle:
-    """x = M^{-1} b by one V(2,2)-cycle on a preconditioner block.
+    """x = M^{-1} b by one V(2,2)-cycle on a cartesian preconditioner block.
 
     Damped Jacobi smoothing, Galerkin coarse operators P^T A P, which need
     no special case for the disc mask, its cut cells or an exhaustion
-    stage's active set, and the coarsest level LU-factored.  Every cycle
-    starts from x = 0, so M^{-1} is a fixed linear operator, as GMRES needs
-    of a preconditioner.  With no prolongations the block is its own
-    coarsest level and M^{-1} is its exact LU solve.
+    stage's active set, and the coarsest level factored by
+    `_BandedCholesky`.  Every block is (1/4) L on the active set minus
+    k(k+1) diag(e^u) with e^u > 0, so it is symmetric negative definite,
+    and P^T A P keeps both properties; the product is symmetrized because
+    it rounds (i, j) and (j, i) differently.  Every cycle starts from
+    x = 0, so M^{-1} is a fixed linear operator, as GMRES needs of a
+    preconditioner.  With no prolongations the block is its own coarsest
+    level and M^{-1} is its exact Cholesky solve.
     """
 
     def __init__(self, block, prolongations):
@@ -410,11 +461,9 @@ class _VCycle:
         a = block
         for p in prolongations:
             self.levels.append((a, _JACOBI_WEIGHT / a.diagonal(), p))
-            a = (p.T @ a @ p).tocsr()
-        # the blocks are diagonally dominant, so diagonal pivots are stable
-        # and SymmetricMode factors them about a quarter faster
-        self.coarsest = splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                             options={"SymmetricMode": True})
+            a = p.T @ a @ p
+            a = (0.5 * (a + a.T)).tocsr()
+        self.coarsest = _BandedCholesky(a)
 
     def solve(self, b, level=0):
         if level == len(self.levels):
@@ -464,13 +513,43 @@ def toda_residual(w_fields, weight) -> list:
 # boundary data and initial guesses
 
 
-def _active_ring(sys: _System) -> np.ndarray:
-    """Boundary nodes read by some active stencil: the operator's Dirichlet
-    columns."""
-    ring = np.zeros(sys.grid.nodes, dtype=bool)
-    ring[sys.lap.indices] = True
-    ring[sys.idx] = False
-    return ring
+def check_solvable(weight: WeightDensity, grid: Grid,
+                   boundary: str) -> np.ndarray:
+    """The density Q of `weight` at the nodes of `grid`, once the inputs
+    pass the checks a solve with `boundary` needs; each failure is a
+    ConfigurationError at the run-document value to blame:
+
+    - the model profile, the Dirichlet data of every boundary but
+      `weight_flat`, needs rho_max < 1 (/grid/rho_max);
+    - the weight must evaluate on the grid: a `grid` weight needs one
+      sample per node (/weight/samples), and a poly weight on a radial
+      grid must be a monomial (/weight/coeffs);
+    - `weight_flat` takes its Dirichlet data log(Q) / r on the boundary
+      ring, the boundary nodes an interior stencil reads, so it needs
+      Q > 0 there (/weight).
+
+    Q is t^2 times a fixed base density, so the checks hold for every
+    amplitude t > 0 once they hold for one.
+    """
+    if boundary != "weight_flat" and grid.rho_max >= 1.0:
+        raise ConfigurationError(
+            f"the {boundary} boundary needs rho_max < 1, grid has "
+            f"rho_max={grid.rho_max}", pointer="/grid/rho_max")
+    try:
+        q = evaluate_density(weight, grid).values
+    except ConfigurationError as exc:
+        exc.pointer = f"/weight{exc.pointer}"
+        raise
+    if boundary == "weight_flat":
+        ring = np.zeros(grid.nodes, dtype=bool)
+        ring[laplacian_operator(grid, grid.interior).indices] = True
+        ring[grid.interior] = False
+        bad = int((q[ring] <= 0.0).sum())
+        if bad:
+            raise ConfigurationError(
+                f"weight_flat needs Q > 0 on the boundary ring; {bad} ring "
+                "nodes have Q = 0", pointer="/weight")
+    return q
 
 
 def _profile(grid: Grid, r: int, q: np.ndarray, boundary: str) -> np.ndarray:
@@ -592,7 +671,7 @@ def solve_toda(weight: WeightDensity, grid: Grid,
     """
     cfg = config or SolverConfig()
     r = weight.r
-    q = evaluate_density(weight, grid).values
+    q = check_solvable(weight, grid, cfg.boundary)
     radii = (_exhaustion_radii(grid) if cfg.boundary == "exhaustion"
              else [grid.rho_max])
     cuts = [rho - 0.5 * grid.h for rho in radii]
@@ -601,12 +680,6 @@ def solve_toda(weight: WeightDensity, grid: Grid,
         raise ConfigurationError(
             f"exhaustion ladder {radii} leaves no interior nodes at stage 0")
     stages = [_System(grid, r, active, mirror=True) for active in actives]
-    if cfg.boundary == "weight_flat":
-        bad = int((q[_active_ring(stages[-1])] <= 0.0).sum())
-        if bad:
-            raise ConfigurationError(
-                f"weight_flat needs Q > 0 on the boundary ring; {bad} ring "
-                "nodes have Q = 0")
     m = stages[-1].m
     profile = _profile(grid, r, q, cfg.boundary)
     u = (profile if cfg.provided_w is None

@@ -189,8 +189,7 @@ def evaluate_density(weight: WeightDensity, grid: Grid) -> Field:
             if len(nz) > 1:
                 raise ConfigurationError(
                     "poly weight on a radial grid must be a monomial; "
-                    f"got {len(nz)} nonzero coeffs"
-                )
+                    f"got {len(nz)} nonzero coeffs", pointer="/coeffs")
             z = grid.x.astype(complex)
         else:
             z = grid.x + 1j * grid.y
@@ -204,8 +203,8 @@ def evaluate_density(weight: WeightDensity, grid: Grid) -> Field:
         if len(weight.samples) != grid.nodes:
             raise ConfigurationError(
                 f"grid weight has {len(weight.samples)} samples, "
-                f"grid {grid.key()} has {grid.nodes} nodes"
-            )
+                f"grid {grid.key()} has {grid.nodes} nodes",
+                pointer="/samples")
         q = t2 * weight.samples.copy()
     if not np.all(np.isfinite(q)):
         raise ValidationError("weight density evaluated to a non-finite value")

@@ -6,8 +6,9 @@ the solver's last digits shows up as a changed hash.  A change that moves
 these bytes on purpose re-freezes them explicitly, in its own commit, with
 the reason in CHANGES.md.  The hashes were taken with numpy 2.4 and scipy
 1.17 on x86-64 Linux; the solver's last digits can depend on the BLAS and
-SuperLU builds, so another platform may need its own run of this gate
-before its hashes are trusted.
+LAPACK builds (the cartesian preconditioner's banded Cholesky factor) and
+on the SuperLU build (the radial preconditioner's LU factor), so another
+platform may need its own run of this gate before its hashes are trusted.
 """
 
 import hashlib

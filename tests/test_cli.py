@@ -298,6 +298,17 @@ def _grid(**fields):
     return json.dumps({**json.loads(GRID), **fields})
 
 
+SAMPLES3 = '{"kind": "grid", "r": 2, "samples": [1, 1, 1]}'
+ZERO_FLAT = ("--boundary", "weight_flat", "--weight", '{"kind": "zero", "r": 2}',
+             "--grid", GRID)
+RADIAL_BINOMIAL = ("--weight",
+                   '{"kind": "poly", "r": 2, "coeffs": [[1, 0], [1, 0]]}',
+                   "--grid", _grid(mode="radial"))
+FLAT_PAST_DISC = ("--boundary", "weight_flat",
+                  "--weight", '{"kind": "constant", "r": 2, "value": 1}',
+                  "--grid", _grid(rho_max=2))
+
+
 # A dict in argv is written to a config file and passed as --config: it
 # holds what no flag can express.
 @pytest.mark.parametrize("argv, pointer", [
@@ -353,6 +364,15 @@ def _grid(**fields):
     (("solve", "--weight", WEIGHT, "--grid", _grid(mode="radial", n=10 ** 20)),
      "/grid/n"),
     (("solve", "--weight", WEIGHT, "--grid", _grid(n=1026)), "/grid/n"),
+    # a weight, grid and boundary that no solve can take together
+    (SOLVE[:3] + ("--grid", _grid(rho_max=1.0)), "/grid/rho_max"),
+    (SWEEP[:3] + ("--grid", _grid(rho_max=1.0), "--boundary", "exhaustion",
+                  "--t-values", "1,2", "--jobs", "2"), "/grid/rho_max"),
+    (("sweep", "--weight", SAMPLES3, "--grid", GRID,
+      "--t-values", "1,2", "--jobs", "2"), "/weight/samples"),
+    (("thermo",) + RADIAL_BINOMIAL, "/weight/coeffs"),
+    (("sweep",) + ZERO_FLAT + ("--t-values", "1,2", "--jobs", "2"),
+     "/weight"),
 ])
 def test_rejected_input_exits_two_before_any_solve(tmp_path, capsys,
                                                    monkeypatch, argv,
@@ -402,39 +422,43 @@ def test_corrupt_solution_file_exits_two_at_solution(tmp_path, capsys):
         assert not out.exists()
 
 
-SAMPLES3 = '{"kind": "grid", "r": 2, "samples": [1, 1, 1]}'
-
-
-# Inputs the solve, the thermo field or the plot finds inadmissible: each
-# is a ConfigurationError like a rejected document value, so it exits 2
-# and writes nothing.  `setup` writes the file the command reads.
-@pytest.mark.parametrize("setup, argv", [
-    ((), ("solve", "--weight", WEIGHT, "--grid", _grid(rho_max=1.5))),
-    ((), ("solve", "--weight", SAMPLES3, "--grid", GRID)),
-    # raised in a worker: the error pickles back across the process pool
+# Inputs that no single document value rules out: a weight, grid and
+# boundary that no solve can take together, found before any solve at the
+# value to blame, and a plot column the CSV lacks or a reference the stored
+# grid cannot carry, found mid-run at /.  Each is a ConfigurationError like
+# a rejected document value, so it exits 2 and writes nothing.  `setup`
+# writes the file the command reads.
+MID_RUN = [
+    ((), ("solve", "--weight", WEIGHT, "--grid", _grid(rho_max=1.5)),
+     "/grid/rho_max"),
+    ((), ("solve", "--weight", SAMPLES3, "--grid", GRID), "/weight/samples"),
     ((), ("sweep", "--weight", SAMPLES3, "--grid", GRID,
-          "--t-values", "1,2", "--jobs", "2")),
-    ((), ("solve", "--weight",
-          '{"kind": "poly", "r": 2, "coeffs": [[1, 0], [1, 0]]}',
-          "--grid", _grid(mode="radial"))),
-    ((), ("solve", "--boundary", "weight_flat",
-          "--weight", '{"kind": "zero", "r": 2}', "--grid", GRID)),
+          "--t-values", "1,2", "--jobs", "2"), "/weight/samples"),
+    ((), ("solve",) + RADIAL_BINOMIAL, "/weight/coeffs"),
+    ((), ("solve",) + ZERO_FLAT, "/weight"),
     (("thermo", "--weight", WEIGHT, "--grid", GRID, "--out", "t.csv"),
-     ("plot", "t.csv", "--column", "nope")),
-    (("solve", "--boundary", "weight_flat",
-      "--weight", '{"kind": "constant", "r": 2, "value": 1}',
-      "--grid", _grid(rho_max=2), "--out", "sol.json"),
-     ("thermo", "--solution", "sol.json", "--reference", "poincare")),
-])
+     ("plot", "t.csv", "--column", "nope"), "/"),
+    (("solve",) + FLAT_PAST_DISC + ("--out", "sol.json"),
+     ("thermo", "--solution", "sol.json", "--reference", "poincare"), "/"),
+    # raised in a worker: the error pickles back across the process pool
+    ((), ("sweep",) + FLAT_PAST_DISC + ("--reference", "poincare",
+                                        "--t-values", "1,2", "--jobs", "2"),
+     "/"),
+]
+
+
+@pytest.mark.parametrize("setup, argv", [case[:2] for case in MID_RUN])
 def test_input_error_found_mid_run_exits_two(tmp_path, capsys, monkeypatch,
                                              setup, argv):
+    pointer = {case[1]: case[2] for case in MID_RUN}[argv]
     monkeypatch.chdir(tmp_path)
     if setup:
         assert run_cli(*setup) == 0
     before = sorted(tmp_path.iterdir())
     capsys.readouterr()
     assert run_cli(*argv) == 2
-    assert capsys.readouterr().err.startswith("config error at /")
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at {pointer}: "), err
     assert sorted(tmp_path.iterdir()) == before
 
 

@@ -615,15 +615,117 @@ def test_vcycle_contracts_every_block(mode, n):
         assert np.linalg.norm(x - back) <= 0.2 * np.linalg.norm(x)
 
 
-def test_radial_blocks_are_always_factored():
+def test_radial_blocks_are_always_factored(monkeypatch):
     # a radial block is tridiagonal, so its LU factor is exact and O(n)
     # however many unknowns it has: no V-cycle hierarchy is built
     import todakit.toda as toda
 
     g = build_grid("radial", 8193, 0.9)
-    idx = np.flatnonzero(g.interior)
-    assert len(idx) > toda._DIRECT_SIZE
-    assert toda._prolongations(g, idx) == []
+    sys = toda._System(g, 3, g.interior, mirror=True)
+    assert sys.k > toda._DIRECT_SIZE
+    factored = _counted(monkeypatch, toda, "splu")
+    coarsened = _counted(monkeypatch, toda, "_coarsen")
+    sys.preconditioner(model_log_densities(g, 3)[:sys.m], np.zeros(g.nodes))
+    assert len(factored) == sys.m and not coarsened
+
+
+def _helmholtz_block(g, active, r=3, k=1):
+    # the preconditioner's block for mode k at the model state of a q = z
+    # weight: (1/4) L on the active set minus k(k+1) diag(e^u)
+    from scipy.sparse import diags
+
+    import todakit.toda as toda
+
+    sys = toda._System(g, r, active, mirror=True)
+    q = evaluate_density(make_weight("poly", r, t=3.0, coeffs=[0, 1]), g)
+    e, v0 = sys._densities(model_log_densities(g, r)[:sys.m], q.values)
+    e_u = (e[sys.fold].sum(axis=0) + v0) / lambda_coefficients(r).sum()
+    return sys, sys.lap_active - diags(k * (k + 1) * e_u)
+
+
+def _exhaustion_first_stage(g):
+    import todakit.toda as toda
+
+    cut = toda._exhaustion_radii(g)[0] - 0.5 * g.h
+    return g.interior & (g.r2 < cut * cut)
+
+
+def _factored_blocks(monkeypatch):
+    """Every block handed to the banded Cholesky factor, in order, each
+    paired with the factor built from it."""
+    import todakit.toda as toda
+
+    factored = []
+    real = toda._BandedCholesky
+
+    def recorded(a):
+        factored.append((a.tocsr(), real(a)))
+        return factored[-1][1]
+
+    monkeypatch.setattr(toda, "_BandedCholesky", recorded)
+    return factored
+
+
+@pytest.mark.parametrize("n, stage", [(65, "direct"), (257, "coarsest"),
+                                      (65, "exhaustion")])
+def test_banded_cholesky_matches_sparse_lu(monkeypatch, n, stage):
+    # the banded Cholesky solve of a whole block, of the coarsest Galerkin
+    # level of the n = 257 V-cycle chain and of an exhaustion first-stage
+    # block agrees with a sparse LU solve of the same block
+    from scipy.sparse.linalg import spsolve
+
+    import todakit.toda as toda
+
+    g = build_grid("cartesian", n, 0.9)
+    active = _exhaustion_first_stage(g) if stage == "exhaustion" \
+        else g.interior
+    sys, block = _helmholtz_block(g, active)
+    factored = _factored_blocks(monkeypatch)
+    cycle = toda._VCycle(block, toda._prolongations(g, sys.idx))
+    assert len(cycle.levels) == (2 if stage == "coarsest" else 0)
+    (a, factor), = factored
+    b = np.random.default_rng(n).standard_normal(a.shape[0])
+    ref = spsolve(a.tocsc(), b)
+    assert np.linalg.norm(factor.solve(b) - ref) <= \
+        1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n, boundary", [(65, "model_poincare"),
+                                         (257, "model_poincare"),
+                                         (65, "exhaustion")])
+def test_factored_blocks_are_exactly_symmetric(monkeypatch, n, boundary):
+    # the Cholesky factor reads the upper band only: every block it is
+    # given, whole or Galerkin, must equal its transpose bit for bit
+    factored = _factored_blocks(monkeypatch)
+    weight = make_weight("poly", 3, coeffs=[0, 1])
+    solve_toda(weight, build_grid("cartesian", n, 0.9),
+               SolverConfig(boundary=boundary))
+    assert factored
+    for a, _ in factored:
+        assert (a != a.T).nnz == 0
+
+
+def test_banded_cholesky_rejects_a_block_that_is_not_definite():
+    import todakit.toda as toda
+
+    g = build_grid("cartesian", 17, 0.9)
+    _, block = _helmholtz_block(g, g.interior)
+    with pytest.raises(ValidationError, match="not negative definite"):
+        toda._BandedCholesky(-block)
+
+
+@pytest.mark.parametrize("mode, n", [("cartesian", 33), ("cartesian", 129),
+                                     ("radial", 65)])
+def test_only_radial_solves_use_sparse_lu(monkeypatch, mode, n):
+    # cartesian blocks are symmetric and factored by banded Cholesky;
+    # radial blocks are not symmetric and keep their sparse LU factor
+    import todakit.toda as toda
+
+    factored = _counted(monkeypatch, toda, "splu")
+    sol = solve_toda(make_weight("poly", 3, coeffs=[0, 1]),
+                     build_grid(mode, n, 0.9))
+    assert sol.iterations > 0
+    assert bool(factored) == (mode == "radial")
 
 
 def test_weight_flat_converges_past_unit_disc():
