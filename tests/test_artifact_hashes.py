@@ -29,23 +29,23 @@ FROZEN = {
     "profile.svg":
         "44c5ac35b05a527cf78c1f4022cc7baa4513f57977216602ff46409e9c33e68a",
     "report.json":
-        "84e5b69fd59a679d2ea8729ce73ee28c2125746c6e86e8e311eba903b28495a2",
+        "6d6478b1acf08c0e6f12e06712255f29b975cdf1edf5f997718631182be2a25d",
     "sol-cart.json":
-        "b41e53cb81b2160bc8005245d8d1e705424962cde8ec174011694e1504626bb9",
+        "3147a65ae116eb84737c1ec8b2241bd0a32fd200313d08c379e13c3381231acf",
     "sol-radial.json":
         "40eb142edff9fc26e701938664208f75efcefe0ee5da09e98f7410fdbeb30a6c",
     "sweep.csv":
-        "cf0054cd7936fb52ce06f8a46154510870fb278d5d7e6b7c4f3060d4edbb31b2",
+        "8b72e0e55742648aa9db8bb881152003d061afcedc3af2f3f1c46dd028fb0b3e",
     "sweep.svg":
         "9e6d1cf96aa540f8fe012e42262e48addfc312c5ac88d35022470f11dbf80356",
     "thermo-b-1-flat.csv":
-        "e203710132b113dd437e8173aa0f3fd31976a30bea465a6d82cbec651a3adbaa",
+        "a7ae50cab3f1d85d49efe9684f964d76eeaf4ec0aa391fd4ee95faa7a63d71b0",
     "thermo-b-1-poincare.csv":
-        "d20768bf287bbb154bc3bef5296c3a6197a9d8f21ff5653076aeaf0bd39125eb",
+        "4bd902691fce355cdab79bac6ae5bcc0b294855b6725868d966274fc06925731",
     "thermo-b1-flat.csv":
-        "80e22f03b9a97d0729176ef433ea1a6cefa3db9bd391378e126a71d2d3b518ef",
+        "ba28abf8ccb8e0c13541cc1fa16fab08fb084a6e657f8b7405b0d7585cabd293",
     "thermo-b1-poincare.csv":
-        "10fb2bfffdd430cfa4b92112b3a167f77f5720e0a536d83c6ade518e2c7520db",
+        "eb9706b89bf2c46129e8e41045c37bfe9bd2b7b6fde716667aec5c5bd8b6f64f",
     "thermo-radial.csv":
         "3105e14df0df6d91f860670773092a0d86ffe22d1dea44dca6f885e6b4124628",
 }
