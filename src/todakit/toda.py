@@ -433,8 +433,8 @@ class _BandedCholesky:
         self.factor, info = dpbtrf(band, overwrite_ab=True)
         if info:
             raise ValidationError(
-                f"preconditioner block is not negative definite (leading "
-                f"minor {info}); its scale e^u is not finite")
+                f"preconditioner block is not negative definite (dpbtrf "
+                f"info {info}); its scale e^u must be finite")
 
     def solve(self, b):
         x, _ = dpbtrs(self.factor, b)

@@ -629,25 +629,18 @@ def test_radial_blocks_are_always_factored(monkeypatch):
     assert len(factored) == sys.m and not coarsened
 
 
-def _helmholtz_block(g, active, r=3, k=1):
-    # the preconditioner's block for mode k at the model state of a q = z
-    # weight: (1/4) L on the active set minus k(k+1) diag(e^u)
+def _helmholtz_block(g, active):
+    # the preconditioner's k = 1 block for r = 3 at the model state of a
+    # q = z weight: (1/4) L on the active set minus 2 diag(e^u)
     from scipy.sparse import diags
 
     import todakit.toda as toda
 
-    sys = toda._System(g, r, active, mirror=True)
-    q = evaluate_density(make_weight("poly", r, t=3.0, coeffs=[0, 1]), g)
-    e, v0 = sys._densities(model_log_densities(g, r)[:sys.m], q.values)
-    e_u = (e[sys.fold].sum(axis=0) + v0) / lambda_coefficients(r).sum()
-    return sys, sys.lap_active - diags(k * (k + 1) * e_u)
-
-
-def _exhaustion_first_stage(g):
-    import todakit.toda as toda
-
-    cut = toda._exhaustion_radii(g)[0] - 0.5 * g.h
-    return g.interior & (g.r2 < cut * cut)
+    sys = toda._System(g, 3, active, mirror=True)
+    q = evaluate_density(make_weight("poly", 3, t=3.0, coeffs=[0, 1]), g)
+    e, v0 = sys._densities(model_log_densities(g, 3)[:sys.m], q.values)
+    e_u = (e[sys.fold].sum(axis=0) + v0) / lambda_coefficients(3).sum()
+    return sys, sys.lap_active - diags(2.0 * e_u)
 
 
 def _factored_blocks(monkeypatch):
@@ -677,8 +670,10 @@ def test_banded_cholesky_matches_sparse_lu(monkeypatch, n, stage):
     import todakit.toda as toda
 
     g = build_grid("cartesian", n, 0.9)
-    active = _exhaustion_first_stage(g) if stage == "exhaustion" \
-        else g.interior
+    active = g.interior
+    if stage == "exhaustion":
+        cut = toda._exhaustion_radii(g)[0] - 0.5 * g.h
+        active = active & (g.r2 < cut * cut)
     sys, block = _helmholtz_block(g, active)
     factored = _factored_blocks(monkeypatch)
     cycle = toda._VCycle(block, toda._prolongations(g, sys.idx))
