@@ -26,9 +26,11 @@
 # and write no CSV: solution files are checked by the run document's own
 # key table and constructors, and their errors point at the --solution
 # input first, then into the file.  A weight_flat solve of a zero weight
-# must exit 2 and write no solution: flat Dirichlet data needs Q > 0 on
-# the boundary ring, and an input found inadmissible mid-solve is an input
-# error like a rejected document value, not a runtime failure.
+# must exit 2 at /weight and write no solution: flat Dirichlet data needs
+# Q > 0 on the boundary ring, and a weight, grid and boundary that no
+# solve can take together are an input error like a rejected document
+# value, found before the solve at the value to blame, not a runtime
+# failure.
 set -eo pipefail
 
 RUNNER_TEMP=${RUNNER_TEMP:-$(mktemp -d)}
@@ -81,5 +83,5 @@ test ! -e "$RUNNER_TEMP/thermo-n4.csv"
 code=0
 python -m todakit solve --boundary weight_flat --weight '{"kind": "zero", "r": 2}' --grid '{"mode": "cartesian", "n": 17, "rho_max": 0.9}' --out "$RUNNER_TEMP/flat-zero.json" 2> "$RUNNER_TEMP/flat-zero.err" || code=$?
 test "$code" -eq 2
-grep -q "^config error at /: weight_flat needs Q > 0" "$RUNNER_TEMP/flat-zero.err"
+grep -q "^config error at /weight: weight_flat needs Q > 0" "$RUNNER_TEMP/flat-zero.err"
 test ! -e "$RUNNER_TEMP/flat-zero.json"
