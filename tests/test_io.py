@@ -214,6 +214,9 @@ def test_load_rejects_schema_mismatches(solved):
          "/weight/coeffs"),
         ("weight", {**weight, "zap": 1}, "/weight"),
         ("weight", [], "/weight"),
+        # a weight that builds but does not evaluate on the stored grid
+        ("weight", {"kind": "grid", "r": 3, "samples": [1, 1, 1]},
+         "/weight/samples"),
         ("boundary_strategy", "bogus", "/boundary_strategy"),
         ("residual_sup", True, "/residual_sup"),
         ("residual_sup", 10 ** 400, "/residual_sup"),
