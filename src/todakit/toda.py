@@ -37,14 +37,23 @@ solution recomputes the full residual, and `verify.check_jacobian` probes
 the Jacobian product of both the full and the folded system, so every
 equation is still checked independently.
 
-Each Newton step solves the exact Jacobian system with GMRES.  GMRES needs
-the Jacobian J only through products J x, and J is a block Laplacian plus a
-pointwise part, so J x is applied matrix-free, exactly: (1/4) Lap on each
-field plus the pointwise blocks times the fields, node by node.  GMRES is
-preconditioned by the Jacobian of the degenerate (Q = 0) system at a state
-of the model form w_j = log(lambda_j) + u.  There the Jacobian decouples:
-its pointwise block is -e^u * C Lambda (C the A_{r-1} Cartan matrix,
-Lambda = diag(lambda_j)), whose eigenvalues are k(k+1), k = 1..r-1, so in
+Each Newton step solves the exact Jacobian system with a Krylov solver,
+which needs the Jacobian J only through products J x.  J is a block
+Laplacian plus a pointwise part, so J x is applied matrix-free, exactly:
+(1/4) Lap on each field plus the pointwise blocks times the fields, node by
+node.  The system is variational: with the per-node metric
+M = S^T C^-1 S (C the A_{r-1} Cartan matrix, S the fold expansion), M N is
+the gradient of a concave energy, the discrete trace of harmonic metrics as
+critical points of Donaldson's functional, and (M x I) J its Hessian.  On
+cartesian grids, whose Laplacian is symmetric, -(M x I) J is symmetric
+positive definite, and CG solves -(M x I) J x = (M x I) N.  On radial
+grids, whose axis-limited stencil is not symmetric, GMRES solves J x = -N.
+Both are preconditioned by the Jacobian P of the degenerate (Q = 0) system
+at a state of the model form w_j = log(lambda_j) + u, which shares J's
+structure, so CG takes -P^-1 (M^-1 x I) = -(M P)^-1, symmetric positive
+definite, and GMRES takes P^-1.  At the model state P decouples:
+its pointwise block is -e^u * C Lambda, Lambda = diag(lambda_j), whose
+eigenvalues are k(k+1), k = 1..r-1, so in
 the eigenbasis of C Lambda it is r-1 scalar Helmholtz operators
 (1/4) Lap - k(k+1) e^u.  The folded unknowns keep the mirror-symmetric
 modes only, the r//2 operators with k odd.  On radial grids each is
@@ -55,12 +64,12 @@ multigrid V-cycle (Galerkin coarse operators on the even-index nodes,
 damped Jacobi smoothing, the coarsest level Cholesky-factored).
 Each stage's Newton run builds the factors and hierarchies once, with e^u
 fitted to its first iterate, and applies them at every step.  Newton is
-inexact (Dembo, Eisenstat & Steihaug 1982): GMRES stops at the
+inexact (Dembo, Eisenstat & Steihaug 1982): the Krylov solver stops at the
 Eisenstat-Walker choice-2 forcing term, 1e-4 on a run's first step and then
 0.9 (res_k / res_{k-1})^2 clipped to [1e-12, 1e-4], so early steps from a
 far start take few Krylov iterations and the last ones are solved to the
-floor rtol 1e-12.  A GMRES call that misses its forcing term still returns
-its best iterate, which is taken as the step.  Every step is damped by
+floor rtol 1e-12.  A Krylov call that misses its forcing term still returns
+its last iterate, which is taken as the step.  Every step is damped by
 Armijo backtracking on the residual sup-norm, which accepts it or halves
 it.  A stage whose Newton run stalls raises `ConvergenceError` from
 the stage loop; its message names the stage rho and the last residual.
@@ -75,7 +84,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import coo_matrix, diags
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.sparse.linalg import LinearOperator, cg, gmres, splu
 
 from .errors import ConfigurationError, ConvergenceError, ValidationError
 from .grid import (Field, Grid, check_same_grid, is_number,
@@ -89,48 +98,56 @@ BOUNDARY_STRATEGIES = ("model_poincare", "weight_flat", "exhaustion")
 _ARMIJO_SLOPE = 1e-4
 _ARMIJO_FACTOR = 0.5
 _MAX_HALVINGS = 20
-# GMRES on the left-preconditioned Newton system P^-1 J x = P^-1 b: the
-# relative 2-norm tolerance bounds the step's error relative to the step.  On
-# J x = b itself the tolerance would sit under the roundoff floor
-# eps*|J|*|x| of the residual once the stencil's 1/h^2 grows (n ~ 513).
 # The tolerance of each Newton step is the Eisenstat-Walker choice-2
 # forcing term (SIAM J. Sci. Comput. 17 (1996)): _FORCING_MAX on a run's
 # first step, then _FORCING_GAMMA (res_k / res_{k-1})^2 of the residual
-# sup-norms, clipped to [_GMRES_RTOL, _FORCING_MAX].  Early steps stop
-# GMRES as soon as the step is accurate enough for Newton; late steps, where
-# the residual falls quadratically, are solved to the floor _GMRES_RTOL.
-# The norms differ: the term is a ratio of sup-norms of the Newton residual
-# N, but GMRES applies it to the 2-norm of the preconditioned residual
-# P^-1 (J x - b), whereas Eisenstat and Walker measure both in one norm.
-# The term therefore does not bound the step's linear residual in the
-# sup-norm, and a step near the roundoff floor may leave N a little above
-# the term's prediction.  The choice-2 safeguard max(eta, gamma eta_{k-1}^2) when
-# gamma eta_{k-1}^2 > 0.1 can never fire with eta <= _FORCING_MAX, so it is
-# left out.
-_GMRES_RTOL = 1e-12
+# sup-norms, clipped to [_FORCING_MIN, _FORCING_MAX].  Early steps stop the
+# Krylov solver as soon as the step is accurate enough for Newton; late
+# steps, where the residual falls quadratically, are solved to the floor
+# _FORCING_MIN.  The term is the Krylov solver's rtol, a bound on a
+# residual 2-norm relative to the right-hand side's.  Cartesian CG bounds
+# the 2-norm of the M-scaled residual (M x I)(J x + N), M =
+# `_System.metric`, as its recurrence updates it.  Radial GMRES bounds the
+# 2-norm of the left-preconditioned residual P^-1 (J x + N); on J x = -N
+# itself the floor would sit under the roundoff floor eps*|J|*|x| of the
+# residual once the stencil's 1/h^2 grows (n ~ 513).
+# Eisenstat and Walker measure the term and the linear residual in one
+# norm; here the term is a ratio of sup-norms of the Newton residual N.
+# It therefore does not bound the step's linear residual in the sup-norm,
+# and a step near the roundoff floor may leave N a little above the term's
+# prediction.  The choice-2 safeguard max(eta, gamma eta_{k-1}^2) when
+# gamma eta_{k-1}^2 > 0.1 can never fire with eta <= _FORCING_MAX, so it
+# is left out.
+_FORCING_MIN = 1e-12
 _FORCING_MAX = 1e-4
 _FORCING_GAMMA = 0.9
-_GMRES_ATOL = 0.0
-_GMRES_RESTART = 60
-# restart cycles before GMRES gives up and returns its best iterate as an
+_KRYLOV_ATOL = 0.0
+# CG iterations before it gives up and returns its last iterate as an
 # inexact step; scipy's default (ten times the unknowns) is no bound at all
+_CG_MAXITER = 600
+# radial GMRES: restart length, and restart cycles before it gives up
+_GMRES_RESTART = 60
 _GMRES_MAXITER = 10
 # Cartesian preconditioner blocks with at most this many unknowns are
 # factored whole by banded Cholesky; larger ones are solved by one
 # multigrid V-cycle whose coarsest level is the first with at most this
-# many unknowns.  Solves of cartesian q = z, rho_max = 0.9, whole factor /
-# one-level V-cycle, ms (median of 7, one BLAS thread, 2-vCPU x86-64 VM):
+# many unknowns.  Solves of cartesian q = z, rho_max = 0.9 by CG, whole
+# factor / one-level V-cycle, ms (median of 15, one BLAS thread, 2-vCPU
+# x86-64 VM):
 #       n  unknowns      r = 2          r = 4
-#      57      2377    7.0 / 10.0    13.0 / 14.4
-#      65      3125    7.3 /  8.1    16.5 / 16.6
-#      69      3521    8.0 /  8.6    18.6 / 14.9
-#      73      3969    9.8 /  9.5    18.8 / 14.0
-#      77      4421   11.3 / 12.1    22.9 / 14.7
-#      81      4905   12.1 / 11.4    27.4 / 17.0
-#     113      9689   47.4 / 33.7    89.1 / 44.4
-# The cycle wins from about 3500 unknowns at r = 4 and from about 4900 at
-# r = 2; this bound lies between.  Radial blocks are tridiagonal, so their
-# LU factor is exact and O(n) at every size.
+#      57      2377    5.2 /  5.5    10.2 / 10.9
+#      65      3125    7.1 /  6.6    13.8 / 13.4
+#      69      3521    7.8 /  6.9    14.0 / 10.1
+#      73      3969    9.2 /  7.9    23.0 / 13.3
+#      77      4421   11.9 / 10.4    19.0 / 12.1
+#      81      4905   12.6 / 10.6    22.8 / 13.1
+#     113      9689   29.0 / 20.2    52.7 / 23.9
+# Under GMRES the cycle won from about 3500 unknowns at r = 4 and 4900 at
+# r = 2; under CG it wins from about 3100 at both, and n = 65 is a tie.
+# The bound stays at 4000: it also sets the coarsest level of the larger
+# hierarchies, and lower bounds (3300, 2000, 1000, 500) showed no gain
+# beyond the noise on the solve-coupled benchmark's solves.  Radial blocks
+# are tridiagonal, so their LU factor is exact and O(n) at every size.
 _DIRECT_SIZE = 4000
 _JACOBI_WEIGHT = 0.8
 _SMOOTHING_SWEEPS = 2
@@ -243,6 +260,11 @@ def compute_v0(w: np.ndarray, q: np.ndarray) -> np.ndarray:
 # residual and Jacobian on an active node set
 
 
+def _cartan(r: int) -> np.ndarray:
+    """The A_{r-1} Cartan matrix, (r-1) x (r-1)."""
+    return 2.0 * np.eye(r - 1) - np.eye(r - 1, k=1) - np.eye(r - 1, k=-1)
+
+
 class _System:
     """Residual and Jacobian for one (grid, r, active-mask) triple.
 
@@ -262,6 +284,14 @@ class _System:
     and the residual is equations 1..m of the full system at the mirrored
     state; a chain slot's multiplicity `mult` is the size of its mirror
     pair.
+
+    `metric` is the per-node metric M = S^T C^-1 S (m x m), C the A_{r-1}
+    Cartan matrix and S the fold expansion, w = S u.  The system is
+    variational: M N is the gradient of the concave energy
+    (1/8) <w, (C^-1 x L) w> - sum_j e^{w_j} - V_0 in u, because
+    C^-1 (e_1 + e_{r-1}) is the all-ones vector.  So (M x I) J is its
+    Hessian, symmetric negative definite on cartesian grids, where L is
+    symmetric; `_krylov_step` solves the Newton system in that form by CG.
     """
 
     def __init__(self, grid: Grid, r: int, active: np.ndarray,
@@ -272,6 +302,10 @@ class _System:
         self.fold = (np.minimum(slots, r - slots) if mirror else slots) - 1
         self.mult = np.bincount(self.fold).astype(float)
         self.m = len(self.mult)
+        expand = np.zeros((r - 1, self.m))
+        expand[slots - 1, self.fold] = 1.0
+        self.metric = expand.T @ np.linalg.solve(_cartan(r), expand)
+        self.metric_inv = np.linalg.inv(self.metric)
         self.idx = np.flatnonzero(active)
         self.k = len(self.idx)
         if self.k == 0:
@@ -342,15 +376,19 @@ class _System:
         the V_0 coupling that dominates at large amplitude.  A radial
         block is LU-factored.  A cartesian block with at most _DIRECT_SIZE
         unknowns is factored by banded Cholesky; a larger one is solved by
-        one V-cycle, so there P^{-1} is a fixed approximate inverse and
-        GMRES takes more, cheaper iterations.  Each call builds the factors
-        anew; `_newton` calls it once per run.
+        one V-cycle, so there P^{-1} is a fixed approximate inverse and the
+        Krylov solver takes more, cheaper iterations.  Each call builds the
+        factors anew; `_newton` calls it once per run.
+
+        M P = M x (1/4) L - diag(e^u) x G, so P^{-1} (M^{-1} x I) =
+        (M P)^{-1} is symmetric negative definite on cartesian grids,
+        whether a block is factored or cycled: each block solve is, and
+        T^{-1} M^{-1} = D T^T.  `_krylov_step` hands CG its negative.
         """
         m, k, r = self.m, self.k, self.r
         lam = lambda_coefficients(r)
-        cartan = 2.0 * np.eye(r - 1) - np.eye(r - 1, k=1) - np.eye(r - 1, k=-1)
         folded = np.zeros((m, m))
-        np.add.at(folded.T, self.fold, cartan[:m].T)
+        np.add.at(folded.T, self.fold, _cartan(r)[:m].T)
         # F = folded * lam[:m] by columns, and G^{1/2} F G^{-1/2}
         # scales column b by lam_b / sqrt(mult_b lam_b)
         sqrt_g = np.sqrt(self.mult * lam[:m])
@@ -388,14 +426,18 @@ def _coarsen(n: int, nodes: np.ndarray):
     half of parents i // 2 and (i + 1) // 2 on the coarse axis of n // 2 + 1
     nodes (at even i both are i / 2, and the halves sum to one); the
     prolongation is the tensor product of the two axes, restricted to the
-    coarse nodes some row touches.  Returns (P, coarse nodes, coarse n).
+    coarse nodes some row touches, numbered in flat-index order.  Returns
+    (P, coarse nodes, coarse n).
     """
     nc = n // 2 + 1
     iy, ix = np.unravel_index(nodes, (n, n))
     cols = np.concatenate([np.ravel_multi_index((py, px), (nc, nc))
                            for py in (iy // 2, (iy + 1) // 2)
                            for px in (ix // 2, (ix + 1) // 2)])
-    coarse, cols = np.unique(cols, return_inverse=True)
+    touched = np.zeros(nc * nc, dtype=bool)
+    touched[cols] = True
+    coarse = np.flatnonzero(touched)
+    cols = (np.cumsum(touched) - 1)[cols]
     rows = np.tile(np.arange(len(nodes)), 4)
     p = coo_matrix((np.full(len(rows), 0.25), (rows, cols)),
                    shape=(len(nodes), len(coarse)))
@@ -403,13 +445,13 @@ def _coarsen(n: int, nodes: np.ndarray):
 
 
 def _prolongations(grid: Grid, idx: np.ndarray) -> list:
-    """Prolongations of the V-cycle hierarchy on the active nodes `idx` of
-    a cartesian grid, finest first; empty when they are few enough to
-    factor directly."""
+    """(P, P^T) of each level of the V-cycle hierarchy on the active nodes
+    `idx` of a cartesian grid, finest first, the restriction P^T stored as
+    CSR once; empty when the nodes are few enough to factor directly."""
     n, nodes, out = grid.n, idx, []
     while len(nodes) > _DIRECT_SIZE:
         p, nodes, n = _coarsen(n, nodes)
-        out.append(p)
+        out.append((p, p.T.tocsr()))
     return out
 
 
@@ -451,28 +493,31 @@ class _VCycle:
     k(k+1) diag(e^u) with e^u > 0, so it is symmetric negative definite,
     and P^T A P keeps both properties; the product is symmetrized because
     it rounds (i, j) and (j, i) differently.  Every cycle starts from
-    x = 0, so M^{-1} is a fixed linear operator, as GMRES needs of a
-    preconditioner.  With no prolongations the block is its own coarsest
-    level and M^{-1} is its exact Cholesky solve.
+    x = 0, so M^{-1} is a fixed linear operator, as a Krylov solver needs
+    of a preconditioner.  The cycle smooths as often after the coarse
+    correction as before it and restricts by P^T, so M^{-1} is symmetric
+    negative definite too, as CG needs.  With no prolongations the block
+    is its own coarsest level and M^{-1} is its exact Cholesky solve.
+    `prolongations` are the (P, P^T) pairs of `_prolongations`.
     """
 
     def __init__(self, block, prolongations):
         self.levels = []
         a = block
-        for p in prolongations:
-            self.levels.append((a, _JACOBI_WEIGHT / a.diagonal(), p))
-            a = p.T @ a @ p
+        for p, pt in prolongations:
+            self.levels.append((a, _JACOBI_WEIGHT / a.diagonal(), p, pt))
+            a = pt @ a @ p
             a = (0.5 * (a + a.T)).tocsr()
         self.coarsest = _BandedCholesky(a)
 
     def solve(self, b, level=0):
         if level == len(self.levels):
             return self.coarsest.solve(b)
-        a, weighted_inv_diag, p = self.levels[level]
+        a, weighted_inv_diag, p, pt = self.levels[level]
         x = weighted_inv_diag * b
         for _ in range(_SMOOTHING_SWEEPS - 1):
             x += weighted_inv_diag * (b - a @ x)
-        x += p @ self.solve(p.T @ (b - a @ x), level + 1)
+        x += p @ self.solve(pt @ (b - a @ x), level + 1)
         for _ in range(_SMOOTHING_SWEEPS):
             x += weighted_inv_diag * (b - a @ x)
         return x
@@ -581,6 +626,37 @@ def _provided(grid: Grid, r: int, fields) -> np.ndarray:
 # Newton iteration
 
 
+def _krylov_step(sys: _System, blocks: np.ndarray, p_inv, n_act: np.ndarray,
+                 eta: float) -> tuple:
+    """(delta, info, solver name) of the Newton system J delta = -N, J
+    with pointwise blocks `blocks`, solved to the forcing term `eta` with
+    the preconditioner P^-1 = `p_inv`, flat delta.
+
+    On cartesian grids CG solves the symmetric positive definite form
+    -(M x I) J delta = (M x I) N, M = `sys.metric`, preconditioned by
+    -P^-1 (M^-1 x I) = -(M P)^-1, which is symmetric positive definite
+    because P shares the structure of J.  On radial grids, whose
+    Laplacian is not symmetric, GMRES solves P^-1 J delta = -P^-1 N.
+    """
+    m, k = sys.m, sys.k
+    shape = (m * k,) * 2
+    if sys.grid.mode == "cartesian":
+        metric, metric_inv = sys.metric, sys.metric_inv
+        op = LinearOperator(shape, dtype=float, matvec=lambda x: -(
+            metric @ sys.matvec(blocks, x).reshape(m, k)).ravel())
+        prec = LinearOperator(shape, dtype=float, matvec=lambda x: -p_inv(
+            (metric_inv @ x.reshape(m, k)).ravel()))
+        delta, info = cg(op, (metric @ n_act).ravel(), rtol=eta,
+                         atol=_KRYLOV_ATOL, maxiter=_CG_MAXITER, M=prec)
+        return delta, info, "cg"
+    op = LinearOperator(shape, dtype=float,
+                        matvec=lambda x: p_inv(sys.matvec(blocks, x)))
+    delta, info = gmres(op, p_inv(-n_act.reshape(-1)), rtol=eta,
+                        atol=_KRYLOV_ATOL, restart=_GMRES_RESTART,
+                        maxiter=_GMRES_MAXITER)
+    return delta, info, "gmres"
+
+
 def _newton(sys: _System, q: np.ndarray, u: np.ndarray, cfg: SolverConfig,
             history: list) -> int:
     """Damped Newton on the active set; mutates u, returns iteration count."""
@@ -599,18 +675,14 @@ def _newton(sys: _System, q: np.ndarray, u: np.ndarray, cfg: SolverConfig,
         blocks = sys.pointwise(u, q)
         if p_inv is None:
             p_inv = sys.preconditioner(u, q)
-        op = LinearOperator((sys.m * sys.k,) * 2, dtype=float,
-                            matvec=lambda x: p_inv(sys.matvec(blocks, x)))
-        delta, info = gmres(op, p_inv(-n_act.reshape(-1)), rtol=eta,
-                            atol=_GMRES_ATOL, restart=_GMRES_RESTART,
-                            maxiter=_GMRES_MAXITER)
-        # gmres returns info > 0 on a miss, with its best iterate: an
-        # inexact Newton step, which the Armijo search accepts or halves
-        # like any other.  Only a step it cannot accept stalls.
+        delta, info, solver = _krylov_step(sys, blocks, p_inv, n_act, eta)
+        # a nonzero info is a miss, returned with the solver's last
+        # iterate: an inexact Newton step, which the Armijo search accepts
+        # or halves like any other.  Only a step it cannot accept stalls.
         if info:
-            log.info("newton iter %d: gmres missed its forcing term rtol "
-                     "%.2e in %d restart cycles; taking its best iterate",
-                     iters + 1, eta, info)
+            log.info("newton iter %d: %s missed its forcing term rtol "
+                     "%.2e (info %d); taking its last iterate",
+                     iters + 1, solver, eta, info)
         delta = delta.reshape(sys.m, sys.k)
         step = 1.0
         for _ in range(_MAX_HALVINGS + 1):
@@ -621,7 +693,7 @@ def _newton(sys: _System, q: np.ndarray, u: np.ndarray, cfg: SolverConfig,
             if np.isfinite(res_try) and res_try <= (1.0 - _ARMIJO_SLOPE * step) * res:
                 u[:, sys.idx] = trial[:, sys.idx]
                 eta = min(_FORCING_MAX, max(
-                    _GMRES_RTOL, _FORCING_GAMMA * (res_try / res) ** 2))
+                    _FORCING_MIN, _FORCING_GAMMA * (res_try / res) ** 2))
                 n_act, res = n_try, res_try
                 break
             step *= _ARMIJO_FACTOR
