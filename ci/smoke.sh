@@ -12,7 +12,7 @@
 # radial profile plot of its thermo CSV.  The exhaustion solve runs the
 # stage ladder.  The r = 4, t = 1e3 solve takes inexact Newton steps and
 # must converge, and so must the r = 4, q = z, t = 1e4 solve on n = 65,
-# where GMRES stops at the forcing terms.  The six-amplitude sweep's CSV
+# where CG stops at the forcing terms.  The six-amplitude sweep's CSV
 # must be byte-identical with --jobs 1 and --jobs 2, and it is drawn as a
 # sweep chart, so every plot layout runs.  The stalled solve must exit 3
 # and leave its residual history next to the intended output, and so must
@@ -30,7 +30,9 @@
 # Q > 0 on the boundary ring, and a weight, grid and boundary that no
 # solve can take together are an input error like a rejected document
 # value, found before the solve at the value to blame, not a runtime
-# failure.
+# failure.  So is a sweep with the poincare reference on a rho_max = 2
+# grid: the reference density needs rho_max < 1, and the sweep must exit 2
+# at /reference before any amplitude is solved, and write no CSV.
 set -eo pipefail
 
 RUNNER_TEMP=${RUNNER_TEMP:-$(mktemp -d)}
@@ -85,3 +87,8 @@ python -m todakit solve --boundary weight_flat --weight '{"kind": "zero", "r": 2
 test "$code" -eq 2
 grep -q "^config error at /weight: weight_flat needs Q > 0" "$RUNNER_TEMP/flat-zero.err"
 test ! -e "$RUNNER_TEMP/flat-zero.json"
+code=0
+python -m todakit sweep --boundary weight_flat --weight '{"kind": "constant", "r": 2, "value": 1}' --grid '{"mode": "cartesian", "n": 33, "rho_max": 2}' --t-values 1,2,3,4,5,6 --jobs 2 --reference poincare --out "$RUNNER_TEMP/poincare-sweep.csv" 2> "$RUNNER_TEMP/poincare-sweep.err" || code=$?
+test "$code" -eq 2
+grep -q "^config error at /reference: " "$RUNNER_TEMP/poincare-sweep.err"
+test ! -e "$RUNNER_TEMP/poincare-sweep.csv"

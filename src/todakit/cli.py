@@ -11,10 +11,11 @@ in `io`: the constructors check the values they build and the key table
 check fails or on a ValidationError (non-finite numeric state, a
 malformed CSV file); 2 on every input error, a ConfigurationError, with
 its JSON pointer (for a --solution file, /solution and the pointer into
-the file).  A weight, grid and boundary that no solve can take together
-are rejected before the first solve, at the value to blame; an input
-error found mid-run (a plot column the CSV lacks, a reference a stored
-grid cannot carry) may carry the pointer /;
+the file).  A weight, grid and boundary that no solve can take together,
+and a reference density the grid cannot carry, are rejected before the
+first solve (for a stored solution, once it loads), at the value to
+blame; an input error found mid-run (a plot column the CSV lacks) may
+carry the pointer /;
 3 when the solver fails to converge (the residual history is written
 next to the resolved output path).
 """
@@ -38,7 +39,7 @@ from .io import (REFERENCES, SUITES, _KEYS, _built, _checked, _json_object,
                  _require_file, dumps_json, format_float, load_solution,
                  save_solution, write_csv, write_json)
 from .plot import plot_csv
-from .thermo import thermo_field, write_thermo_csv
+from .thermo import check_reference, thermo_field, write_thermo_csv
 from .toda import (BOUNDARY_STRATEGIES, SolverConfig, check_solvable,
                    solve_toda)
 from .verify import render_table, reports_to_dict, run_suite, suite_passed
@@ -159,8 +160,12 @@ def cmd_thermo(args) -> int:
     weight, grid, cfg, (beta,) = _inputs(
         doc, "thermo", *(() if stored else ("weight", "grid")), one_beta=True)
     reference = doc.get("reference", "flat")
-    sol = (_stored(doc["solution"]) if stored
-           else solve_toda(weight, grid, cfg))
+    if stored:
+        sol = _stored(doc["solution"])
+        check_reference(sol.grid, reference)
+    else:
+        check_reference(grid, reference)
+        sol = solve_toda(weight, grid, cfg)
     tf = thermo_field(sol, beta, reference)
     out = args.out
     write_thermo_csv(out, sol, tf)
@@ -201,6 +206,7 @@ def cmd_sweep(args) -> int:
     weight, grid, cfg, betas = _inputs(doc, "sweep", "weight", "grid",
                                        "t_values")
     reference = doc.get("reference", "flat")
+    check_reference(grid, reference)
     # _KEYS took each amplitude as a positive finite number
     weights = [dataclasses.replace(weight, t=float(t))
                for t in sorted(set(doc["t_values"]))]

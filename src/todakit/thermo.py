@@ -121,6 +121,16 @@ def write_thermo_csv(path: str, sol: TodaSolution, tf: ThermoField) -> None:
 # reference densities
 
 
+def check_reference(grid: Grid, reference: str) -> None:
+    """Raise ConfigurationError at /reference unless `grid` carries the
+    reference density `reference`: poincare needs rho_max < 1."""
+    try:
+        _log_reference(grid, reference)
+    except ConfigurationError as exc:
+        exc.pointer = "/reference"
+        raise
+
+
 def _log_reference(grid: Grid, reference: str) -> np.ndarray:
     if reference == "flat":
         return np.zeros(grid.nodes)

@@ -373,6 +373,12 @@ FLAT_PAST_DISC = ("--boundary", "weight_flat",
     (("thermo",) + RADIAL_BINOMIAL, "/weight/coeffs"),
     (("sweep",) + ZERO_FLAT + ("--t-values", "1,2", "--jobs", "2"),
      "/weight"),
+    # a reference density the grid cannot carry
+    (("sweep",) + FLAT_PAST_DISC + ("--reference", "poincare",
+                                    "--t-values", "1,2", "--jobs", "2"),
+     "/reference"),
+    (("thermo",) + FLAT_PAST_DISC + ("--reference", "poincare"),
+     "/reference"),
 ])
 def test_rejected_input_exits_two_before_any_solve(tmp_path, capsys,
                                                    monkeypatch, argv,
@@ -424,10 +430,10 @@ def test_corrupt_solution_file_exits_two_at_solution(tmp_path, capsys):
 
 # Inputs that no single document value rules out: a weight, grid and
 # boundary that no solve can take together, found before any solve at the
-# value to blame, and a plot column the CSV lacks or a reference the stored
-# grid cannot carry, found mid-run at /.  Each is a ConfigurationError like
-# a rejected document value, so it exits 2 and writes nothing.  `setup`
-# writes the file the command reads.
+# value to blame, a reference the stored grid cannot carry, found once the
+# solution loads, and a plot column the CSV lacks, found mid-run at /.
+# Each is a ConfigurationError like a rejected document value, so it exits
+# 2 and writes nothing.  `setup` writes the file the command reads.
 MID_RUN = [
     ((), ("solve", "--weight", WEIGHT, "--grid", _grid(rho_max=1.5)),
      "/grid/rho_max"),
@@ -439,11 +445,14 @@ MID_RUN = [
     (("thermo", "--weight", WEIGHT, "--grid", GRID, "--out", "t.csv"),
      ("plot", "t.csv", "--column", "nope"), "/"),
     (("solve",) + FLAT_PAST_DISC + ("--out", "sol.json"),
-     ("thermo", "--solution", "sol.json", "--reference", "poincare"), "/"),
-    # raised in a worker: the error pickles back across the process pool
-    ((), ("sweep",) + FLAT_PAST_DISC + ("--reference", "poincare",
-                                        "--t-values", "1,2", "--jobs", "2"),
-     "/"),
+     ("thermo", "--solution", "sol.json", "--reference", "poincare"),
+     "/reference"),
+    # raised in a worker: the error pickles back across the process pool.
+    # The sweep checks its weight at t = 1; at t = 1e-200, t^2 underflows,
+    # so the worker finds Q = 0 on the weight_flat boundary ring
+    ((), ("sweep", "--boundary", "weight_flat", "--weight",
+          '{"kind": "constant", "r": 2, "value": 1}', "--grid", GRID,
+          "--t-values", "1,1e-200", "--jobs", "2"), "/weight"),
 ]
 
 
