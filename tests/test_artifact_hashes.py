@@ -29,23 +29,23 @@ FROZEN = {
     "profile.svg":
         "44c5ac35b05a527cf78c1f4022cc7baa4513f57977216602ff46409e9c33e68a",
     "report.json":
-        "6d6478b1acf08c0e6f12e06712255f29b975cdf1edf5f997718631182be2a25d",
+        "76b92fb81bc103b6f3c992f42b4bff248a26de5f94ce5adc87a3ef2ef712404c",
     "sol-cart.json":
-        "3147a65ae116eb84737c1ec8b2241bd0a32fd200313d08c379e13c3381231acf",
+        "16607e1992a0a1b02e9b43974ef5f8b5843f52a38de9e731b76fdf22b91d3b18",
     "sol-radial.json":
         "40eb142edff9fc26e701938664208f75efcefe0ee5da09e98f7410fdbeb30a6c",
     "sweep.csv":
-        "8b72e0e55742648aa9db8bb881152003d061afcedc3af2f3f1c46dd028fb0b3e",
+        "3a376336026e0e7ea15cb54e046c1dff74cfe9f23c82fa81c0228b2fd1393c5d",
     "sweep.svg":
         "9e6d1cf96aa540f8fe012e42262e48addfc312c5ac88d35022470f11dbf80356",
     "thermo-b-1-flat.csv":
-        "a7ae50cab3f1d85d49efe9684f964d76eeaf4ec0aa391fd4ee95faa7a63d71b0",
+        "1b17e2afd73ef5650d2a3700e412b75e6f1ce587e128f09b01be0621bf67e305",
     "thermo-b-1-poincare.csv":
-        "4bd902691fce355cdab79bac6ae5bcc0b294855b6725868d966274fc06925731",
+        "4fd5261efe3cfb8cf036f414ae298a0a9aad2ab7d227f42ca2bee933d7af217f",
     "thermo-b1-flat.csv":
-        "ba28abf8ccb8e0c13541cc1fa16fab08fb084a6e657f8b7405b0d7585cabd293",
+        "587daa7349ee22f2e3a3947a31d78f9f86877a8f4cce2c3a3b6b35611ce62f90",
     "thermo-b1-poincare.csv":
-        "eb9706b89bf2c46129e8e41045c37bfe9bd2b7b6fde716667aec5c5bd8b6f64f",
+        "d963cbdb0a2e26e32b57130e18313a65683910df01b18d0a38acc0fe740095e1",
     "thermo-radial.csv":
         "3105e14df0df6d91f860670773092a0d86ffe22d1dea44dca6f885e6b4124628",
 }
