@@ -145,9 +145,10 @@ _GMRES_MAXITER = 10
 # Under GMRES the cycle won from about 3500 unknowns at r = 4 and 4900 at
 # r = 2; under CG it wins from about 3100 at both, and n = 65 is a tie.
 # The bound stays at 4000: it also sets the coarsest level of the larger
-# hierarchies, and lower bounds (3300, 2000, 1000, 500) showed no gain
-# beyond the noise on the solve-coupled benchmark's solves.  Radial blocks
-# are tridiagonal, so their LU factor is exact and O(n) at every size.
+# hierarchies, and lower bounds (3300 and 2000; earlier 1000 and 500)
+# showed no gain beyond the noise on the solve-coupled benchmark's solves.
+# Radial blocks are tridiagonal, so their LU factor is exact and O(n) at
+# every size.
 _DIRECT_SIZE = 4000
 _JACOBI_WEIGHT = 0.8
 _SMOOTHING_SWEEPS = 2
