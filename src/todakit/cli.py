@@ -40,8 +40,8 @@ from .io import (REFERENCES, SUITES, _KEYS, _built, _checked, _json_object,
                  save_solution, write_csv, write_json)
 from .plot import plot_csv
 from .thermo import check_reference, thermo_field, write_thermo_csv
-from .toda import (BOUNDARY_STRATEGIES, SolverConfig, check_solvable,
-                   solve_toda)
+from .toda import (BOUNDARY_STRATEGIES, SolverConfig, check_amplitudes,
+                   check_solvable, solve_toda)
 from .verify import render_table, reports_to_dict, run_suite, suite_passed
 from .weight import _check_beta, model_constants, weight_from_dict
 
@@ -208,6 +208,7 @@ def cmd_sweep(args) -> int:
     reference = doc.get("reference", "flat")
     check_reference(grid, reference)
     # _KEYS took each amplitude as a positive finite number
+    check_amplitudes(weight, grid, cfg.boundary, doc["t_values"])
     weights = [dataclasses.replace(weight, t=float(t))
                for t in sorted(set(doc["t_values"]))]
     point = functools.partial(_sweep_point, grid=grid, cfg=cfg, betas=betas,

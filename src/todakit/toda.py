@@ -58,12 +58,18 @@ the eigenbasis of C Lambda it is r-1 scalar Helmholtz operators
 (1/4) Lap - k(k+1) e^u.  The folded unknowns keep the mirror-symmetric
 modes only, the r//2 operators with k odd.  On radial grids each is
 tridiagonal and solved by a sparse LU factor.  On cartesian grids each is
-symmetric negative definite: a block with at most _DIRECT_SIZE unknowns is
-solved by a LAPACK banded Cholesky factor, and a larger one by one
-multigrid V-cycle (Galerkin coarse operators on the even-index nodes,
-damped Jacobi smoothing, the coarsest level Cholesky-factored).
-Each stage's Newton run builds the factors and hierarchies once, with e^u
-fitted to its first iterate, and applies them at every step.  Newton is
+symmetric negative definite.  A block with at most _DIRECT_SIZE unknowns
+is solved exactly by its red-black reduced system (George & Liu 1981):
+the 5-point graph is 2-colourable, so eliminating one colour leaves a
+Schur complement on the other half of the nodes, which a LAPACK banded
+Cholesky factor solves in rotated-row order (band 46 at n = 65, against
+63 for the whole block).  A larger block is solved by one multigrid
+V-cycle (Galerkin coarse operators on the even-index nodes, damped Jacobi
+smoothing, the coarsest level Cholesky-factored whole).  Each stage's
+Newton run builds the factors and hierarchies once, with e^u fitted to
+its first iterate, and applies them at every step; the reduced systems'
+colouring, order and band layout depend on the active set only and are
+shared by the stage's blocks.  Newton is
 inexact (Dembo, Eisenstat & Steihaug 1982): the Krylov solver stops at the
 Eisenstat-Walker choice-2 forcing term, 1e-4 on a run's first step and then
 0.9 (res_k / res_{k-1})^2 clipped to [1e-12, 1e-4], so early steps from a
@@ -79,11 +85,12 @@ from __future__ import annotations
 
 import logging
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse import coo_matrix, diags
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, cg, gmres, splu
 
 from .errors import ConfigurationError, ConvergenceError, ValidationError
@@ -129,24 +136,27 @@ _CG_MAXITER = 600
 _GMRES_RESTART = 60
 _GMRES_MAXITER = 10
 # Cartesian preconditioner blocks with at most this many unknowns are
-# factored whole by banded Cholesky; larger ones are solved by one
-# multigrid V-cycle whose coarsest level is the first with at most this
-# many unknowns.  Solves of cartesian q = z, rho_max = 0.9 by CG, whole
-# factor / one-level V-cycle, ms (median of 15, one BLAS thread, 2-vCPU
-# x86-64 VM):
+# solved exactly by their red-black reduced system (`_RedBlack`); larger
+# ones are solved by one multigrid V-cycle whose coarsest level is the
+# first with at most this many unknowns.  Solves of cartesian q = z,
+# rho_max = 0.9 by CG, reduced factor / one-level V-cycle, ms (median of
+# 15, one BLAS thread, 2-vCPU x86-64 VM):
 #       n  unknowns      r = 2          r = 4
-#      57      2377    5.2 /  5.5    10.2 / 10.9
-#      65      3125    7.1 /  6.6    13.8 / 13.4
-#      69      3521    7.8 /  6.9    14.0 / 10.1
-#      73      3969    9.2 /  7.9    23.0 / 13.3
-#      77      4421   11.9 / 10.4    19.0 / 12.1
-#      81      4905   12.6 / 10.6    22.8 / 13.1
-#     113      9689   29.0 / 20.2    52.7 / 23.9
-# Under GMRES the cycle won from about 3500 unknowns at r = 4 and 4900 at
-# r = 2; under CG it wins from about 3100 at both, and n = 65 is a tie.
-# The bound stays at 4000: it also sets the coarsest level of the larger
-# hierarchies, and lower bounds (3300 and 2000; earlier 1000 and 500)
-# showed no gain beyond the noise on the solve-coupled benchmark's solves.
+#      57      2377    3.7 /  4.7     6.2 /  9.5
+#      65      3125    4.7 /  5.8     8.0 / 11.8
+#      69      3521    4.9 /  6.4     7.2 /  9.2
+#      73      3969    5.5 /  6.6     8.0 / 10.2
+#      77      4421    6.1 /  7.1     8.5 / 11.0
+#      81      4905    6.9 /  7.7    10.0 / 12.2
+#      89      5957    8.9 / 10.5    13.7 / 14.4
+#      97      7089   10.8 / 11.2    16.3 / 15.3
+#     105      8341   12.6 / 12.2    19.1 / 17.6
+#     113      9689   15.8 / 14.6    23.7 / 23.8
+# With the whole-block factor the cycle won from about 3100 unknowns; the
+# reduced factor wins to about 6000 at both ranks.  The bound stays at
+# 4000 all the same: it also sets the coarsest level of the larger
+# hierarchies, a 9-point Galerkin operator that is not 2-colourable and
+# is factored whole, and a larger coarsest level there is not measured.
 # Radial blocks are tridiagonal, so their LU factor is exact and O(n) at
 # every size.
 _DIRECT_SIZE = 4000
@@ -312,7 +322,35 @@ class _System:
         if self.k == 0:
             raise ConfigurationError("active node set is empty")
         self.lap = 0.25 * laplacian_operator(grid, active)
-        self.lap_active = self.lap[:, self.idx]
+        # lap_active keeps lap's entries in active columns, renumbered in
+        # active order; rows are active nodes, so every row keeps its
+        # diagonal entry, at `diagonal_at` in the data
+        lap = self.lap
+        column = np.full(grid.nodes, -1, dtype=lap.indices.dtype)
+        column[self.idx] = np.arange(self.k)
+        cols = column[lap.indices]
+        kept = cols >= 0
+        counts = np.add.reduceat(kept, lap.indptr[:-1])
+        indptr = np.zeros(self.k + 1, dtype=lap.indptr.dtype)
+        np.cumsum(counts, out=indptr[1:])
+        self.lap_active = csr_matrix(
+            (lap.data[kept], cols[kept], indptr), shape=(self.k, self.k))
+        self.diagonal_at = np.flatnonzero(
+            cols[kept] == np.repeat(np.arange(self.k), counts))
+
+    def block(self, c: np.ndarray):
+        """The Helmholtz block (1/4) L_A - diag(c), CSR: a copy of
+        `lap_active` with its diagonal shifted."""
+        block = self.lap_active.copy()
+        block.data[self.diagonal_at] -= c
+        return block
+
+    @cached_property
+    def red_black(self) -> _RedBlack:
+        """The grid-only part of the red-black reduced block solves on
+        the active set, built on first use; cartesian grids only."""
+        return _RedBlack(self.grid, self.idx,
+                         self.lap_active.data[self.diagonal_at])
 
     def _densities(self, u: np.ndarray, q: np.ndarray):
         """(e^{u_a}, V_0) at the active nodes, V_0 summed over the chain."""
@@ -376,10 +414,12 @@ class _System:
         the Q = 0 model state, the exact Jacobian for r = 2, and it keeps
         the V_0 coupling that dominates at large amplitude.  A radial
         block is LU-factored.  A cartesian block with at most _DIRECT_SIZE
-        unknowns is factored by banded Cholesky; a larger one is solved by
-        one V-cycle, so there P^{-1} is a fixed approximate inverse and the
-        Krylov solver takes more, cheaper iterations.  Each call builds the
-        factors anew; `_newton` calls it once per run.
+        unknowns is solved exactly by its red-black reduced system, one
+        banded Cholesky factor per block on the `red_black` split the
+        system builds once; a larger one is solved by one V-cycle, so
+        there P^{-1} is a fixed approximate inverse and the Krylov solver
+        takes more, cheaper iterations.  Each call builds the factors
+        anew; `_newton` calls it once per run.
 
         M P = M x (1/4) L - diag(e^u) x G, so P^{-1} (M^{-1} x I) =
         (M P)^{-1} is symmetric negative definite on cartesian grids,
@@ -399,17 +439,19 @@ class _System:
         t_inv = v.T * sqrt_g[None, :]
         e, v0 = self._densities(u, q)
         e_u = (e[self.fold].sum(axis=0) + v0) / lam.sum()
-        blocks = [self.lap_active - diags(dk * e_u) for dk in d]
-        if self.grid.mode == "cartesian":
-            prolongations = _prolongations(self.grid, self.idx)
-            solvers = [_VCycle(a, prolongations) for a in blocks]
-        else:
+        shifts = [dk * e_u for dk in d]
+        if self.grid.mode == "radial":
             # radial blocks are tridiagonal but not symmetric (the drift
             # terms of the axis-limited stencil); they are diagonally
             # dominant, so diagonal pivots are stable and SymmetricMode
             # factors them about a quarter faster
-            solvers = [splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                            options={"SymmetricMode": True}) for a in blocks]
+            solvers = [splu(self.block(c).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                            options={"SymmetricMode": True}) for c in shifts]
+        else:
+            prolongations = _prolongations(self.grid, self.idx)
+            solvers = ([_VCycle(self.block(c), prolongations) for c in shifts]
+                       if prolongations else
+                       [self.red_black.factor(c) for c in shifts])
 
         def apply(x):
             y = t_inv @ x.reshape(m, k)
@@ -427,22 +469,30 @@ def _coarsen(n: int, nodes: np.ndarray):
     half of parents i // 2 and (i + 1) // 2 on the coarse axis of n // 2 + 1
     nodes (at even i both are i / 2, and the halves sum to one); the
     prolongation is the tensor product of the two axes, restricted to the
-    coarse nodes some row touches, numbered in flat-index order.  Returns
-    (P, coarse nodes, coarse n).
+    coarse nodes some row touches, numbered in flat-index order.  It is
+    written directly as canonical CSR: a row has 1, 2 or 4 entries of
+    weight 1, 1/2 or 1/4, its parents (iy // 2, ix // 2), (iy // 2,
+    ix // 2 + 1) at odd ix, (iy // 2 + 1, ix // 2) at odd iy and
+    (iy // 2 + 1, ix // 2 + 1) at both, in that (ascending) order.
+    Returns (P, coarse nodes, coarse n).
     """
     nc = n // 2 + 1
     iy, ix = np.unravel_index(nodes, (n, n))
-    cols = np.concatenate([np.ravel_multi_index((py, px), (nc, nc))
-                           for py in (iy // 2, (iy + 1) // 2)
-                           for px in (ix // 2, (ix + 1) // 2)])
+    oy, ox = iy & 1, ix & 1
+    base = (iy // 2) * nc + ix // 2
+    cols = np.stack([base, base + 1, base + nc, base + nc + 1], axis=1)
+    kept = np.stack([np.ones_like(oy), ox, oy, oy & ox], axis=1).astype(bool)
+    cols = cols[kept]
     touched = np.zeros(nc * nc, dtype=bool)
     touched[cols] = True
     coarse = np.flatnonzero(touched)
     cols = (np.cumsum(touched) - 1)[cols]
-    rows = np.tile(np.arange(len(nodes)), 4)
-    p = coo_matrix((np.full(len(rows), 0.25), (rows, cols)),
-                   shape=(len(nodes), len(coarse)))
-    return p.tocsr(), coarse, nc
+    counts = (1 + oy) * (1 + ox)
+    indptr = np.zeros(len(nodes) + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    p = csr_matrix((np.repeat(1.0 / counts, counts), cols.astype(np.int32),
+                    indptr), shape=(len(nodes), len(coarse)))
+    return p, coarse, nc
 
 
 def _prolongations(grid: Grid, idx: np.ndarray) -> list:
@@ -456,23 +506,29 @@ def _prolongations(grid: Grid, idx: np.ndarray) -> list:
     return out
 
 
-class _BandedCholesky:
-    """x = A^{-1} b for a symmetric negative definite sparse block A.
+def _upper_band(a) -> np.ndarray:
+    """The upper band of the sparse symmetric -A in LAPACK's layout:
+    -A[i, j] at [w + i - j, j] for i <= j, w the bandwidth, the largest
+    column offset in the block's own node order."""
+    a = a.tocoo()
+    upper = a.col >= a.row
+    rows, cols = a.row[upper], a.col[upper]
+    width = int((cols - rows).max())
+    band = np.zeros((width + 1, a.shape[0]))
+    band[width + rows - cols, cols] = -a.data[upper]
+    return band
 
-    LAPACK's banded Cholesky factor -A = U^T U (dpbtrf) is taken in the
-    block's own node order, the active nodes' row-major order, whose
-    bandwidth is the largest column offset (one grid row of active
-    nodes, 63 at n = 65).  It reads the upper band only; it needs no
-    fill-reducing ordering and no pivoting.
+
+class _BandedCholesky:
+    """x = A^{-1} b for a symmetric negative definite A, given the upper
+    band of -A in LAPACK's layout (`_upper_band`).
+
+    LAPACK's banded Cholesky factor -A = U^T U (dpbtrf) reads the upper
+    band only; it needs no fill-reducing ordering and no pivoting, and
+    its cost is set by the bandwidth of the node order the band is in.
     """
 
-    def __init__(self, a):
-        a = a.tocoo()
-        upper = a.col >= a.row
-        rows, cols = a.row[upper], a.col[upper]
-        width = int((cols - rows).max())
-        band = np.zeros((width + 1, a.shape[0]))
-        band[width + rows - cols, cols] = -a.data[upper]
+    def __init__(self, band):
         self.factor, info = dpbtrf(band, overwrite_ab=True)
         if info:
             raise ValidationError(
@@ -482,6 +538,93 @@ class _BandedCholesky:
     def solve(self, b):
         x, _ = dpbtrs(self.factor, b)
         return -x
+
+
+class _RedBlack:
+    """The grid-only part of the exact red-black reduced solve of the
+    cartesian blocks A = (1/4) L_A - diag(c), c > 0, on one active set.
+
+    The 5-point graph is 2-coloured by the parity of iy + ix.  The colour
+    of the first active node is kept (B, never empty) and the other (R)
+    is eliminated.  A's R-R and B-B parts are diagonal, -d_R and -d_B with
+    d = c + 1/h^2, and every coupling L_RB, L_BR = L_RB^T is lap_active's
+    1/(4h^2), so the Schur complement S = -D_B + L_BR D_R^-1 L_RB of A is
+    symmetric negative definite, and -S is D_B less one contribution
+    (1/(4h^2))^2 / d_r for each red node r and each pair i <= j of B
+    nodes next to it (George & Liu 1981).  B is ordered by rotated rows,
+    sort key ((iy + ix) // 2, iy - ix), where S couples a node to its own
+    and the two neighbouring anti-diagonals: its band is 46 at n = 65
+    against 63 for A in row-major order (22 against 31 at n = 33).
+
+    The colouring, the order, L_RB (CSR, rows R, columns B in rotated
+    order), its transpose L_BR (CSR) and the flat band position of every
+    contribution depend on the grid and the active set only, so a
+    `_System` builds them once for all its blocks; `factor` then costs
+    one bincount and one dpbtrf.
+    """
+
+    def __init__(self, grid: Grid, idx: np.ndarray, diagonal: np.ndarray):
+        n = grid.n
+        iy, ix = np.divmod(idx, n)
+        colour = (iy + ix) & 1
+        keep = colour == colour[0]
+        black = np.flatnonzero(keep)
+        by, bx = iy[black], ix[black]
+        self.black = black[np.lexsort((by - bx, (by + bx) // 2))]
+        self.red = np.flatnonzero(~keep)
+        self.diagonal = diagonal
+        self.coupling = 0.25 / (grid.h * grid.h)
+        nb, nr = len(self.black), len(self.red)
+        # the B position of each grid node's neighbours, -1 where the
+        # neighbour is not an active B node
+        where = np.full(grid.nodes, -1)
+        where[idx[self.black]] = np.arange(nb)
+        nbr = where[idx[self.red][:, None] + np.array([-n, -1, 1, n])]
+        on = nbr >= 0
+        self.l_rb = csr_matrix(
+            (np.full(int(on.sum()), self.coupling), nbr[on],
+             np.concatenate([[0], np.cumsum(on.sum(axis=1))])),
+            shape=(nr, nb))
+        self.l_br = self.l_rb.T.tocsr()
+        # every pair (i, j), i <= j, of B neighbours of each red node
+        a, b = np.triu_indices(4)
+        i = np.minimum(nbr[:, a], nbr[:, b])
+        j = np.maximum(nbr[:, a], nbr[:, b])
+        pair = i >= 0
+        self.source = np.nonzero(pair)[0]
+        i, j = i[pair], j[pair]
+        self.width = int((j - i).max(initial=0))
+        self.position = (self.width + i - j) * nb + j
+
+    def factor(self, c: np.ndarray) -> _ReducedCholesky:
+        """The reduced solve of A = (1/4) L_A - diag(c)."""
+        return _ReducedCholesky(self, c - self.diagonal)
+
+
+class _ReducedCholesky:
+    """x = A^{-1} b for one block A by its red-black reduced system:
+    y = b_B + L_BR (b_R / d_R), x_B = S^-1 y by the banded Cholesky
+    factor of -S, x_R = (L_RB x_B - b_R) / d_R; d = -diag(A) > 0."""
+
+    def __init__(self, rb: _RedBlack, d: np.ndarray):
+        self.rb = rb
+        self.inv_red = 1.0 / d[rb.red]
+        nb = len(rb.black)
+        band = np.bincount(
+            rb.position, (rb.coupling * rb.coupling * self.inv_red)[rb.source],
+            minlength=(rb.width + 1) * nb).reshape(rb.width + 1, nb)
+        np.negative(band, out=band)
+        band[rb.width] += d[rb.black]
+        self.schur = _BandedCholesky(band)
+
+    def solve(self, b):
+        rb = self.rb
+        z = self.inv_red * b[rb.red]
+        x_b = self.schur.solve(b[rb.black] + rb.l_br @ z)
+        x = np.empty_like(b)
+        x[rb.black] = x_b
+        x[rb.red] = self.inv_red * (rb.l_rb @ x_b) - z
+        return x
 
 
 class _VCycle:
@@ -498,8 +641,9 @@ class _VCycle:
     of a preconditioner.  The cycle smooths as often after the coarse
     correction as before it and restricts by P^T, so M^{-1} is symmetric
     negative definite too, as CG needs.  With no prolongations the block
-    is its own coarsest level and M^{-1} is its exact Cholesky solve.
-    `prolongations` are the (P, P^T) pairs of `_prolongations`.
+    would be its own coarsest level, factored whole; the preconditioner
+    solves such a block by `_RedBlack` instead.  `prolongations` are the
+    (P, P^T) pairs of `_prolongations`.
     """
 
     def __init__(self, block, prolongations):
@@ -509,7 +653,7 @@ class _VCycle:
             self.levels.append((a, _JACOBI_WEIGHT / a.diagonal(), p, pt))
             a = pt @ a @ p
             a = (0.5 * (a + a.T)).tocsr()
-        self.coarsest = _BandedCholesky(a)
+        self.coarsest = _BandedCholesky(_upper_band(a))
 
     def solve(self, b, level=0):
         if level == len(self.levels):
@@ -570,12 +714,15 @@ def check_solvable(weight: WeightDensity, grid: Grid,
     - the weight must evaluate on the grid: a `grid` weight needs one
       sample per node (/weight/samples), and a poly weight on a radial
       grid must be a monomial (/weight/coeffs);
+    - Q must be finite: t^2 times the base density overflows at a large
+      enough amplitude t (/weight);
     - `weight_flat` takes its Dirichlet data log(Q) / r on the boundary
       ring, the boundary nodes an interior stencil reads, so it needs
-      Q > 0 there (/weight).
+      Q > 0 there (/weight), and t^2 times the base density underflows to
+      0 at a small enough t.
 
-    Q is t^2 times a fixed base density, so the checks hold for every
-    amplitude t > 0 once they hold for one.
+    The last two checks depend on t; `check_amplitudes` runs them over a
+    range of amplitudes.
     """
     if boundary != "weight_flat" and grid.rho_max >= 1.0:
         raise ConfigurationError(
@@ -586,6 +733,8 @@ def check_solvable(weight: WeightDensity, grid: Grid,
     except ConfigurationError as exc:
         exc.pointer = f"/weight{exc.pointer}"
         raise
+    except ValidationError as exc:
+        raise ConfigurationError(str(exc), pointer="/weight") from None
     if boundary == "weight_flat":
         ring = np.zeros(grid.nodes, dtype=bool)
         ring[laplacian_operator(grid, grid.interior).indices] = True
@@ -596,6 +745,21 @@ def check_solvable(weight: WeightDensity, grid: Grid,
                 f"weight_flat needs Q > 0 on the boundary ring; {bad} ring "
                 "nodes have Q = 0", pointer="/weight")
     return q
+
+
+def check_amplitudes(weight: WeightDensity, grid: Grid, boundary: str,
+                     t_values) -> None:
+    """`check_solvable` for `weight` at the smallest and the largest of
+    the amplitudes `t_values`, each failure a ConfigurationError at
+    /t_values.  Q = t^2 Q_base, and rounding is monotone, so a node's Q
+    is 0 up to some amplitude and non-finite from some amplitude on: the
+    checks pass at every amplitude between two at which they pass."""
+    for t in (min(t_values), max(t_values)):
+        try:
+            check_solvable(replace(weight, t=float(t)), grid, boundary)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"amplitude t={t!r}: {exc}",
+                                     pointer="/t_values") from None
 
 
 def _profile(grid: Grid, r: int, q: np.ndarray, boundary: str) -> np.ndarray:

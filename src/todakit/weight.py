@@ -176,7 +176,21 @@ def weight_from_dict(doc: dict) -> WeightDensity:
 
 
 def evaluate_density(weight: WeightDensity, grid: Grid) -> Field:
-    """Evaluate t^2 * Q_base at the grid nodes; result is finite and >= 0."""
+    """Evaluate t^2 * Q_base at the grid nodes; result is finite and >= 0.
+
+    t^2 Q_base can overflow, to inf or, times a zero of Q_base, to nan;
+    either raises ValidationError, so numpy's overflow warnings are
+    silenced here."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = _density(weight, grid)
+    if not np.all(np.isfinite(q)):
+        raise ValidationError("weight density evaluated to a non-finite value")
+    # roundoff in |q|^2 cannot go negative, but guard the invariant anyway
+    np.maximum(q, 0.0, out=q)
+    return Field(grid, q)
+
+
+def _density(weight: WeightDensity, grid: Grid) -> np.ndarray:
     t2 = weight.t * weight.t
     if weight.kind == "zero":
         q = np.zeros(grid.nodes)
@@ -206,11 +220,7 @@ def evaluate_density(weight: WeightDensity, grid: Grid) -> Field:
                 f"grid {grid.key()} has {grid.nodes} nodes",
                 pointer="/samples")
         q = t2 * weight.samples.copy()
-    if not np.all(np.isfinite(q)):
-        raise ValidationError("weight density evaluated to a non-finite value")
-    # roundoff in |q|^2 cannot go negative, but guard the invariant anyway
-    np.maximum(q, 0.0, out=q)
-    return Field(grid, q)
+    return q
 
 
 def lambda_coefficients(r: int) -> np.ndarray:

@@ -379,6 +379,13 @@ FLAT_PAST_DISC = ("--boundary", "weight_flat",
      "/reference"),
     (("thermo",) + FLAT_PAST_DISC + ("--reference", "poincare"),
      "/reference"),
+    # amplitudes whose t^2 leaves the double range: at t = 1e-200 Q
+    # underflows to 0 on the weight_flat boundary ring, at t = 1e200 it
+    # overflows; the sweep checks its extreme amplitudes before the pool
+    (("sweep", "--boundary", "weight_flat", "--weight",
+      '{"kind": "constant", "r": 2, "value": 1}', "--grid", GRID,
+      "--t-values", "1,1e-200", "--jobs", "2"), "/t_values"),
+    (SWEEP[:-2] + ("--t-values", "1,1e200", "--jobs", "2"), "/t_values"),
 ])
 def test_rejected_input_exits_two_before_any_solve(tmp_path, capsys,
                                                    monkeypatch, argv,
@@ -447,12 +454,6 @@ MID_RUN = [
     (("solve",) + FLAT_PAST_DISC + ("--out", "sol.json"),
      ("thermo", "--solution", "sol.json", "--reference", "poincare"),
      "/reference"),
-    # raised in a worker: the error pickles back across the process pool.
-    # The sweep checks its weight at t = 1; at t = 1e-200, t^2 underflows,
-    # so the worker finds Q = 0 on the weight_flat boundary ring
-    ((), ("sweep", "--boundary", "weight_flat", "--weight",
-          '{"kind": "constant", "r": 2, "value": 1}', "--grid", GRID,
-          "--t-values", "1,1e-200", "--jobs", "2"), "/weight"),
 ]
 
 

@@ -550,17 +550,20 @@ def _first_cg_call(monkeypatch, weight, g, cfg=None):
 def test_cg_preconditioner_is_symmetric_positive_definite(monkeypatch, r,
                                                          vcycle):
     # -P^-1 (M^-1 x I) = -(M P)^-1, as CG is handed it on the first step,
-    # with every block factored whole and with every block solved by a
-    # V-cycle (the direct size lowered so that n = 33 coarsens twice)
+    # with every block solved exactly by its red-black reduced system and
+    # with every block solved by a V-cycle (the direct size lowered so that
+    # n = 33 coarsens twice)
     import todakit.toda as toda
 
     if vcycle:
         monkeypatch.setattr(toda, "_DIRECT_SIZE", 200)
     coarsened = _counted(monkeypatch, toda, "_coarsen")
+    reduced = _counted(monkeypatch, toda, "_ReducedCholesky")
     (op, rhs), kwargs, _ = _first_cg_call(
         monkeypatch, make_weight("poly", r, coeffs=[0.3, 1]),
         build_grid("cartesian", 33, 0.9))
     assert len(coarsened) == (2 if vcycle else 0)
+    assert len(reduced) == (0 if vcycle else r // 2)
     prec = np.stack([kwargs["M"].matvec(col) for col in np.eye(len(rhs))],
                     axis=1)
     assert np.linalg.norm(prec - prec.T) <= 1e-13 * np.linalg.norm(prec)
@@ -625,8 +628,12 @@ def _bilinear_reference(n, nodes):
                                      (33, "random"), (34, "random")])
 def test_coarsen_matches_bilinear_reference(n, mask):
     # the prolongation onto a disc, an exhaustion stage's subdisc and a
-    # random node set equals the bilinear construction entry for entry,
-    # and each level stores its restriction as the transpose in CSR
+    # random node set equals the bilinear construction entry for entry, in
+    # canonical CSR (sorted columns, no duplicates, no stored zeros) with
+    # the same arrays, and each level stores its restriction as the
+    # transpose in CSR
+    from scipy.sparse import csr_matrix
+
     import todakit.toda as toda
 
     g = build_grid("cartesian", n, 0.9)
@@ -637,7 +644,10 @@ def test_coarsen_matches_bilinear_reference(n, mask):
     p, coarse, nc = toda._coarsen(n, nodes)
     ref, ref_coarse, ref_nc = _bilinear_reference(n, nodes)
     assert nc == ref_nc and np.array_equal(coarse, ref_coarse)
-    assert np.array_equal(p.toarray(), ref)
+    ref = csr_matrix(ref)
+    for part in ("indptr", "indices", "data"):
+        got, want = getattr(p, part), getattr(ref, part)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
     for p, pt in toda._prolongations(g, nodes):
         assert pt.format == "csr" and (pt != p.T).nnz == 0
 
@@ -720,42 +730,75 @@ def test_radial_blocks_are_always_factored(monkeypatch):
     assert len(factored) == sys.m and not coarsened
 
 
-def _helmholtz_block(g, active):
-    # the preconditioner's k = 1 block for r = 3 at the model state of a
-    # q = z weight: (1/4) L on the active set minus 2 diag(e^u)
-    from scipy.sparse import diags
-
+def _helmholtz_shift(g, active):
+    # the shift c of the preconditioner's k = 1 block (1/4) L_A - diag(c)
+    # for r = 3 at the model state of a q = z weight: c = 2 e^u
     import todakit.toda as toda
 
     sys = toda._System(g, 3, active, mirror=True)
     q = evaluate_density(make_weight("poly", 3, t=3.0, coeffs=[0, 1]), g)
     e, v0 = sys._densities(model_log_densities(g, 3)[:sys.m], q.values)
     e_u = (e[sys.fold].sum(axis=0) + v0) / lambda_coefficients(3).sum()
-    return sys, sys.lap_active - diags(2.0 * e_u)
+    return sys, 2.0 * e_u
 
 
 def _factored_blocks(monkeypatch):
-    """Every block handed to the banded Cholesky factor, in order, each
-    paired with the factor built from it."""
+    """Every sparse block whose band is handed to the banded Cholesky
+    factor whole, in order."""
     import todakit.toda as toda
 
     factored = []
-    real = toda._BandedCholesky
+    real = toda._upper_band
 
     def recorded(a):
-        factored.append((a.tocsr(), real(a)))
-        return factored[-1][1]
+        factored.append(a.tocsr())
+        return real(a)
 
-    monkeypatch.setattr(toda, "_BandedCholesky", recorded)
+    monkeypatch.setattr(toda, "_upper_band", recorded)
     return factored
+
+
+def _reduced_blocks(monkeypatch):
+    """(red-black split, shift c, reduced factor) of every block the solver
+    factors by its red-black reduced system, in order; each split records
+    the grid and active nodes it was built on as `args`."""
+    import todakit.toda as toda
+
+    reduced = []
+
+    class Recorded(toda._RedBlack):
+        def __init__(self, grid, idx, diagonal):
+            super().__init__(grid, idx, diagonal)
+            self.args = (grid, idx)
+
+        def factor(self, c):
+            reduced.append((self, c, super().factor(c)))
+            return reduced[-1][2]
+
+    monkeypatch.setattr(toda, "_RedBlack", Recorded)
+    return reduced
+
+
+def _sliced_block(g, idx, c):
+    # (1/4) L_A - diag(c) built independently of `_System`: the stencil's
+    # columns sliced to the active nodes
+    from scipy.sparse import diags
+
+    from todakit.grid import laplacian_operator
+
+    active = np.zeros(g.nodes, dtype=bool)
+    active[idx] = True
+    return ((0.25 * laplacian_operator(g, active))[:, idx]
+            - diags(c)).tocsr()
 
 
 @pytest.mark.parametrize("n, stage", [(65, "direct"), (257, "coarsest"),
                                       (65, "exhaustion")])
 def test_banded_cholesky_matches_sparse_lu(monkeypatch, n, stage):
-    # the banded Cholesky solve of a whole block, of the coarsest Galerkin
-    # level of the n = 257 V-cycle chain and of an exhaustion first-stage
-    # block agrees with a sparse LU solve of the same block
+    # the reduced solve of a whole block, the banded Cholesky solve of the
+    # coarsest Galerkin level of the n = 257 V-cycle chain, and the reduced
+    # solve of an exhaustion first-stage block agree with a sparse LU
+    # solve of the same block
     from scipy.sparse.linalg import spsolve
 
     import todakit.toda as toda
@@ -765,11 +808,16 @@ def test_banded_cholesky_matches_sparse_lu(monkeypatch, n, stage):
     if stage == "exhaustion":
         cut = toda._exhaustion_radii(g)[0] - 0.5 * g.h
         active = active & (g.r2 < cut * cut)
-    sys, block = _helmholtz_block(g, active)
-    factored = _factored_blocks(monkeypatch)
-    cycle = toda._VCycle(block, toda._prolongations(g, sys.idx))
-    assert len(cycle.levels) == (2 if stage == "coarsest" else 0)
-    (a, factor), = factored
+    sys, c = _helmholtz_shift(g, active)
+    prolongations = toda._prolongations(g, sys.idx)
+    if stage == "coarsest":
+        factored = _factored_blocks(monkeypatch)
+        cycle = toda._VCycle(sys.block(c), prolongations)
+        assert len(cycle.levels) == 2
+        (a,), factor = factored, cycle.coarsest
+    else:
+        assert not prolongations
+        a, factor = sys.block(c), sys.red_black.factor(c)
     b = np.random.default_rng(n).standard_normal(a.shape[0])
     ref = spsolve(a.tocsc(), b)
     assert np.linalg.norm(factor.solve(b) - ref) <= \
@@ -780,24 +828,98 @@ def test_banded_cholesky_matches_sparse_lu(monkeypatch, n, stage):
                                          (257, "model_poincare"),
                                          (65, "exhaustion")])
 def test_factored_blocks_are_exactly_symmetric(monkeypatch, n, boundary):
-    # the Cholesky factor reads the upper band only: every block it is
-    # given, whole or Galerkin, must equal its transpose bit for bit
+    # the Cholesky factor reads the upper band only, and the reduced
+    # system is built from L_RB and the diagonal only: every block the
+    # solver factors, whole or Galerkin, must equal its transpose bit for
+    # bit, and every block it reduces must too, and split bit for bit into
+    # the reduction's L_RB, L_BR and diagonal R-R and B-B parts
+    from scipy.sparse import diags
+
     factored = _factored_blocks(monkeypatch)
+    reduced = _reduced_blocks(monkeypatch)
     weight = make_weight("poly", 3, coeffs=[0, 1])
     solve_toda(weight, build_grid("cartesian", n, 0.9),
                SolverConfig(boundary=boundary))
-    assert factored
-    for a, _ in factored:
+    assert bool(factored) == (n == 257) and bool(reduced) == (n == 65)
+    for a in factored:
         assert (a != a.T).nnz == 0
+    for rb, c, _ in reduced:
+        a = _sliced_block(*rb.args, c)
+        assert (a != a.T).nnz == 0
+        red, black = a[rb.red], a[rb.black]
+        assert (red[:, rb.black] != rb.l_rb).nnz == 0
+        assert (black[:, rb.red] != rb.l_br).nnz == 0
+        for part, nodes in ((red, rb.red), (black, rb.black)):
+            own = part[:, nodes]
+            assert (own != diags(own.diagonal())).nnz == 0
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("r", [2, 3, 4, 8])
+@pytest.mark.parametrize("mask", ["disc", "exhaustion", "random"])
+def test_reduced_solve_matches_sparse_solve(monkeypatch, mask, r, mirror):
+    # each block the preconditioner reduces, at a random state with V_0
+    # coupling, is solved exactly: its reduced solve agrees with a sparse
+    # direct solve of the block
+    from scipy.sparse.linalg import spsolve
+
+    import todakit.toda as toda
+
+    g = build_grid("cartesian", 33, 0.9)
+    active = {"disc": g.interior,
+              "exhaustion": g.interior & (g.r2 < 0.75 ** 2),
+              "random": g.interior
+              & (np.random.default_rng(r).random(g.nodes) < 0.6)}[mask]
+    sys = toda._System(g, r, active, mirror=mirror)
+    reduced = _reduced_blocks(monkeypatch)
+    sys.preconditioner(*_random_state(g, r, sys.m, r))
+    assert len(reduced) == sys.m
+    b = np.random.default_rng(r + 1).standard_normal(sys.k)
+    for _, c, factor in reduced:
+        ref = spsolve(sys.block(c).tocsc(), b)
+        assert np.linalg.norm(factor.solve(b) - ref) <= \
+            1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n, rotated, natural", [(33, 22, 31), (65, 46, 63),
+                                                 (73, 52, 71)])
+def test_rotated_order_narrows_the_reduced_band(n, rotated, natural):
+    # S couples the B nodes next to one red node; its band is the largest
+    # spread of their positions, in rotated order and in row-major order
+    import todakit.toda as toda
+
+    g = build_grid("cartesian", n, 0.9)
+    rb = toda._System(g, 2, g.interior).red_black
+    row_major = np.argsort(np.argsort(rb.black))
+
+    def width(position):
+        cols = position[rb.l_rb.indices]
+        starts = rb.l_rb.indptr[:-1]
+        return int((np.maximum.reduceat(cols, starts)
+                    - np.minimum.reduceat(cols, starts)).max())
+
+    assert np.all(np.diff(rb.l_rb.indptr) > 0)
+    assert width(np.arange(len(rb.black))) == rb.width == rotated
+    assert width(row_major) == natural
 
 
 def test_banded_cholesky_rejects_a_block_that_is_not_definite():
     import todakit.toda as toda
 
     g = build_grid("cartesian", 17, 0.9)
-    _, block = _helmholtz_block(g, g.interior)
+    sys, c = _helmholtz_shift(g, g.interior)
     with pytest.raises(ValidationError, match="not negative definite"):
-        toda._BandedCholesky(-block)
+        toda._BandedCholesky(toda._upper_band(-sys.block(c)))
+
+
+def test_reduced_factor_rejects_a_block_that_is_not_definite():
+    # a shift below -2/h^2 makes (1/4) L_A - diag(c) positive definite
+    import todakit.toda as toda
+
+    g = build_grid("cartesian", 17, 0.9)
+    sys = toda._System(g, 3, g.interior, mirror=True)
+    with pytest.raises(ValidationError, match="not negative definite"):
+        sys.red_black.factor(np.full(sys.k, -3.0 / g.h ** 2))
 
 
 @pytest.mark.parametrize("mode, n", [("cartesian", 33), ("cartesian", 129),
