@@ -29,23 +29,23 @@ FROZEN = {
     "profile.svg":
         "44c5ac35b05a527cf78c1f4022cc7baa4513f57977216602ff46409e9c33e68a",
     "report.json":
-        "76b92fb81bc103b6f3c992f42b4bff248a26de5f94ce5adc87a3ef2ef712404c",
+        "246f771977cbc5e5eb89d0550a949c2b646508951ad51c4844b65edd57e54f61",
     "sol-cart.json":
-        "16607e1992a0a1b02e9b43974ef5f8b5843f52a38de9e731b76fdf22b91d3b18",
+        "5da642619183ff00bb869ab883a9408896e270c879cab7f4ea3248ae480bdc7a",
     "sol-radial.json":
         "40eb142edff9fc26e701938664208f75efcefe0ee5da09e98f7410fdbeb30a6c",
     "sweep.csv":
-        "3a376336026e0e7ea15cb54e046c1dff74cfe9f23c82fa81c0228b2fd1393c5d",
+        "6912397fb57fd20ca105b8a397c77f9b1698f3eb37dfc0fd37807cf00bbd06d1",
     "sweep.svg":
         "9e6d1cf96aa540f8fe012e42262e48addfc312c5ac88d35022470f11dbf80356",
     "thermo-b-1-flat.csv":
-        "1b17e2afd73ef5650d2a3700e412b75e6f1ce587e128f09b01be0621bf67e305",
+        "14257f1f74da98b67d35e733764d9c560ac4a15dd0388be5b7740cd54dc59dce",
     "thermo-b-1-poincare.csv":
-        "4fd5261efe3cfb8cf036f414ae298a0a9aad2ab7d227f42ca2bee933d7af217f",
+        "fbce1b1be3b01899bedc28b8e086a04588d38b8739980dc02f6c0b30aec1d6d0",
     "thermo-b1-flat.csv":
-        "587daa7349ee22f2e3a3947a31d78f9f86877a8f4cce2c3a3b6b35611ce62f90",
+        "46778ccc0e96774b42abc756761b680e7dd4dcf8bb8538598a724a4e6e55e02b",
     "thermo-b1-poincare.csv":
-        "d963cbdb0a2e26e32b57130e18313a65683910df01b18d0a38acc0fe740095e1",
+        "baa79a694ff494ab13ceca5f4b738c9b3295cee19092d942651b9d22b2a789db",
     "thermo-radial.csv":
         "3105e14df0df6d91f860670773092a0d86ffe22d1dea44dca6f885e6b4124628",
 }
