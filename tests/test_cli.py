@@ -386,6 +386,7 @@ FLAT_PAST_DISC = ("--boundary", "weight_flat",
       '{"kind": "constant", "r": 2, "value": 1}', "--grid", GRID,
       "--t-values", "1,1e-200", "--jobs", "2"), "/t_values"),
     (SWEEP[:-2] + ("--t-values", "1,1e200", "--jobs", "2"), "/t_values"),
+    (SOLVE[:2] + (_weight(t=1e200),) + SOLVE[3:], "/weight"),
 ])
 def test_rejected_input_exits_two_before_any_solve(tmp_path, capsys,
                                                    monkeypatch, argv,
