@@ -207,8 +207,8 @@ def cmd_sweep(args) -> int:
                                        "t_values")
     reference = doc.get("reference", "flat")
     check_reference(grid, reference)
-    # _KEYS took each amplitude as a positive finite number
     check_amplitudes(weight, grid, cfg.boundary, doc["t_values"])
+    # _KEYS took each amplitude as a positive finite number
     weights = [dataclasses.replace(weight, t=float(t))
                for t in sorted(set(doc["t_values"]))]
     point = functools.partial(_sweep_point, grid=grid, cfg=cfg, betas=betas,
