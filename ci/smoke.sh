@@ -14,7 +14,12 @@
 # must converge, and so must the r = 4, q = z, t = 1e4 solve on n = 65,
 # where CG stops at the forcing terms.  The six-amplitude sweep's CSV
 # must be byte-identical with --jobs 1 and --jobs 2, and it is drawn as a
-# sweep chart, so every plot layout runs.  The stalled solve must exit 3
+# sweep chart, so every plot layout runs.  So must an exhaustion sweep's,
+# whose plan holds three stages.  A sweep builds its solver plan once:
+# --jobs 1 runs every amplitude on the parent's plan, and the --jobs 2
+# legs on the plan each worker process builds when it starts, so the
+# comparisons check that a plan built once per worker gives the serial
+# bytes.  The stalled solve must exit 3
 # and leave its residual history next to the intended output, and so must
 # a stalled thermo run whose output path comes from its config file.  A
 # retired solver key such as "continuation_steps" must exit 2.  So must a
@@ -53,6 +58,10 @@ for jobs in 1 2; do
   python -m todakit sweep --weight '{"kind": "poly", "r": 3, "coeffs": [[0, 0], [1, 0]]}' --grid '{"mode": "cartesian", "n": 33, "rho_max": 0.9}' --t-values 0.5,1,2,4,8,16 --beta 1,-1 --jobs "$jobs" --out "$RUNNER_TEMP/sweep-jobs$jobs.csv"
 done
 cmp "$RUNNER_TEMP/sweep-jobs1.csv" "$RUNNER_TEMP/sweep-jobs2.csv"
+for jobs in 1 2; do
+  python -m todakit sweep --boundary exhaustion --weight '{"kind": "poly", "r": 3, "coeffs": [[0, 0], [1, 0]]}' --grid '{"mode": "cartesian", "n": 33, "rho_max": 0.9}' --t-values 0.5,2,8 --beta 1 --jobs "$jobs" --out "$RUNNER_TEMP/exhaustion-sweep-jobs$jobs.csv"
+done
+cmp "$RUNNER_TEMP/exhaustion-sweep-jobs1.csv" "$RUNNER_TEMP/exhaustion-sweep-jobs2.csv"
 python -m todakit plot "$RUNNER_TEMP/sweep-jobs1.csv" --out "$RUNNER_TEMP/sweep.svg"
 echo '{"solver": {"max_iterations": 3}}' > "$RUNNER_TEMP/stall.json"
 code=0

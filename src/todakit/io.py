@@ -12,8 +12,11 @@ checks its keys and `_built` points a constructor's error at /key/member.
 CSV tables are written in blocks of FLOAT_BLOCK_ROWS rows, and each block
 formats its distinct values once: thermo tables repeat many values (a
 block's x takes at most n values, p_{r-j} equals p_j, and p_0 is 0 at
-beta < 0).  JSON float lists skip that step and are formatted whole,
-since the w and v0 fields of a solution hardly repeat a value.
+beta < 0).  JSON float lists skip that step and are formatted whole.
+The w and v0 fields of a solution do repeat values where the weight is
+symmetric under conjugation (r = 3, n = 257, q = z - a: 111,928 distinct
+among 198,147), but sorting them costs more than the formatting it saves
+(0.086 s deduped against 0.077 s whole on a 2-vCPU x86-64 VM).
 """
 
 from __future__ import annotations

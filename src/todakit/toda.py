@@ -20,7 +20,10 @@ Boundary strategies:
 
 `solve_toda` is one loop over stage radii: the exhaustion ladder, or the
 single stage rho = rho_max for the other strategies.  Each stage is a damped
-Newton solve on the nodes inside its subdisc.
+Newton solve on the nodes inside its subdisc.  What depends on the grid,
+the rank and the boundary only (the radii, the active sets and their
+systems) is the solve's plan (`_plan`), which a sweep builds once and runs
+every amplitude on.
 
 The discrete equations are invariant under the mirror j -> r-j: V_0
 depends on sum_k w_k only, lambda_j = lambda_{r-j}, and every boundary
@@ -68,8 +71,9 @@ V-cycle (Galerkin coarse operators on the even-index nodes, damped Jacobi
 smoothing, the coarsest level Cholesky-factored whole).  Each stage's
 Newton run builds the factors and hierarchies once, with e^u fitted to
 its first iterate, and applies them at every step; the reduced systems'
-colouring, order and band layout depend on the active set only and are
-shared by the stage's blocks.  Newton is
+colouring, order and band layout, and the V-cycle's prolongations, depend
+on the active set only: the stage's system builds them once, and every
+solve on the same plan shares them.  Newton is
 inexact (Dembo, Eisenstat & Steihaug 1982): the Krylov solver stops at the
 Eisenstat-Walker choice-2 forcing term, 1e-4 on a run's first step and then
 0.9 (res_k / res_{k-1})^2 clipped to [1e-12, 1e-4], so early steps from a
@@ -287,7 +291,9 @@ class _System:
     matrix-free, through `pointwise` and `matvec`, and
     `verify.check_jacobian` probes that product.  The system keeps no
     state that depends on an iterate: `preconditioner` builds the Newton
-    preconditioner from the state it is given, on every call.
+    preconditioner from the state it is given, on every call.  What it
+    caches (`red_black`, `prolongations`) depends on the grid and the
+    active set only, so every solve on one `_plan` shares it.
 
     The unknowns are m fields u_1..u_m and the chain slot j = 1..r-1 reads
     w_j = u[fold[j-1]].  Unfolded, fold is the identity and m = r-1: the
@@ -348,9 +354,17 @@ class _System:
     @cached_property
     def red_black(self) -> _RedBlack:
         """The grid-only part of the red-black reduced block solves on
-        the active set, built on first use; cartesian grids only."""
+        the active set, built on first use and kept for every later
+        preconditioner of this system, across the solves of one `_plan`;
+        cartesian grids only."""
         return _RedBlack(self.grid, self.idx,
                          self.lap_active.data[self.diagonal_at])
+
+    @cached_property
+    def prolongations(self) -> list:
+        """`_prolongations` of the active set, built on first use and kept
+        like `red_black`; cartesian grids only."""
+        return _prolongations(self.grid, self.idx)
 
     def _densities(self, u: np.ndarray, q: np.ndarray):
         """(e^{u_a}, V_0) at the active nodes, V_0 summed over the chain."""
@@ -415,11 +429,13 @@ class _System:
         the V_0 coupling that dominates at large amplitude.  A radial
         block is LU-factored.  A cartesian block with at most _DIRECT_SIZE
         unknowns is solved exactly by its red-black reduced system, one
-        banded Cholesky factor per block on the `red_black` split the
-        system builds once; a larger one is solved by one V-cycle, so
-        there P^{-1} is a fixed approximate inverse and the Krylov solver
-        takes more, cheaper iterations.  Each call builds the factors
-        anew; `_newton` calls it once per run.
+        banded Cholesky factor per block on the `red_black` split; a
+        larger one is solved by one V-cycle on the `prolongations`
+        hierarchy, so there P^{-1} is a fixed approximate inverse and the
+        Krylov solver takes more, cheaper iterations.  The system builds
+        the split and the hierarchy once, on first use, and a sweep's
+        `_plan` keeps the system for all its amplitudes.  Each call builds
+        the factors anew; `_newton` calls it once per run.
 
         M P = M x (1/4) L - diag(e^u) x G, so P^{-1} (M^{-1} x I) =
         (M P)^{-1} is symmetric negative definite on cartesian grids,
@@ -448,9 +464,8 @@ class _System:
             solvers = [splu(self.block(c).tocsc(), permc_spec="MMD_AT_PLUS_A",
                             options={"SymmetricMode": True}) for c in shifts]
         else:
-            prolongations = _prolongations(self.grid, self.idx)
-            solvers = ([_VCycle(self.block(c), prolongations) for c in shifts]
-                       if prolongations else
+            solvers = ([_VCycle(self.block(c), self.prolongations)
+                        for c in shifts] if self.prolongations else
                        [self.red_black.factor(c) for c in shifts])
 
         def apply(x):
@@ -879,8 +894,38 @@ def _exhaustion_radii(grid: Grid) -> list:
     return radii
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """The part of a solve that depends on (grid, r, boundary) only: the
+    stage radii and each stage's mirror-folded system on its active set,
+    which builds its red-black split and V-cycle hierarchy on first use and
+    keeps them.  A plan holds no state of an iterate, so any number of
+    solves may run on it, one after another, with unchanged results."""
+
+    grid: Grid
+    r: int
+    boundary: str
+    radii: tuple
+    stages: tuple
+
+
+def _plan(grid: Grid, r: int, boundary: str) -> _Plan:
+    """The stages `solve_toda` runs for `boundary` on `grid` at rank r."""
+    radii = (_exhaustion_radii(grid) if boundary == "exhaustion"
+             else [grid.rho_max])
+    cuts = [rho - 0.5 * grid.h for rho in radii]
+    actives = [grid.interior & (grid.r2 < cut * cut) for cut in cuts]
+    if not actives[0].any():
+        raise ConfigurationError(
+            f"exhaustion ladder {radii} leaves no interior nodes at stage 0")
+    return _Plan(grid, r, boundary, tuple(radii),
+                 tuple(_System(grid, r, active, mirror=True)
+                       for active in actives))
+
+
 def solve_toda(weight: WeightDensity, grid: Grid,
-               config: SolverConfig | None = None) -> TodaSolution:
+               config: SolverConfig | None = None, *,
+               plan: _Plan | None = None) -> TodaSolution:
     """Solve the Toda system for `weight` on `grid` by a ladder of stages.
 
     Stage rho solves the discrete problem on the subdisc of radius rho: its
@@ -905,18 +950,24 @@ def solve_toda(weight: WeightDensity, grid: Grid,
     Each stage is one Newton run of at most `max_iterations` iterations.
     A stall raises `ConvergenceError` naming the stage rho and the last
     residual.
+
+    The stages are `plan`, `_plan(grid, weight.r, config.boundary)`, built
+    here when it is not given; a sweep builds it once and passes it to
+    every amplitude's solve.  A plan built for another grid, rank or
+    boundary is a ConfigurationError.
     """
     cfg = config or SolverConfig()
     r = weight.r
     q = check_solvable(weight, grid, cfg.boundary)
-    radii = (_exhaustion_radii(grid) if cfg.boundary == "exhaustion"
-             else [grid.rho_max])
-    cuts = [rho - 0.5 * grid.h for rho in radii]
-    actives = [grid.interior & (grid.r2 < cut * cut) for cut in cuts]
-    if not actives[0].any():
+    if plan is None:
+        plan = _plan(grid, r, cfg.boundary)
+    elif (plan.grid.key(), plan.r, plan.boundary) != (grid.key(), r,
+                                                      cfg.boundary):
         raise ConfigurationError(
-            f"exhaustion ladder {radii} leaves no interior nodes at stage 0")
-    stages = [_System(grid, r, active, mirror=True) for active in actives]
+            f"plan for grid {plan.grid.key()}, r={plan.r}, boundary "
+            f"{plan.boundary!r} cannot solve r={r} with boundary "
+            f"{cfg.boundary!r} on grid {grid.key()}")
+    stages = plan.stages
     m = stages[-1].m
     profile = _profile(grid, r, q, cfg.boundary)
     u = (profile if cfg.provided_w is None
@@ -925,14 +976,14 @@ def solve_toda(weight: WeightDensity, grid: Grid,
     history: list = []
     iters = 0
     snaps = []
-    for rho, stage in zip(radii, stages):
+    for rho, stage in zip(plan.radii, stages):
         try:
             iters += _newton(stage, q, u, cfg, history)
         except _Stall:
             raise ConvergenceError(
                 f"newton stalled in stage rho={rho:g} "
                 f"(residual {history[-1]:.3e})", history) from None
-        snaps.append(u[:, actives[0]].copy())
+        snaps.append(u[:, stages[0].idx])
         log.debug("stage rho=%g done", rho)
 
     res = history[-1]

@@ -258,32 +258,46 @@ def test_sweep_csv_contract(tmp_path):
             assert float(r[2]) == 0.0 and float(r[6]) == 1.0
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
+@pytest.mark.parametrize("flags", [
+    pytest.param(("--grid", GRID), id="cartesian"),
+    pytest.param(("--grid", GRID, "--boundary", "exhaustion"), id="exhaustion"),
+    pytest.param(("--grid", json.dumps({"mode": "radial", "n": 65,
+                                        "rho_max": 0.9})), id="radial")])
+def test_sweep_parallel_matches_serial(tmp_path, flags):
+    # each worker solves on the plan it builds when it starts: a one-stage,
+    # a three-stage and a radial plan give the serial sweep's bytes
     serial = tmp_path / "serial.csv"
     par = tmp_path / "par.csv"
-    args = ("sweep", "--weight", WEIGHT, "--grid", GRID,
-            "--t-values", "0.5,1,2", "--beta", "1")
+    args = ("sweep", "--weight", WEIGHT, *flags, "--t-values", "0.5,1,2",
+            "--beta", "1")
     assert run_cli(*args, "--jobs", "1", "--out", str(serial)) == 0
     assert run_cli(*args, "--jobs", "2", "--out", str(par)) == 0
     assert serial.read_bytes() == par.read_bytes()
 
 
 def test_sweep_builds_its_inputs_once(tmp_path, monkeypatch):
-    # the parent builds the grid once and hands the workers built inputs
+    # the parent builds the grid once and hands the workers built inputs;
+    # a serial sweep builds one system and one red-black split per stage
+    # (three, on the exhaustion ladder) for all its amplitudes
     import todakit.cli
+    import todakit.toda
 
-    calls = []
-    real = todakit.cli.build_grid
+    calls = {"build_grid": [], "_System": [], "_RedBlack": []}
+    for module, name in ((todakit.cli, "build_grid"),
+                         (todakit.toda, "_System"),
+                         (todakit.toda, "_RedBlack")):
+        real = getattr(module, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args or kwargs)
-        return real(*args, **kwargs)
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name].append(args or kwargs)
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(todakit.cli, "build_grid", counted)
+        monkeypatch.setattr(module, name, counted)
     assert run_cli("sweep", "--weight", WEIGHT, "--grid", GRID,
-                   "--t-values", "0.5,1,2", "--jobs", "1",
-                   "--out", str(tmp_path / "s.csv")) == 0
-    assert len(calls) == 1
+                   "--boundary", "exhaustion", "--t-values", "0.5,1,2",
+                   "--jobs", "1", "--out", str(tmp_path / "s.csv")) == 0
+    assert {name: len(c) for name, c in calls.items()} == {
+        "build_grid": 1, "_System": 3, "_RedBlack": 3}
 
 
 SOLVE = ("solve", "--weight", WEIGHT, "--grid", GRID)

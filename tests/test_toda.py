@@ -408,6 +408,55 @@ def test_solve_evaluates_density_once(monkeypatch, weight, n, cfg, systems):
     assert sol.residual_sup == max(float(np.abs(f.values).max()) for f in res)
 
 
+@pytest.mark.parametrize("weight, mode, n, boundary", [
+    pytest.param(make_weight("poly", 3, coeffs=[-0.1, 1]), "cartesian", 65,
+                 "model_poincare", id="cartesian-n65-reduced"),
+    pytest.param(make_weight("poly", 3, coeffs=[-0.1, 1]), "cartesian", 81,
+                 "model_poincare", id="cartesian-n81-vcycle"),
+    pytest.param(make_weight("poly", 3, coeffs=[-0.1, 1]), "cartesian", 33,
+                 "exhaustion", id="exhaustion"),
+    pytest.param(make_weight("poly", 4, coeffs=[0.2, 1]), "cartesian", 33,
+                 "weight_flat", id="weight_flat"),
+    pytest.param(make_weight("poly", 3, coeffs=[0, 1]), "radial", 129,
+                 "model_poincare", id="radial")])
+def test_solves_on_one_plan_match_standalone_solves(weight, mode, n,
+                                                    boundary):
+    # the plan holds nothing a solve leaves behind: amplitudes solved in
+    # sequence on one plan give, bit for bit, what a solve of each alone
+    # gives, through the reduced factor, the V-cycle, the exhaustion
+    # ladder, the flat boundary and the radial LU factor
+    import todakit.toda as toda
+
+    g = build_grid(mode, n, 0.9)
+    cfg = SolverConfig(boundary=boundary)
+    plan = toda._plan(g, weight.r, boundary)
+    if mode == "cartesian" and boundary == "model_poincare":
+        assert (plan.stages[-1].k > toda._DIRECT_SIZE) == (n == 81)
+    weights = [replace(weight, t=t) for t in (2.0, 0.5, 8.0)]
+    on_plan = [solve_toda(wt, g, cfg, plan=plan) for wt in weights]
+    for wt, sol in zip(weights, on_plan):
+        alone = solve_toda(wt, g, cfg)
+        assert np.array_equal(sol.w_array(), alone.w_array())
+        assert np.array_equal(sol.v0.values, alone.v0.values)
+        assert sol.iterations == alone.iterations
+        assert sol.residual_history == alone.residual_history
+        assert sol.exhaustion_drifts == alone.exhaustion_drifts
+    assert len(on_plan[0].exhaustion_drifts) == len(plan.stages) - 1
+
+
+@pytest.mark.parametrize("weight, n, boundary", [
+    (make_weight("poly", 2, coeffs=[0, 1]), 17, "model_poincare"),
+    (make_weight("poly", 3, coeffs=[0, 1]), 33, "model_poincare"),
+    (make_weight("poly", 3, coeffs=[0, 1]), 17, "exhaustion")])
+def test_solve_rejects_a_plan_for_other_inputs(weight, n, boundary):
+    import todakit.toda as toda
+
+    plan = toda._plan(build_grid("cartesian", 17, 0.9), 3, "model_poincare")
+    with pytest.raises(ConfigurationError, match="plan for grid"):
+        solve_toda(weight, build_grid("cartesian", n, 0.9),
+                   SolverConfig(boundary=boundary), plan=plan)
+
+
 @pytest.mark.parametrize("weight, cfg, misses", [
     (make_weight("poly", 4, coeffs=[0, 1]), SolverConfig(), False),
     (make_weight("poly", 3, coeffs=[0, 1]), SolverConfig(boundary="exhaustion"),
