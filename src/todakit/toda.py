@@ -40,49 +40,50 @@ solution recomputes the full residual, and `verify.check_jacobian` probes
 the Jacobian product of both the full and the folded system, so every
 equation is still checked independently.
 
-Each Newton step solves the exact Jacobian system with a Krylov solver,
-which needs the Jacobian J only through products J x.  J is a block
-Laplacian plus a pointwise part, so J x is applied matrix-free, exactly:
-(1/4) Lap on each field plus the pointwise blocks times the fields, node by
-node.  The system is variational: with the per-node metric
-M = S^T C^-1 S (C the A_{r-1} Cartan matrix, S the fold expansion), M N is
-the gradient of a concave energy, the discrete trace of harmonic metrics as
-critical points of Donaldson's functional, and (M x I) J its Hessian.  On
-cartesian grids, whose Laplacian is symmetric, -(M x I) J is symmetric
-positive definite, and CG solves -(M x I) J x = (M x I) N.  On radial
-grids, whose axis-limited stencil is not symmetric, GMRES solves J x = -N.
-Both are preconditioned by the Jacobian P of the degenerate (Q = 0) system
-at a state of the model form w_j = log(lambda_j) + u, which shares J's
-structure, so CG takes -P^-1 (M^-1 x I) = -(M P)^-1, symmetric positive
-definite, and GMRES takes P^-1.  At the model state P decouples:
-its pointwise block is -e^u * C Lambda, Lambda = diag(lambda_j), whose
-eigenvalues are k(k+1), k = 1..r-1, so in
-the eigenbasis of C Lambda it is r-1 scalar Helmholtz operators
-(1/4) Lap - k(k+1) e^u.  The folded unknowns keep the mirror-symmetric
-modes only, the r//2 operators with k odd.  On radial grids each is
-tridiagonal and solved by a sparse LU factor.  On cartesian grids each is
-symmetric negative definite.  A block with at most _DIRECT_SIZE unknowns
-is solved exactly by its red-black reduced system (George & Liu 1981):
-the 5-point graph is 2-colourable, so eliminating one colour leaves a
-Schur complement on the other half of the nodes, which a LAPACK banded
-Cholesky factor solves in rotated-row order (band 46 at n = 65, against
-63 for the whole block).  A larger block is solved by one multigrid
-V-cycle (Galerkin coarse operators on the even-index nodes, damped Jacobi
-smoothing, the coarsest level Cholesky-factored whole).  Each stage's
-Newton run builds the factors and hierarchies once, with e^u fitted to
-its first iterate, and applies them at every step; the reduced systems'
-colouring, order and band layout, and the V-cycle's prolongations, depend
-on the active set only: the stage's system builds them once, and every
-solve on the same plan shares them.  Newton is
-inexact (Dembo, Eisenstat & Steihaug 1982): the Krylov solver stops at the
-Eisenstat-Walker choice-2 forcing term, 1e-4 on a run's first step and then
-0.9 (res_k / res_{k-1})^2 clipped to [1e-12, 1e-4], so early steps from a
-far start take few Krylov iterations and the last ones are solved to the
-floor rtol 1e-12.  A Krylov call that misses its forcing term still returns
-its last iterate, which is taken as the step.  Every step is damped by
-Armijo backtracking on the residual sup-norm, which accepts it or halves
-it.  A stage whose Newton run stalls raises `ConvergenceError` from
-the stage loop; its message names the stage rho and the last residual.
+Each Newton step solves J x = -N.  J is (1/4) Lap on each field plus
+pointwise blocks that couple the fields of one node.  The system is
+variational: with the per-node metric M = S^T C^-1 S (C the A_{r-1}
+Cartan matrix, S the fold expansion), M N is the gradient of a concave
+energy, the discrete trace of harmonic metrics as critical points of
+Donaldson's functional, and (M x I) J its Hessian.
+
+On radial grids, with the unknowns ordered node-major, J is banded with
+m sub- and super-diagonals (the stencil couples node i with i +- 1), and
+one LAPACK banded LU solve (dgbsv) gives the exact step in O(k m^2).
+
+On cartesian grids, whose Laplacian is symmetric, -(M x I) J is symmetric
+positive definite, and CG solves -(M x I) J x = (M x I) N with J applied
+matrix-free, preconditioned by -(M P)^-1 for P the Jacobian of the
+degenerate (Q = 0) system at a state of the model form
+w_j = log(lambda_j) + u, which shares J's structure.  At the model state
+P decouples: its pointwise block is -e^u * C Lambda, Lambda =
+diag(lambda_j), whose eigenvalues are k(k+1), k = 1..r-1, so in the
+eigenbasis of C Lambda it is r-1 scalar Helmholtz operators
+(1/4) Lap - k(k+1) e^u, each symmetric negative definite; the folded
+unknowns keep the r//2 with k odd.  A block with at most _DIRECT_SIZE
+unknowns is solved exactly by its red-black reduced system (George & Liu
+1981): the 5-point graph is 2-colourable, so eliminating one colour
+leaves a Schur complement on the other half of the nodes, which a LAPACK
+banded Cholesky factor solves in rotated-row order (band 46 at n = 65,
+against 63 for the whole block).  A larger block is solved by one
+multigrid V-cycle (Galerkin coarse operators on the even-index nodes,
+damped Jacobi smoothing, the coarsest level Cholesky-factored whole).
+Each stage's Newton run builds the factors and hierarchies once, with
+e^u fitted to its first iterate, and applies them at every step; the
+reduced systems' colouring, order and band layout, and the V-cycle's
+prolongations, depend on the active set only: the stage's system builds
+them once, and every solve on the same plan shares them.  This step is
+inexact (Dembo, Eisenstat & Steihaug 1982): CG stops at the
+Eisenstat-Walker choice-2 forcing term, 1e-4 on a run's first step and
+then 0.9 (res_k / res_{k-1})^2 clipped to [1e-12, 1e-4], so early steps
+from a far start take few CG iterations and the last ones are solved to
+the floor rtol 1e-12.  A CG call that misses its forcing term still
+returns its last iterate, which is taken as the step.
+
+Every step, exact or not, is damped by Armijo backtracking on the
+residual sup-norm, which accepts it or halves it.  A stage whose Newton
+run stalls raises `ConvergenceError` from the stage loop; its message
+names the stage rho and the last residual.
 """
 
 from __future__ import annotations
@@ -93,9 +94,10 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import LinearOperator, cg, gmres, splu
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import ConfigurationError, ConvergenceError, ValidationError
 from .grid import (Field, Grid, check_same_grid, is_number,
@@ -109,19 +111,15 @@ BOUNDARY_STRATEGIES = ("model_poincare", "weight_flat", "exhaustion")
 _ARMIJO_SLOPE = 1e-4
 _ARMIJO_FACTOR = 0.5
 _MAX_HALVINGS = 20
-# The tolerance of each Newton step is the Eisenstat-Walker choice-2
-# forcing term (SIAM J. Sci. Comput. 17 (1996)): _FORCING_MAX on a run's
-# first step, then _FORCING_GAMMA (res_k / res_{k-1})^2 of the residual
-# sup-norms, clipped to [_FORCING_MIN, _FORCING_MAX].  Early steps stop the
-# Krylov solver as soon as the step is accurate enough for Newton; late
-# steps, where the residual falls quadratically, are solved to the floor
-# _FORCING_MIN.  The term is the Krylov solver's rtol, a bound on a
-# residual 2-norm relative to the right-hand side's.  Cartesian CG bounds
-# the 2-norm of the M-scaled residual (M x I)(J x + N), M =
-# `_System.metric`, as its recurrence updates it.  Radial GMRES bounds the
-# 2-norm of the left-preconditioned residual P^-1 (J x + N); on J x = -N
-# itself the floor would sit under the roundoff floor eps*|J|*|x| of the
-# residual once the stencil's 1/h^2 grows (n ~ 513).
+# The tolerance of each cartesian Newton step is the Eisenstat-Walker
+# choice-2 forcing term (SIAM J. Sci. Comput. 17 (1996)): _FORCING_MAX on
+# a run's first step, then _FORCING_GAMMA (res_k / res_{k-1})^2 of the
+# residual sup-norms, clipped to [_FORCING_MIN, _FORCING_MAX].  Early steps
+# stop CG as soon as the step is accurate enough for Newton; late steps,
+# where the residual falls quadratically, are solved to the floor
+# _FORCING_MIN.  The term is CG's rtol, a bound on the 2-norm of the
+# M-scaled residual (M x I)(J x + N), M = `_System.metric`, as its
+# recurrence updates it, relative to the right-hand side's.
 # Eisenstat and Walker measure the term and the linear residual in one
 # norm; here the term is a ratio of sup-norms of the Newton residual N.
 # It therefore does not bound the step's linear residual in the sup-norm,
@@ -132,13 +130,9 @@ _MAX_HALVINGS = 20
 _FORCING_MIN = 1e-12
 _FORCING_MAX = 1e-4
 _FORCING_GAMMA = 0.9
-_KRYLOV_ATOL = 0.0
 # CG iterations before it gives up and returns its last iterate as an
 # inexact step; scipy's default (ten times the unknowns) is no bound at all
 _CG_MAXITER = 600
-# radial GMRES: restart length, and restart cycles before it gives up
-_GMRES_RESTART = 60
-_GMRES_MAXITER = 10
 # Cartesian preconditioner blocks with at most this many unknowns are
 # solved exactly by their red-black reduced system (`_RedBlack`); larger
 # ones are solved by one multigrid V-cycle whose coarsest level is the
@@ -161,8 +155,6 @@ _GMRES_MAXITER = 10
 # 4000 all the same: it also sets the coarsest level of the larger
 # hierarchies, a 9-point Galerkin operator that is not 2-colourable and
 # is factored whole, and a larger coarsest level there is not measured.
-# Radial blocks are tridiagonal, so their LU factor is exact and O(n) at
-# every size.
 _DIRECT_SIZE = 4000
 _JACOBI_WEIGHT = 0.8
 _SMOOTHING_SWEEPS = 2
@@ -287,10 +279,11 @@ class _System:
     package's one stencil: the residual applies it to whole fields, so its
     columns outside the active set carry the Dirichlet data, and the
     Jacobian's Laplacian block is its restriction `lap_active` to the
-    active columns.  The Jacobian is never assembled: Newton applies it
-    matrix-free, through `pointwise` and `matvec`, and
-    `verify.check_jacobian` probes that product.  The system keeps no
-    state that depends on an iterate: `preconditioner` builds the Newton
+    active columns.  The Jacobian is `lap_active` plus the blocks of
+    `pointwise`: `matvec` applies it matrix-free, for CG on cartesian
+    grids and for `verify.check_jacobian`, and `band` lays it out for the
+    banded LU step on radial grids.  The system keeps no state that
+    depends on an iterate: `preconditioner` builds the cartesian Newton
     preconditioner from the state it is given, on every call.  What it
     caches (`red_black`, `prolongations`) depends on the grid and the
     active set only, so every solve on one `_plan` shares it.
@@ -308,7 +301,7 @@ class _System:
     (1/8) <w, (C^-1 x L) w> - sum_j e^{w_j} - V_0 in u, because
     C^-1 (e_1 + e_{r-1}) is the all-ones vector.  So (M x I) J is its
     Hessian, symmetric negative definite on cartesian grids, where L is
-    symmetric; `_krylov_step` solves the Newton system in that form by CG.
+    symmetric; `_newton_step` solves the Newton system in that form by CG.
     """
 
     def __init__(self, grid: Grid, r: int, active: np.ndarray,
@@ -411,6 +404,20 @@ class _System:
             y[a] += self.lap_active @ x[a]
         return y.ravel()
 
+    def band(self, blocks: np.ndarray) -> np.ndarray:
+        """J with pointwise blocks `blocks`, unknowns node-major (field a
+        at node i is unknown i m + a), in the band layout of
+        `solve_banded((m, m), ...)`: J[p, s] at [m + p - s, s].  Radial
+        grids only, whose active nodes are a run and whose `lap_active` is
+        tridiagonal, so J has m sub- and super-diagonals."""
+        m = self.m
+        a, b = np.indices((m, m)).reshape(2, -1)
+        band = np.zeros((2 * m + 1, self.k, m))
+        band[m + a - b, :, b] = blocks[a, b]
+        lap = self.lap_active.tocoo()
+        band[m * (1 + lap.row - lap.col), lap.col] += lap.data[:, None]
+        return band.reshape(2 * m + 1, -1)
+
     def preconditioner(self, u: np.ndarray, q: np.ndarray):
         """x -> P^{-1} x for P the exact Q = 0 Jacobian at
         w_j = log(lambda_j) + u, on stacked active unknowns.
@@ -426,21 +433,21 @@ class _System:
         active nodes of the given (u, q),
         e^u = (sum_j e^{w_j} + V_0) / sum_j lambda_j: the model profile at
         the Q = 0 model state, the exact Jacobian for r = 2, and it keeps
-        the V_0 coupling that dominates at large amplitude.  A radial
-        block is LU-factored.  A cartesian block with at most _DIRECT_SIZE
-        unknowns is solved exactly by its red-black reduced system, one
-        banded Cholesky factor per block on the `red_black` split; a
-        larger one is solved by one V-cycle on the `prolongations`
-        hierarchy, so there P^{-1} is a fixed approximate inverse and the
-        Krylov solver takes more, cheaper iterations.  The system builds
+        the V_0 coupling that dominates at large amplitude.  A block with
+        at most _DIRECT_SIZE unknowns is solved exactly by its red-black
+        reduced system, one banded Cholesky factor per block on the
+        `red_black` split; a larger one is solved by one V-cycle on the
+        `prolongations` hierarchy, so there P^{-1} is a fixed approximate
+        inverse and CG takes more, cheaper iterations.  The system builds
         the split and the hierarchy once, on first use, and a sweep's
         `_plan` keeps the system for all its amplitudes.  Each call builds
         the factors anew; `_newton` calls it once per run.
 
         M P = M x (1/4) L - diag(e^u) x G, so P^{-1} (M^{-1} x I) =
-        (M P)^{-1} is symmetric negative definite on cartesian grids,
-        whether a block is factored or cycled: each block solve is, and
-        T^{-1} M^{-1} = D T^T.  `_krylov_step` hands CG its negative.
+        (M P)^{-1} is symmetric negative definite, whether a block is
+        factored or cycled: each block solve is, and T^{-1} M^{-1} =
+        D T^T.  `_newton_step` hands CG its negative.  Cartesian grids
+        only.
         """
         m, k, r = self.m, self.k, self.r
         lam = lambda_coefficients(r)
@@ -456,17 +463,9 @@ class _System:
         e, v0 = self._densities(u, q)
         e_u = (e[self.fold].sum(axis=0) + v0) / lam.sum()
         shifts = [dk * e_u for dk in d]
-        if self.grid.mode == "radial":
-            # radial blocks are tridiagonal but not symmetric (the drift
-            # terms of the axis-limited stencil); they are diagonally
-            # dominant, so diagonal pivots are stable and SymmetricMode
-            # factors them about a quarter faster
-            solvers = [splu(self.block(c).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                            options={"SymmetricMode": True}) for c in shifts]
-        else:
-            solvers = ([_VCycle(self.block(c), self.prolongations)
-                        for c in shifts] if self.prolongations else
-                       [self.red_black.factor(c) for c in shifts])
+        solvers = ([_VCycle(self.block(c), self.prolongations)
+                    for c in shifts] if self.prolongations else
+                   [self.red_black.factor(c) for c in shifts])
 
         def apply(x):
             y = t_inv @ x.reshape(m, k)
@@ -806,35 +805,30 @@ def _provided(grid: Grid, r: int, fields) -> np.ndarray:
 # Newton iteration
 
 
-def _krylov_step(sys: _System, blocks: np.ndarray, p_inv, n_act: np.ndarray,
+def _newton_step(sys: _System, blocks: np.ndarray, p_inv, n_act: np.ndarray,
                  eta: float) -> tuple:
-    """(delta, info, solver name) of the Newton system J delta = -N, J
-    with pointwise blocks `blocks`, solved to the forcing term `eta` with
-    the preconditioner P^-1 = `p_inv`, flat delta.
+    """(delta, info) of the Newton system J delta = -N, J with pointwise
+    blocks `blocks`, delta of shape (m, k); a nonzero info is a CG miss.
 
-    On cartesian grids CG solves the symmetric positive definite form
-    -(M x I) J delta = (M x I) N, M = `sys.metric`, preconditioned by
-    -P^-1 (M^-1 x I) = -(M P)^-1, which is symmetric positive definite
-    because P shares the structure of J.  On radial grids, whose
-    Laplacian is not symmetric, GMRES solves P^-1 J delta = -P^-1 N.
+    On radial grids one banded LU solve of J, in `sys.band`'s node-major
+    layout, gives the exact step.  On cartesian grids CG solves the
+    symmetric positive definite form -(M x I) J delta = (M x I) N, M =
+    `sys.metric`, to the forcing term `eta`, preconditioned by
+    -P^-1 (M^-1 x I) = -(M P)^-1, P^-1 = `p_inv`, which is symmetric
+    positive definite because P shares the structure of J.
     """
     m, k = sys.m, sys.k
+    if sys.grid.mode == "radial":
+        delta = solve_banded((m, m), sys.band(blocks), -n_act.T.ravel())
+        return delta.reshape(k, m).T, 0
     shape = (m * k,) * 2
-    if sys.grid.mode == "cartesian":
-        metric, metric_inv = sys.metric, sys.metric_inv
-        op = LinearOperator(shape, dtype=float, matvec=lambda x: -(
-            metric @ sys.matvec(blocks, x).reshape(m, k)).ravel())
-        prec = LinearOperator(shape, dtype=float, matvec=lambda x: -p_inv(
-            (metric_inv @ x.reshape(m, k)).ravel()))
-        delta, info = cg(op, (metric @ n_act).ravel(), rtol=eta,
-                         atol=_KRYLOV_ATOL, maxiter=_CG_MAXITER, M=prec)
-        return delta, info, "cg"
-    op = LinearOperator(shape, dtype=float,
-                        matvec=lambda x: p_inv(sys.matvec(blocks, x)))
-    delta, info = gmres(op, p_inv(-n_act.reshape(-1)), rtol=eta,
-                        atol=_KRYLOV_ATOL, restart=_GMRES_RESTART,
-                        maxiter=_GMRES_MAXITER)
-    return delta, info, "gmres"
+    op = LinearOperator(shape, dtype=float, matvec=lambda x: -(
+        sys.metric @ sys.matvec(blocks, x).reshape(m, k)).ravel())
+    prec = LinearOperator(shape, dtype=float, matvec=lambda x: -p_inv(
+        (sys.metric_inv @ x.reshape(m, k)).ravel()))
+    delta, info = cg(op, (sys.metric @ n_act).ravel(), rtol=eta, atol=0.0,
+                     maxiter=_CG_MAXITER, M=prec)
+    return delta.reshape(m, k), info
 
 
 def _newton(sys: _System, q: np.ndarray, u: np.ndarray, cfg: SolverConfig,
@@ -846,24 +840,24 @@ def _newton(sys: _System, q: np.ndarray, u: np.ndarray, cfg: SolverConfig,
         raise ValidationError("initial residual is not finite")
     history.append(res)
     iters = 0
-    # fitted to the run's first iterate and applied at every step
+    # cartesian only: fitted to the run's first iterate and applied at
+    # every step
     p_inv = None
     eta = _FORCING_MAX
     while res > cfg.tolerance:
         if iters >= cfg.max_iterations:
             raise _Stall()
         blocks = sys.pointwise(u, q)
-        if p_inv is None:
+        if p_inv is None and sys.grid.mode == "cartesian":
             p_inv = sys.preconditioner(u, q)
-        delta, info, solver = _krylov_step(sys, blocks, p_inv, n_act, eta)
-        # a nonzero info is a miss, returned with the solver's last
-        # iterate: an inexact Newton step, which the Armijo search accepts
-        # or halves like any other.  Only a step it cannot accept stalls.
+        delta, info = _newton_step(sys, blocks, p_inv, n_act, eta)
+        # a nonzero info is a CG miss, returned with its last iterate: an
+        # inexact Newton step, which the Armijo search accepts or halves
+        # like any other.  Only a step it cannot accept stalls.
         if info:
-            log.info("newton iter %d: %s missed its forcing term rtol "
+            log.info("newton iter %d: cg missed its forcing term rtol "
                      "%.2e (info %d); taking its last iterate",
-                     iters + 1, solver, eta, info)
-        delta = delta.reshape(sys.m, sys.k)
+                     iters + 1, eta, info)
         step = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             trial = u.copy()

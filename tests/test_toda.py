@@ -424,7 +424,7 @@ def test_solves_on_one_plan_match_standalone_solves(weight, mode, n,
     # the plan holds nothing a solve leaves behind: amplitudes solved in
     # sequence on one plan give, bit for bit, what a solve of each alone
     # gives, through the reduced factor, the V-cycle, the exhaustion
-    # ladder, the flat boundary and the radial LU factor
+    # ladder, the flat boundary and the radial banded step
     import todakit.toda as toda
 
     g = build_grid(mode, n, 0.9)
@@ -488,7 +488,7 @@ def test_solve_converges_past_n257(monkeypatch):
     assert sol.iterations > 0 and len(calls) == sol.iterations
 
 
-@pytest.mark.parametrize("mode, n", [("cartesian", 33), ("radial", 65)])
+@pytest.mark.parametrize("mode, n", [("cartesian", 33)])
 @pytest.mark.parametrize("r", [2, 3, 8])
 def test_preconditioner_inverts_degenerate_jacobian(mode, n, r):
     # at Q = 0 and the model state the preconditioner is the exact inverse
@@ -504,7 +504,7 @@ def test_preconditioner_inverts_degenerate_jacobian(mode, n, r):
     assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
 
 
-@pytest.mark.parametrize("mode, n", [("cartesian", 33), ("radial", 65)])
+@pytest.mark.parametrize("mode, n", [("cartesian", 33)])
 @pytest.mark.parametrize("r", [3, 4, 8])
 def test_folded_preconditioner_inverts_folded_degenerate_jacobian(mode, n, r):
     # the same on the mirror-folded system the solver iterates: r//2
@@ -765,20 +765,6 @@ def test_vcycle_contracts_every_block(mode, n):
         assert np.linalg.norm(x - back) <= 0.2 * np.linalg.norm(x)
 
 
-def test_radial_blocks_are_always_factored(monkeypatch):
-    # a radial block is tridiagonal, so its LU factor is exact and O(n)
-    # however many unknowns it has: no V-cycle hierarchy is built
-    import todakit.toda as toda
-
-    g = build_grid("radial", 8193, 0.9)
-    sys = toda._System(g, 3, g.interior, mirror=True)
-    assert sys.k > toda._DIRECT_SIZE
-    factored = _counted(monkeypatch, toda, "splu")
-    coarsened = _counted(monkeypatch, toda, "_coarsen")
-    sys.preconditioner(model_log_densities(g, 3)[:sys.m], np.zeros(g.nodes))
-    assert len(factored) == sys.m and not coarsened
-
-
 def _helmholtz_shift(g, active):
     # the shift c of the preconditioner's k = 1 block (1/4) L_A - diag(c)
     # for r = 3 at the model state of a q = z weight: c = 2 e^u
@@ -971,20 +957,6 @@ def test_reduced_factor_rejects_a_block_that_is_not_definite():
         sys.red_black.factor(np.full(sys.k, -3.0 / g.h ** 2))
 
 
-@pytest.mark.parametrize("mode, n", [("cartesian", 33), ("cartesian", 129),
-                                     ("radial", 65)])
-def test_only_radial_solves_use_sparse_lu(monkeypatch, mode, n):
-    # cartesian blocks are symmetric and factored by banded Cholesky;
-    # radial blocks are not symmetric and keep their sparse LU factor
-    import todakit.toda as toda
-
-    factored = _counted(monkeypatch, toda, "splu")
-    sol = solve_toda(make_weight("poly", 3, coeffs=[0, 1]),
-                     build_grid(mode, n, 0.9))
-    assert sol.iterations > 0
-    assert bool(factored) == (mode == "radial")
-
-
 def test_weight_flat_converges_past_unit_disc():
     # the preconditioner's scale comes from the iterate, so it needs no
     # model profile and works where that is undefined (rho_max >= 1)
@@ -1095,6 +1067,91 @@ def test_radial_solve_matches_cartesian_profile():
 
 
 # ---------------------------------------------------------------------------
+# Radial Newton step: one banded LU solve of the Jacobian, unknowns ordered
+# node-major.
+# ---------------------------------------------------------------------------
+
+
+def _radial_systems(r, mirror):
+    # the radial n = 65 system on the interior and on an exhaustion stage's
+    # shorter run of nodes, each at the model state plus 0.3 N(0, 1) per
+    # node with a q = z weight at t = 30, so V_0 couples the fields at
+    # every node but the axis
+    import todakit.toda as toda
+
+    g = build_grid("radial", 65, 0.9)
+    q = evaluate_density(make_weight("poly", r, t=30.0, coeffs=[0, 1]), g)
+    rng = np.random.default_rng(r)
+    cut = 0.8 - 0.5 * g.h
+    for active in (g.interior, g.interior & (g.r2 < cut * cut)):
+        sys = toda._System(g, r, active, mirror=mirror)
+        u = (model_log_densities(g, r)[:sys.m]
+             + 0.3 * rng.standard_normal((sys.m, g.nodes)))
+        yield sys, u, q.values
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("r", [2, 3, 4, 8])
+def test_band_applies_the_jacobian(r, mirror):
+    # the band, read back as J[p, s] = band[m + p - s, s] on node-major
+    # unknowns, times x is the matrix-free product J x
+    for sys, u, q in _radial_systems(r, mirror):
+        m, k = sys.m, sys.k
+        blocks = sys.pointwise(u, q)
+        band = sys.band(blocks)
+        assert band.shape == (2 * m + 1, m * k)
+        p, col = np.indices((m * k, m * k))
+        near = np.abs(p - col) <= m
+        jac = np.zeros((m * k, m * k))
+        jac[near] = band[m + p[near] - col[near], col[near]]
+        x = np.random.default_rng(r + 1).standard_normal((m, k))
+        got = (jac @ x.T.ravel()).reshape(k, m).T
+        ref = sys.matvec(blocks, x.ravel()).reshape(m, k)
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("r", [2, 3, 4, 8])
+def test_banded_step_matches_dense_solve(r, mirror):
+    # the radial Newton step solves J delta = -N exactly: it agrees with a
+    # dense solve of J assembled column by column from the matrix-free
+    # product, and reports no miss
+    import todakit.toda as toda
+
+    for sys, u, q in _radial_systems(r, mirror):
+        n = sys.m * sys.k
+        blocks = sys.pointwise(u, q)
+        n_act = sys.residual(u, q)
+        jac = np.stack([sys.matvec(blocks, col) for col in np.eye(n)],
+                       axis=1)
+        ref = np.linalg.solve(jac, -n_act.ravel())
+        delta, info = toda._newton_step(sys, blocks, None, n_act, 1e-4)
+        assert info == 0 and delta.shape == (sys.m, sys.k)
+        assert np.linalg.norm(delta.ravel() - ref) <= \
+            1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n, tolerance", [pytest.param(65, 1e-10, id="65"),
+                                          pytest.param(8193, 1e-6, id="8193")])
+def test_radial_solve_takes_one_banded_step_per_iteration(monkeypatch, n,
+                                                          tolerance):
+    # every radial Newton step is one banded LU solve, however many nodes:
+    # no CG call, no preconditioner and no V-cycle hierarchy.  At n = 8193
+    # the residual's roundoff floor lies above the default tolerance
+    import todakit.toda as toda
+
+    banded = _counted(monkeypatch, toda, "solve_banded")
+    solved = _counted(monkeypatch, toda, "cg")
+    built = _counted(monkeypatch, toda._System, "preconditioner")
+    coarsened = _counted(monkeypatch, toda, "_coarsen")
+    sol = solve_toda(make_weight("poly", 3, coeffs=[0, 1]),
+                     build_grid("radial", n, 0.9),
+                     SolverConfig(tolerance=tolerance))
+    assert sol.iterations > 0 and len(banded) == sol.iterations
+    assert not solved and not built and not coarsened
+
+
+# ---------------------------------------------------------------------------
 # Mirror fold: the discrete system is invariant under j -> r-j, so the solver
 # iterates w_1..w_{r//2} and the solution has w_j = w_{r-j}.
 # ---------------------------------------------------------------------------
@@ -1140,6 +1197,22 @@ def test_folded_newton_counts_are_pinned(r, n, coeffs, t, boundary, iters):
     weight = (make_weight("zero", r) if coeffs is None
               else make_weight("poly", r, t=t, coeffs=coeffs))
     sol = solve_toda(weight, build_grid("cartesian", n, 0.9),
+                     SolverConfig(boundary=boundary))
+    assert sol.iterations == iters
+
+
+@pytest.mark.parametrize("r, n, coeffs, t, boundary, iters", [
+    (3, 513, [0, 1], 1.0, "model_poincare", 7),
+    (3, 257, [0, 0, 1], 1e4, "model_poincare", 12),
+    (4, 257, [0, 1], 1e5, "model_poincare", 16),
+    (3, 129, [0, 1], 1e3, "exhaustion", 22),
+])
+def test_radial_newton_counts_are_pinned(r, n, coeffs, t, boundary, iters):
+    # the exact banded step's counts.  Preconditioned GMRES stopped at the
+    # forcing terms took 6 at n = 513, where both creep along the
+    # residual's roundoff floor, and 18 at r = 4, t = 1e5
+    sol = solve_toda(make_weight("poly", r, t=t, coeffs=coeffs),
+                     build_grid("radial", n, 0.9),
                      SolverConfig(boundary=boundary))
     assert sol.iterations == iters
 
