@@ -6,9 +6,9 @@ the solver's last digits shows up as a changed hash.  A change that moves
 these bytes on purpose re-freezes them explicitly, in its own commit, with
 the reason in CHANGES.md.  The hashes were taken with numpy 2.4 and scipy
 1.17 on x86-64 Linux; the solver's last digits can depend on the BLAS and
-LAPACK builds (the cartesian preconditioner's banded Cholesky factor) and
-on the SuperLU build (the radial preconditioner's LU factor), so another
-platform may need its own run of this gate before its hashes are trusted.
+LAPACK builds (the cartesian preconditioner's banded Cholesky factor, and
+the radial Newton step's banded LU solve, dgbsv), so another platform may
+need its own run of this gate before its hashes are trusted.
 """
 
 import hashlib
@@ -33,7 +33,7 @@ FROZEN = {
     "sol-cart.json":
         "5da642619183ff00bb869ab883a9408896e270c879cab7f4ea3248ae480bdc7a",
     "sol-radial.json":
-        "40eb142edff9fc26e701938664208f75efcefe0ee5da09e98f7410fdbeb30a6c",
+        "4260ab640031ebb9ea27ce50ba5c5979ad28b3ca8db3b6783f969915a730ec17",
     "sweep.csv":
         "6912397fb57fd20ca105b8a397c77f9b1698f3eb37dfc0fd37807cf00bbd06d1",
     "sweep.svg":
@@ -47,7 +47,7 @@ FROZEN = {
     "thermo-b1-poincare.csv":
         "baa79a694ff494ab13ceca5f4b738c9b3295cee19092d942651b9d22b2a789db",
     "thermo-radial.csv":
-        "3105e14df0df6d91f860670773092a0d86ffe22d1dea44dca6f885e6b4124628",
+        "575ec2790003e2124cb572feedb02961bf9845e7969ca93a3d9fb4841869d503",
 }
 
 
