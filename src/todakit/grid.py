@@ -2,7 +2,7 @@
 
 Two modes are supported.  A cartesian grid covers the square
 [-rho_max, rho_max]^2 with n nodes per axis (row-major node order, spacing
-h = 2*rho_max/(n-1)) and interprets the inscribed disc as the computational
+h = 2*rho_max/(n-1), the axis exactly antisymmetric about 0) and interprets the inscribed disc as the computational
 domain: a node is interior iff |z| < rho_max - h/2, every other node (the cut
 cells along the circle included) is boundary.  A radial grid holds n nodes at
 rho = 0, h, ..., rho_max with h = rho_max/(n-1); only the outermost node is
@@ -121,7 +121,10 @@ def build_grid(mode: str, n: int, rho_max: float) -> Grid:
 
     if mode == "cartesian":
         h = 2.0 * rho_max / (n - 1)
-        axis = -rho_max + h * np.arange(n)
+        # node i at rho_max (2i - (n-1)) / (n-1): exactly antisymmetric,
+        # axis[n-1-i] == -axis[i] bit for bit, with exact endpoints, so a
+        # density with real coefficients is exactly mirror-symmetric in y
+        axis = rho_max * (np.arange(1 - n, n, 2) / (n - 1))
         xg, yg = np.meshgrid(axis, axis, indexing="xy")  # rows vary in y
         x = xg.ravel()
         y = yg.ravel()

@@ -30,6 +30,22 @@ def test_cartesian_interior_is_disc():
     assert np.array_equal(g.interior, g.r2 < cut * cut)
 
 
+@pytest.mark.parametrize("rho_max", [0.3, 0.9, 1.0, 1.2, 2.0])
+def test_cartesian_axis_is_exactly_antisymmetric(rho_max):
+    # the axis flips onto its negative bit for bit and ends exactly at
+    # +-rho_max, so x^2, y^2, |z|^2 and the interior mask are row-flip
+    # symmetric: a real-coefficient weight is mirror-symmetric in y
+    for n in list(range(8, 80)) + [129, 256, 257, 289, 513]:
+        g = build_grid("cartesian", n, rho_max)
+        axis = g.y[::n]
+        assert np.array_equal(axis, -axis[::-1])
+        assert axis[0] == -rho_max and axis[-1] == rho_max
+        assert np.array_equal(g.x.reshape(n, n)[0], axis)
+        for mask in (g.interior, g.r2):
+            rows = mask.reshape(n, n)
+            assert np.array_equal(rows, rows[::-1])
+
+
 def test_radial_layout():
     g = build_grid("radial", 11, 0.5)
     assert g.h == pytest.approx(0.05)
