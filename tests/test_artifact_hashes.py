@@ -29,23 +29,23 @@ FROZEN = {
     "profile.svg":
         "44c5ac35b05a527cf78c1f4022cc7baa4513f57977216602ff46409e9c33e68a",
     "report.json":
-        "246f771977cbc5e5eb89d0550a949c2b646508951ad51c4844b65edd57e54f61",
+        "8e5d7cb35ed289f37b49a65e13b42a397ccd2d2abff7254c72b6d4ead0436cbf",
     "sol-cart.json":
-        "5da642619183ff00bb869ab883a9408896e270c879cab7f4ea3248ae480bdc7a",
+        "5b920dbfdbbf8b948be09d7405463fe524218b79a83f42347cf0464bcaf1275b",
     "sol-radial.json":
         "4260ab640031ebb9ea27ce50ba5c5979ad28b3ca8db3b6783f969915a730ec17",
     "sweep.csv":
-        "6912397fb57fd20ca105b8a397c77f9b1698f3eb37dfc0fd37807cf00bbd06d1",
+        "68a33cc9f9fb62a3a8eb7f7c1fa8344dae5e537f269e8fe28bfff1e75cbc7d4b",
     "sweep.svg":
         "9e6d1cf96aa540f8fe012e42262e48addfc312c5ac88d35022470f11dbf80356",
     "thermo-b-1-flat.csv":
-        "14257f1f74da98b67d35e733764d9c560ac4a15dd0388be5b7740cd54dc59dce",
+        "e7f0ca4124b12bf13cdb8fe17e5aa0c57893e9d29c3b43d937af2f66e3bc8658",
     "thermo-b-1-poincare.csv":
-        "fbce1b1be3b01899bedc28b8e086a04588d38b8739980dc02f6c0b30aec1d6d0",
+        "5e61b2d482ceeb550829f6710763e9ee5b2a4300f2c50b4dad15ed5eada7a1e3",
     "thermo-b1-flat.csv":
-        "46778ccc0e96774b42abc756761b680e7dd4dcf8bb8538598a724a4e6e55e02b",
+        "11589435708c53f0f070901f2986f17b8925460ca2a893047aa23c19500bb934",
     "thermo-b1-poincare.csv":
-        "baa79a694ff494ab13ceca5f4b738c9b3295cee19092d942651b9d22b2a789db",
+        "838064fab39852daac620219800fca81d364647d3a7f209d9666456fca0fc5fd",
     "thermo-radial.csv":
         "575ec2790003e2124cb572feedb02961bf9845e7969ca93a3d9fb4841869d503",
 }
