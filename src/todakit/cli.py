@@ -6,8 +6,9 @@ solver inputs once, before the first solve: the weight, grid and
 SolverConfig, the weight of every sweep amplitude and every beta.  Sweep
 workers receive these built objects, not documents.  A sweep builds its
 solver plan (the stages and their systems, which depend on the grid, rank
-and boundary only) once, and each worker process builds it once when it
-starts, so no amplitude rebuilds it.  Every JSON input (a
+and boundary, and on whether the base weight is mirror-symmetric in y)
+once, and each worker process builds it once when it starts, so no
+amplitude rebuilds it.  Every JSON input (a
 config file, --weight and --grid, a --solution file) is read and checked
 in `io`: the constructors check the values they build and the key table
 `io._KEYS` every other key.  Exit codes: 0 on success; 1 when a verify
@@ -43,7 +44,7 @@ from .io import (REFERENCES, SUITES, _KEYS, _built, _checked, _json_object,
                  save_solution, write_csv, write_json)
 from .plot import plot_csv
 from .thermo import check_reference, thermo_field, write_thermo_csv
-from .toda import (BOUNDARY_STRATEGIES, SolverConfig, _plan,
+from .toda import (BOUNDARY_STRATEGIES, SolverConfig, _halves, _plan,
                    check_amplitudes, check_solvable, solve_toda)
 from .verify import render_table, reports_to_dict, run_suite, suite_passed
 from .weight import _check_beta, model_constants, weight_from_dict
@@ -194,9 +195,9 @@ def cmd_model(args) -> int:
 _worker_plan = None
 
 
-def _start_worker(grid, r, boundary) -> None:
+def _start_worker(grid, r, boundary, halve) -> None:
     global _worker_plan
-    _worker_plan = _plan(grid, r, boundary)
+    _worker_plan = _plan(grid, r, boundary, halve)
 
 
 def _sweep_point(weight, cfg, betas, reference, plan=None) -> list:
@@ -230,9 +231,11 @@ def cmd_sweep(args) -> int:
     point = functools.partial(_sweep_point, cfg=cfg, betas=betas,
                               reference=reference)
     jobs = doc.get("jobs") or os.cpu_count() or 1
+    # one decision for every amplitude: t^2 Q keeps the mirror symmetry
+    halve = _halves(weight, grid)
     rows: list = []
     if jobs == 1 or len(weights) == 1:
-        plan = _plan(grid, weight.r, cfg.boundary)
+        plan = _plan(grid, weight.r, cfg.boundary, halve)
         for weight in weights:
             rows.extend(point(weight, plan=plan))
     else:
@@ -241,7 +244,8 @@ def cmd_sweep(args) -> int:
         # unpickle, against 47 ms to rebuild, so each worker builds its own
         with ProcessPoolExecutor(max_workers=min(jobs, len(weights)),
                                  initializer=_start_worker,
-                                 initargs=(grid, weight.r, cfg.boundary)) as ex:
+                                 initargs=(grid, weight.r, cfg.boundary,
+                                           halve)) as ex:
             for chunk in ex.map(point, weights):
                 rows.extend(chunk)
     rows.sort(key=lambda row: (row[0], row[1]))

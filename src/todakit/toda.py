@@ -37,8 +37,21 @@ carrying the pair's multiplicity.  The equations left out are the mirrors
 of those kept, so the fold is exact; for r = 2 it is the identity.
 `toda_residual` keeps all r-1 equations, the reload recheck of a saved
 solution recomputes the full residual, and `verify.check_jacobian` probes
-the Jacobian product of both the full and the folded system, so every
-equation is still checked independently.
+the Jacobian product of the full, the folded and the halved system, so
+every equation is still checked independently.
+
+Space folds the same way.  For a density with |q(conj z)| = |q(z)|, such
+as any polynomial with real coefficients, the solution is
+mirror-symmetric in y.  The cartesian grid's axis is exactly
+antisymmetric, so when Q and the start equal their flip y -> -y bit for
+bit, each stage iterates only its active nodes in the rows
+iy >= (n-1)/2, about half of them, and copies every update onto the
+mirror images: the iterate, and so the solution, stays mirror-symmetric
+bit for bit, while the residual, its sup-norm (the stop test) and the
+stored fields cover every node as before.  The halved Newton system is
+the Galerkin restriction R^T (M x I) J R of the full one to
+mirror-symmetric vectors (`_System`), so in exact arithmetic its step
+is the full step.  Any other density is solved unfolded.
 
 Each Newton step solves J x = -N.  J is (1/4) Lap on each field plus
 pointwise blocks that couple the fields of one node.  The system is
@@ -60,9 +73,11 @@ P decouples: its pointwise block is -e^u * C Lambda, Lambda =
 diag(lambda_j), whose eigenvalues are k(k+1), k = 1..r-1, so in the
 eigenbasis of C Lambda it is r-1 scalar Helmholtz operators
 (1/4) Lap - k(k+1) e^u, each symmetric negative definite; the folded
-unknowns keep the r//2 with k odd.  A block with at most _DIRECT_SIZE
-unknowns is solved exactly by its red-black reduced system (George & Liu
-1981): the 5-point graph is 2-colourable, so eliminating one colour
+unknowns keep the r//2 with k odd.  Halved, a block is its restriction:
+the Laplacian R^T (1/4) L_A R less the shift W k(k+1) e^u.  A block with
+at most _DIRECT_SIZE unknowns is solved exactly by its red-black reduced
+system (George & Liu 1981): the 5-point graph is 2-colourable, so
+eliminating one colour
 leaves a Schur complement on the other half of the nodes, which a LAPACK
 banded Cholesky factor solves in rotated-row order (band 46 at n = 65,
 against 63 for the whole block).  A larger block is solved by one
@@ -279,14 +294,15 @@ class _System:
     package's one stencil: the residual applies it to whole fields, so its
     columns outside the active set carry the Dirichlet data, and the
     Jacobian's Laplacian block is its restriction `lap_active` to the
-    active columns.  The Jacobian is `lap_active` plus the blocks of
-    `pointwise`: `matvec` applies it matrix-free, for CG on cartesian
-    grids and for `verify.check_jacobian`, and `band` lays it out for the
-    banded LU step on radial grids.  The system keeps no state that
-    depends on an iterate: `preconditioner` builds the cartesian Newton
-    preconditioner from the state it is given, on every call.  What it
-    caches (`red_black`, `prolongations`) depends on the grid and the
-    active set only, so every solve on one `_plan` shares it.
+    active columns, space-folded (below).  The Jacobian is `lap_active`
+    plus the blocks of `pointwise`: `matvec` applies it matrix-free, for
+    CG on cartesian grids and for `verify.check_jacobian`, and `band` lays
+    it out for the banded LU step on radial grids.  The system keeps no
+    state that depends on an iterate: `preconditioner` builds the
+    cartesian Newton preconditioner from the state it is given, on every
+    call.  What it caches (`red_black`, `prolongations`) depends on the
+    grid and the iterated nodes only, so every solve on one `_plan`
+    shares it.
 
     The unknowns are m fields u_1..u_m and the chain slot j = 1..r-1 reads
     w_j = u[fold[j-1]].  Unfolded, fold is the identity and m = r-1: the
@@ -302,10 +318,25 @@ class _System:
     C^-1 (e_1 + e_{r-1}) is the all-ones vector.  So (M x I) J is its
     Hessian, symmetric negative definite on cartesian grids, where L is
     symmetric; `_newton_step` solves the Newton system in that form by CG.
+
+    The space fold is the field fold's counterpart on the nodes.  The
+    iterated nodes are `nodes`, k of them, and R expands unknowns on them
+    to the active set: node i of `idx` reads nodes[space[i]].  Unfolded,
+    R is the identity and W = R^T R = 1.  With `halve` (cartesian grids,
+    for a state and a density that equal their flip y -> -y), `nodes` are
+    the active nodes in the rows iy >= (n-1)/2, each other active node
+    reads its mirror image (n-1-iy, ix), and W is 1 on the axis row of odd
+    n and 2 off it.  The residual keeps every active row; the Newton
+    system is R^T (M x I) J R delta = -R^T (M x I) N, whose Laplacian
+    `lap_active` is R^T L_A R, whose pointwise blocks and right-hand side
+    (`restrict`) are weighted by W, and whose step `expand` copies onto
+    the mirror images, so an iterate stays mirror-symmetric bit for bit.
+    At a mirror-symmetric state J maps mirror-symmetric vectors to
+    mirror-symmetric ones, so the halved step is the full step.
     """
 
     def __init__(self, grid: Grid, r: int, active: np.ndarray,
-                 mirror: bool = False):
+                 mirror: bool = False, halve: bool = False):
         self.grid = grid
         self.r = r
         slots = np.arange(1, r)
@@ -317,8 +348,8 @@ class _System:
         self.metric = expand.T @ np.linalg.solve(_cartan(r), expand)
         self.metric_inv = np.linalg.inv(self.metric)
         self.idx = np.flatnonzero(active)
-        self.k = len(self.idx)
-        if self.k == 0:
+        k = len(self.idx)
+        if k == 0:
             raise ConfigurationError("active node set is empty")
         self.lap = 0.25 * laplacian_operator(grid, active)
         # lap_active keeps lap's entries in active columns, renumbered in
@@ -326,16 +357,62 @@ class _System:
         # diagonal entry, at `diagonal_at` in the data
         lap = self.lap
         column = np.full(grid.nodes, -1, dtype=lap.indices.dtype)
-        column[self.idx] = np.arange(self.k)
+        column[self.idx] = np.arange(k)
         cols = column[lap.indices]
         kept = cols >= 0
         counts = np.add.reduceat(kept, lap.indptr[:-1])
-        indptr = np.zeros(self.k + 1, dtype=lap.indptr.dtype)
+        indptr = np.zeros(k + 1, dtype=lap.indptr.dtype)
         np.cumsum(counts, out=indptr[1:])
         self.lap_active = csr_matrix(
-            (lap.data[kept], cols[kept], indptr), shape=(self.k, self.k))
+            (lap.data[kept], cols[kept], indptr), shape=(k, k))
         self.diagonal_at = np.flatnonzero(
-            cols[kept] == np.repeat(np.arange(self.k), counts))
+            cols[kept] == np.repeat(np.arange(k), counts))
+        # the space fold R, the identity unless halved
+        self.nodes, self.half, self.space, self.weight = (
+            self.idx, slice(None), slice(None), 1.0)
+        if halve:
+            self._halve()
+        self.k = len(self.nodes)
+
+    def _halve(self):
+        """Fold the active set onto its rows iy >= (n-1)/2: `nodes` are
+        those nodes, at positions `half` of `idx`, node i of `idx` reads
+        nodes[space[i]] (itself or its mirror (n-1-iy, ix)), and R is that
+        map, so W = R^T R counts each node's preimages.  The Laplacian
+        becomes R^T L_A R: twice L_A between two nodes off the axis row,
+        2/(4h^2) from the axis row to the next on odd n, and on even n a
+        diagonal that takes in the coupling of each node of row n/2 to
+        its mirror."""
+        n, idx = self.grid.n, self.idx
+        iy, ix = np.divmod(idx, n)
+        upper = 2 * iy >= n - 1
+        self.half = np.flatnonzero(upper)
+        self.nodes = idx[self.half]
+        where = np.full(self.grid.nodes, -1)
+        where[self.nodes] = np.arange(len(self.nodes))
+        self.space = where[np.where(upper, idx, (n - 1 - iy) * n + ix)]
+        self.weight = np.bincount(self.space).astype(float)
+        # L_A R has equal rows at a node and at its mirror, so row a of
+        # R^T L_A R is W_a times row half[a] of L_A R, whose columns are
+        # L_A's mapped through `space`, duplicates summed
+        rows = self.lap_active[self.half]
+        lap = csr_matrix((rows.data, self.space[rows.indices], rows.indptr),
+                         shape=(len(self.nodes),) * 2)
+        lap.sum_duplicates()
+        lap.data *= np.repeat(self.weight, np.diff(lap.indptr))
+        self.lap_active = lap
+        self.diagonal_at = np.flatnonzero(lap.indices == np.repeat(
+            np.arange(len(self.nodes)), np.diff(lap.indptr)))
+
+    def restrict(self, n_act: np.ndarray) -> np.ndarray:
+        """R^T N for N = `n_act` at the active nodes, N mirror-symmetric
+        when halved: W N at the iterated nodes."""
+        return self.weight * n_act[:, self.half]
+
+    def expand(self, delta: np.ndarray) -> np.ndarray:
+        """R delta: `delta` at the iterated nodes, copied onto the active
+        nodes that mirror them."""
+        return delta[:, self.space]
 
     def block(self, c: np.ndarray):
         """The Helmholtz block (1/4) L_A - diag(c), CSR: a copy of
@@ -350,24 +427,25 @@ class _System:
         the active set, built on first use and kept for every later
         preconditioner of this system, across the solves of one `_plan`;
         cartesian grids only."""
-        return _RedBlack(self.grid, self.idx,
-                         self.lap_active.data[self.diagonal_at])
+        return _RedBlack(self.grid, self.nodes, self.lap_active)
 
     @cached_property
     def prolongations(self) -> list:
         """`_prolongations` of the active set, built on first use and kept
         like `red_black`; cartesian grids only."""
-        return _prolongations(self.grid, self.idx)
+        return _prolongations(self.grid, self.nodes)
 
-    def _densities(self, u: np.ndarray, q: np.ndarray):
-        """(e^{u_a}, V_0) at the active nodes, V_0 summed over the chain."""
-        ua = u[:, self.idx]
-        return np.exp(ua), q[self.idx] * np.exp(-ua[self.fold].sum(axis=0))
+    def _densities(self, u: np.ndarray, q: np.ndarray, nodes=None):
+        """(e^{u_a}, V_0) at `nodes`, the iterated nodes by default, V_0
+        summed over the chain."""
+        nodes = self.nodes if nodes is None else nodes
+        ua = u[:, nodes]
+        return np.exp(ua), q[nodes] * np.exp(-ua[self.fold].sum(axis=0))
 
     def residual(self, u: np.ndarray, q: np.ndarray) -> np.ndarray:
         """N_a at active nodes, shape (m, k)."""
         lap = (self.lap @ u.T).T
-        e, v0 = self._densities(u, q)
+        e, v0 = self._densities(u, q, self.idx)
         # slot densities e^{w_0} .. e^{w_r}, V_0 closing both ends
         chain = np.vstack([v0[None, :], e[self.fold], v0[None, :]])
         m = self.m
@@ -375,10 +453,12 @@ class _System:
 
     def pointwise(self, u: np.ndarray, q: np.ndarray) -> np.ndarray:
         """The Jacobian's pointwise blocks B[a, b] = dN_a/du_b less the
-        Laplacian, shape (m, m, k): the full Jacobian's pointwise columns
-        summed over each mirror pair."""
+        Laplacian, shape (m, m, k), at the iterated nodes and weighted by
+        W: the full Jacobian's pointwise columns summed over each mirror
+        pair, so that they are R^T B R."""
         m, k, fold = self.m, self.k, self.fold
         e, v0 = self._densities(u, q)
+        e, v0 = self.weight * e, self.weight * v0
         blocks = np.zeros((m, m, k))
         for a in range(m):
             blocks[a, a] = -2.0 * e[a]
@@ -396,8 +476,9 @@ class _System:
         return blocks
 
     def matvec(self, blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """J x on stacked active unknowns, J with pointwise blocks `blocks`:
-        L_A X + sum_b B[:, b] * X[b] for X = x.reshape(m, k)."""
+        """R^T J R x on stacked iterated unknowns, J with pointwise blocks
+        `blocks` (already R^T B R): L_A X + sum_b B[:, b] * X[b] for
+        X = x.reshape(m, k), L_A = `lap_active`."""
         x = x.reshape(self.m, self.k)
         y = np.einsum("abk,bk->ak", blocks, x)
         for a in range(self.m):
@@ -461,7 +542,7 @@ class _System:
         t = v / sqrt_g[:, None]
         t_inv = v.T * sqrt_g[None, :]
         e, v0 = self._densities(u, q)
-        e_u = (e[self.fold].sum(axis=0) + v0) / lam.sum()
+        e_u = self.weight * (e[self.fold].sum(axis=0) + v0) / lam.sum()
         shifts = [dk * e_u for dk in d]
         solvers = ([_VCycle(self.block(c), self.prolongations)
                     for c in shifts] if self.prolongations else
@@ -556,28 +637,30 @@ class _BandedCholesky:
 
 class _RedBlack:
     """The grid-only part of the exact red-black reduced solve of the
-    cartesian blocks A = (1/4) L_A - diag(c), c > 0, on one active set.
+    cartesian blocks A = L - diag(c), c > 0, on one node set, for L a
+    `_System`'s `lap_active`: (1/4) L_A, or R^T (1/4) L_A R when halved.
 
     The 5-point graph is 2-coloured by the parity of iy + ix.  The colour
-    of the first active node is kept (B, never empty) and the other (R)
-    is eliminated.  A's R-R and B-B parts are diagonal, -d_R and -d_B with
-    d = c + 1/h^2, and every coupling L_RB, L_BR = L_RB^T is lap_active's
-    1/(4h^2), so the Schur complement S = -D_B + L_BR D_R^-1 L_RB of A is
-    symmetric negative definite, and -S is D_B less one contribution
-    (1/(4h^2))^2 / d_r for each red node r and each pair i <= j of B
-    nodes next to it (George & Liu 1981).  B is ordered by rotated rows,
+    of the first node is kept (B, never empty) and the other (R) is
+    eliminated.  A's R-R and B-B parts are diagonal, -d_R and -d_B with
+    d = c - diag(L), and each coupling of L_RB, L_BR = L_RB^T is read from
+    L (1/(4h^2), or twice that when halved), so the Schur complement
+    S = -D_B + L_BR D_R^-1 L_RB of A is symmetric negative definite, and
+    -S is D_B less one contribution l_ri l_rj / d_r for each red node r and
+    each pair i <= j of B nodes next to it, l_ri their couplings (George &
+    Liu 1981).  B is ordered by rotated rows,
     sort key ((iy + ix) // 2, iy - ix), where S couples a node to its own
     and the two neighbouring anti-diagonals: its band is 46 at n = 65
     against 63 for A in row-major order (22 against 31 at n = 33).
 
     The colouring, the order, L_RB (CSR, rows R, columns B in rotated
-    order), its transpose L_BR (CSR) and the flat band position of every
-    contribution depend on the grid and the active set only, so a
-    `_System` builds them once for all its blocks; `factor` then costs
-    one bincount and one dpbtrf.
+    order), its transpose L_BR (CSR), and the flat band position and
+    coupling product l_ri l_rj of every contribution depend on the grid
+    and the node set only, so a `_System` builds them once for all its
+    blocks; `factor` then costs one bincount and one dpbtrf.
     """
 
-    def __init__(self, grid: Grid, idx: np.ndarray, diagonal: np.ndarray):
+    def __init__(self, grid: Grid, idx: np.ndarray, lap):
         n = grid.n
         iy, ix = np.divmod(idx, n)
         colour = (iy + ix) & 1
@@ -586,17 +669,20 @@ class _RedBlack:
         by, bx = iy[black], ix[black]
         self.black = black[np.lexsort((by - bx, (by + bx) // 2))]
         self.red = np.flatnonzero(~keep)
-        self.diagonal = diagonal
-        self.coupling = 0.25 / (grid.h * grid.h)
+        self.diagonal = lap.diagonal()
         nb, nr = len(self.black), len(self.red)
         # the B position of each grid node's neighbours, -1 where the
-        # neighbour is not an active B node
+        # neighbour is not a B node of the set, and the coupling L[r, i]
+        # of each red node r to each B neighbour i
         where = np.full(grid.nodes, -1)
         where[idx[self.black]] = np.arange(nb)
         nbr = where[idx[self.red][:, None] + np.array([-n, -1, 1, n])]
         on = nbr >= 0
+        coupling = np.zeros(nbr.shape)
+        coupling[on] = np.asarray(lap[self.red[np.nonzero(on)[0]],
+                                      self.black[nbr[on]]]).ravel()
         self.l_rb = csr_matrix(
-            (np.full(int(on.sum()), self.coupling), nbr[on],
+            (coupling[on], nbr[on],
              np.concatenate([[0], np.cumsum(on.sum(axis=1))])),
             shape=(nr, nb))
         self.l_br = self.l_rb.T.tocsr()
@@ -606,12 +692,13 @@ class _RedBlack:
         j = np.maximum(nbr[:, a], nbr[:, b])
         pair = i >= 0
         self.source = np.nonzero(pair)[0]
+        self.product = (coupling[:, a] * coupling[:, b])[pair]
         i, j = i[pair], j[pair]
         self.width = int((j - i).max(initial=0))
         self.position = (self.width + i - j) * nb + j
 
     def factor(self, c: np.ndarray) -> _ReducedCholesky:
-        """The reduced solve of A = (1/4) L_A - diag(c)."""
+        """The reduced solve of A = L - diag(c)."""
         return _ReducedCholesky(self, c - self.diagonal)
 
 
@@ -625,7 +712,7 @@ class _ReducedCholesky:
         self.inv_red = 1.0 / d[rb.red]
         nb = len(rb.black)
         band = np.bincount(
-            rb.position, (rb.coupling * rb.coupling * self.inv_red)[rb.source],
+            rb.position, rb.product * self.inv_red[rb.source],
             minlength=(rb.width + 1) * nb).reshape(rb.width + 1, nb)
         np.negative(band, out=band)
         band[rb.width] += d[rb.black]
@@ -809,6 +896,8 @@ def _newton_step(sys: _System, blocks: np.ndarray, p_inv, n_act: np.ndarray,
                  eta: float) -> tuple:
     """(delta, info) of the Newton system J delta = -N, J with pointwise
     blocks `blocks`, delta of shape (m, k); a nonzero info is a CG miss.
+    J, N = `n_act` and delta are in the iterated unknowns: halved, J is
+    R^T J R and N is R^T N (`_System.restrict`).
 
     On radial grids one banded LU solve of J, in `sys.band`'s node-major
     layout, gives the exact step.  On cartesian grids CG solves the
@@ -833,7 +922,12 @@ def _newton_step(sys: _System, blocks: np.ndarray, p_inv, n_act: np.ndarray,
 
 def _newton(sys: _System, q: np.ndarray, u: np.ndarray, cfg: SolverConfig,
             history: list) -> int:
-    """Damped Newton on the active set; mutates u, returns iteration count."""
+    """Damped Newton on the active set; mutates u, returns iteration count.
+
+    Each step solves the Newton system in the iterated unknowns and
+    expands it onto the active nodes, so a halved system's u stays
+    mirror-symmetric bit for bit, and the residual and its sup-norm, the
+    stop test, are those of every active node."""
     n_act = sys.residual(u, q)
     res = float(np.abs(n_act).max())
     if not np.isfinite(res):
@@ -850,7 +944,9 @@ def _newton(sys: _System, q: np.ndarray, u: np.ndarray, cfg: SolverConfig,
         blocks = sys.pointwise(u, q)
         if p_inv is None and sys.grid.mode == "cartesian":
             p_inv = sys.preconditioner(u, q)
-        delta, info = _newton_step(sys, blocks, p_inv, n_act, eta)
+        delta, info = _newton_step(sys, blocks, p_inv, sys.restrict(n_act),
+                                   eta)
+        delta = sys.expand(delta)
         # a nonzero info is a CG miss, returned with its last iterate: an
         # inexact Newton step, which the Armijo search accepts or halves
         # like any other.  Only a step it cannot accept stalls.
@@ -890,21 +986,47 @@ def _exhaustion_radii(grid: Grid) -> list:
 
 @dataclass(frozen=True)
 class _Plan:
-    """The part of a solve that depends on (grid, r, boundary) only: the
-    stage radii and each stage's mirror-folded system on its active set,
-    which builds its red-black split and V-cycle hierarchy on first use and
-    keeps them.  A plan holds no state of an iterate, so any number of
-    solves may run on it, one after another, with unchanged results."""
+    """The part of a solve that depends on (grid, r, boundary) and on
+    whether it halves only: the stage radii and each stage's mirror-folded
+    system on its active set, halved when `halved`, which builds its
+    red-black split and V-cycle hierarchy on first use and keeps them.  A
+    plan holds no state of an iterate, so any number of solves may run on
+    it, one after another, with unchanged results."""
 
     grid: Grid
     r: int
     boundary: str
+    halved: bool
     radii: tuple
     stages: tuple
 
 
-def _plan(grid: Grid, r: int, boundary: str) -> _Plan:
-    """The stages `solve_toda` runs for `boundary` on `grid` at rank r."""
+def _mirror_symmetric(grid: Grid, values: np.ndarray) -> bool:
+    """Whether `values`, one or more fields on `grid`, equal their flip
+    y -> -y bit for bit; never on a radial grid."""
+    if grid.mode != "cartesian":
+        return False
+    rows = np.ascontiguousarray(values).view(np.int64).reshape(
+        -1, grid.n, grid.n)
+    return bool(np.array_equal(rows, rows[:, ::-1]))
+
+
+def _halves(weight: WeightDensity, grid: Grid) -> bool:
+    """Whether the solves of `weight` on `grid` at every amplitude t may
+    iterate the upper half-disc: the density t^2 Q_base is t^2 times
+    Q_base node by node, so it is mirror-symmetric at every t when Q_base,
+    the density at t = 1, is.  When Q_base is not, or does not evaluate
+    finite, the solves run unfolded, which is right for any weight."""
+    try:
+        q = evaluate_density(replace(weight, t=1.0), grid).values
+    except ValidationError:
+        return False
+    return _mirror_symmetric(grid, q)
+
+
+def _plan(grid: Grid, r: int, boundary: str, halve: bool = False) -> _Plan:
+    """The stages `solve_toda` runs for `boundary` on `grid` at rank r,
+    iterating the upper half-disc when `halve`."""
     radii = (_exhaustion_radii(grid) if boundary == "exhaustion"
              else [grid.rho_max])
     cuts = [rho - 0.5 * grid.h for rho in radii]
@@ -912,8 +1034,8 @@ def _plan(grid: Grid, r: int, boundary: str) -> _Plan:
     if not actives[0].any():
         raise ConfigurationError(
             f"exhaustion ladder {radii} leaves no interior nodes at stage 0")
-    return _Plan(grid, r, boundary, tuple(radii),
-                 tuple(_System(grid, r, active, mirror=True)
+    return _Plan(grid, r, boundary, halve, tuple(radii),
+                 tuple(_System(grid, r, active, mirror=True, halve=halve)
                        for active in actives))
 
 
@@ -945,27 +1067,40 @@ def solve_toda(weight: WeightDensity, grid: Grid,
     A stall raises `ConvergenceError` naming the stage rho and the last
     residual.
 
-    The stages are `plan`, `_plan(grid, weight.r, config.boundary)`, built
-    here when it is not given; a sweep builds it once and passes it to
-    every amplitude's solve.  A plan built for another grid, rank or
-    boundary is a ConfigurationError.
+    When the density Q and the start both equal their flip y -> -y bit
+    for bit, so does the solution, and each stage iterates only its
+    active nodes in the rows iy >= (n-1)/2, copying every update onto
+    their mirror images (`_System`); the residual, the stop test and the
+    stored fields are those of the whole grid.
+
+    The stages are `plan`, `_plan(grid, weight.r, config.boundary, halve)`
+    with `halve` the symmetry above, built here when it is not given; a
+    sweep builds it once and passes it to every amplitude's solve.  A plan
+    built for another grid, rank or boundary, or one that halves a solve
+    whose Q or start is not mirror-symmetric, is a ConfigurationError.
     """
     cfg = config or SolverConfig()
     r = weight.r
     q = check_solvable(weight, grid, cfg.boundary)
+    profile = _profile(grid, r, q, cfg.boundary)
+    start = (profile if cfg.provided_w is None
+             else _provided(grid, r, cfg.provided_w))
+    halve = _mirror_symmetric(grid, q) and _mirror_symmetric(grid, start)
     if plan is None:
-        plan = _plan(grid, r, cfg.boundary)
+        plan = _plan(grid, r, cfg.boundary, halve)
     elif (plan.grid.key(), plan.r, plan.boundary) != (grid.key(), r,
                                                       cfg.boundary):
         raise ConfigurationError(
             f"plan for grid {plan.grid.key()}, r={plan.r}, boundary "
             f"{plan.boundary!r} cannot solve r={r} with boundary "
             f"{cfg.boundary!r} on grid {grid.key()}")
+    elif plan.halved and not halve:
+        raise ConfigurationError(
+            "plan iterates the upper half-disc, but the weight density or "
+            "the start is not mirror-symmetric in y")
     stages = plan.stages
     m = stages[-1].m
-    profile = _profile(grid, r, q, cfg.boundary)
-    u = (profile if cfg.provided_w is None
-         else _provided(grid, r, cfg.provided_w))[:m]
+    u = start[:m]
     u[:, grid.boundary] = profile[:m, grid.boundary]
     history: list = []
     iters = 0

@@ -262,10 +262,15 @@ def test_sweep_csv_contract(tmp_path):
     pytest.param(("--grid", GRID), id="cartesian"),
     pytest.param(("--grid", GRID, "--boundary", "exhaustion"), id="exhaustion"),
     pytest.param(("--grid", json.dumps({"mode": "radial", "n": 65,
-                                        "rho_max": 0.9})), id="radial")])
+                                        "rho_max": 0.9})), id="radial"),
+    pytest.param(("--grid", GRID, "--weight",
+                  '{"kind": "poly", "r": 2, "coeffs": [[0, -0.3], [1, 0]]}'),
+                 id="unfolded")])
 def test_sweep_parallel_matches_serial(tmp_path, flags):
-    # each worker solves on the plan it builds when it starts: a one-stage,
-    # a three-stage and a radial plan give the serial sweep's bytes
+    # each worker solves on the plan it builds when it starts: a one-stage
+    # and a three-stage plan halved onto the upper half-disc (q = z is
+    # mirror-symmetric), a radial plan and, for q = z - 0.3i (whose later
+    # --weight flag wins), an unfolded plan give the serial sweep's bytes
     serial = tmp_path / "serial.csv"
     par = tmp_path / "par.csv"
     args = ("sweep", "--weight", WEIGHT, *flags, "--t-values", "0.5,1,2",

@@ -408,30 +408,34 @@ def test_solve_evaluates_density_once(monkeypatch, weight, n, cfg, systems):
     assert sol.residual_sup == max(float(np.abs(f.values).max()) for f in res)
 
 
-@pytest.mark.parametrize("weight, mode, n, boundary", [
+@pytest.mark.parametrize("weight, mode, n, boundary, halved", [
     pytest.param(make_weight("poly", 3, coeffs=[-0.1, 1]), "cartesian", 65,
-                 "model_poincare", id="cartesian-n65-reduced"),
-    pytest.param(make_weight("poly", 3, coeffs=[-0.1, 1]), "cartesian", 81,
-                 "model_poincare", id="cartesian-n81-vcycle"),
+                 "model_poincare", True, id="cartesian-n65-reduced"),
+    pytest.param(make_weight("poly", 3, coeffs=[-0.1j, 1]), "cartesian", 81,
+                 "model_poincare", False, id="cartesian-n81-vcycle"),
+    pytest.param(make_weight("poly", 3, coeffs=[-0.1, 1]), "cartesian", 129,
+                 "model_poincare", True, id="cartesian-n129-vcycle-halved"),
     pytest.param(make_weight("poly", 3, coeffs=[-0.1, 1]), "cartesian", 33,
-                 "exhaustion", id="exhaustion"),
+                 "exhaustion", True, id="exhaustion"),
     pytest.param(make_weight("poly", 4, coeffs=[0.2, 1]), "cartesian", 33,
-                 "weight_flat", id="weight_flat"),
+                 "weight_flat", True, id="weight_flat"),
     pytest.param(make_weight("poly", 3, coeffs=[0, 1]), "radial", 129,
-                 "model_poincare", id="radial")])
+                 "model_poincare", False, id="radial")])
 def test_solves_on_one_plan_match_standalone_solves(weight, mode, n,
-                                                    boundary):
+                                                    boundary, halved):
     # the plan holds nothing a solve leaves behind: amplitudes solved in
     # sequence on one plan give, bit for bit, what a solve of each alone
-    # gives, through the reduced factor, the V-cycle, the exhaustion
-    # ladder, the flat boundary and the radial banded step
+    # gives, through the reduced factor, the V-cycle unfolded and halved,
+    # the exhaustion ladder, the flat boundary and the radial banded step.
+    # The plan halves as a sweep's does, from the base weight
     import todakit.toda as toda
 
     g = build_grid(mode, n, 0.9)
     cfg = SolverConfig(boundary=boundary)
-    plan = toda._plan(g, weight.r, boundary)
+    plan = toda._plan(g, weight.r, boundary, toda._halves(weight, g))
+    assert plan.halved == halved
     if mode == "cartesian" and boundary == "model_poincare":
-        assert (plan.stages[-1].k > toda._DIRECT_SIZE) == (n == 81)
+        assert (plan.stages[-1].k > toda._DIRECT_SIZE) == (n > 65)
     weights = [replace(weight, t=t) for t in (2.0, 0.5, 8.0)]
     on_plan = [solve_toda(wt, g, cfg, plan=plan) for wt in weights]
     for wt, sol in zip(weights, on_plan):
@@ -601,11 +605,11 @@ def test_cg_preconditioner_is_symmetric_positive_definite(monkeypatch, r,
     # -P^-1 (M^-1 x I) = -(M P)^-1, as CG is handed it on the first step,
     # with every block solved exactly by its red-black reduced system and
     # with every block solved by a V-cycle (the direct size lowered so that
-    # n = 33 coarsens twice)
+    # the upper half of n = 33, which q = z + 0.3 halves to, coarsens twice)
     import todakit.toda as toda
 
     if vcycle:
-        monkeypatch.setattr(toda, "_DIRECT_SIZE", 200)
+        monkeypatch.setattr(toda, "_DIRECT_SIZE", 100)
     coarsened = _counted(monkeypatch, toda, "_coarsen")
     reduced = _counted(monkeypatch, toda, "_ReducedCholesky")
     (op, rhs), kwargs, _ = _first_cg_call(
@@ -814,17 +818,33 @@ def _reduced_blocks(monkeypatch):
     return reduced
 
 
-def _sliced_block(g, idx, c):
+def _sliced_block(g, idx, c, halved=False):
     # (1/4) L_A - diag(c) built independently of `_System`: the stencil's
-    # columns sliced to the active nodes
-    from scipy.sparse import diags
+    # columns sliced to the active nodes.  Halved, `idx` are the upper rows
+    # of a mirror-symmetric active set and the block is R^T (1/4) L_A R -
+    # diag(c), R the sparse map that gives every active node the value of
+    # its upper image
+    from scipy.sparse import csr_matrix, diags
 
     from todakit.grid import laplacian_operator
 
+    n = g.n
     active = np.zeros(g.nodes, dtype=bool)
     active[idx] = True
-    return ((0.25 * laplacian_operator(g, active))[:, idx]
-            - diags(c)).tocsr()
+    if halved:
+        iy, ix = np.divmod(idx, n)
+        active[(n - 1 - iy) * n + ix] = True
+    nodes = np.flatnonzero(active)
+    lap = (0.25 * laplacian_operator(g, active))[:, nodes]
+    if halved:
+        iy, ix = np.divmod(nodes, n)
+        image = np.where(2 * iy >= n - 1, nodes, (n - 1 - iy) * n + ix)
+        expand = csr_matrix((np.ones(len(nodes)),
+                             np.searchsorted(idx, image),
+                             np.arange(len(nodes) + 1)),
+                            shape=(len(nodes), len(idx)))
+        lap = expand.T @ lap @ expand
+    return (lap - diags(c)).tocsr()
 
 
 @pytest.mark.parametrize("n, stage", [(65, "direct"), (257, "coarsest"),
@@ -867,7 +887,8 @@ def test_factored_blocks_are_exactly_symmetric(monkeypatch, n, boundary):
     # system is built from L_RB and the diagonal only: every block the
     # solver factors, whole or Galerkin, must equal its transpose bit for
     # bit, and every block it reduces must too, and split bit for bit into
-    # the reduction's L_RB, L_BR and diagonal R-R and B-B parts
+    # the reduction's L_RB, L_BR and diagonal R-R and B-B parts.  q = z is
+    # mirror-symmetric, so every block is halved
     from scipy.sparse import diags
 
     factored = _factored_blocks(monkeypatch)
@@ -879,7 +900,7 @@ def test_factored_blocks_are_exactly_symmetric(monkeypatch, n, boundary):
     for a in factored:
         assert (a != a.T).nnz == 0
     for rb, c, _ in reduced:
-        a = _sliced_block(*rb.args, c)
+        a = _sliced_block(*rb.args, c, halved=True)
         assert (a != a.T).nnz == 0
         red, black = a[rb.red], a[rb.black]
         assert (red[:, rb.black] != rb.l_rb).nnz == 0
@@ -1173,6 +1194,187 @@ def test_solution_is_mirror_symmetric(r, mode, n, boundary):
     full = max(float(np.abs(f.values).max())
                for f in toda_residual(sol.w, weight))
     assert abs(full - sol.residual_sup) <= RELOAD_RESIDUAL_TOL
+
+
+# ---------------------------------------------------------------------------
+# Space fold: a density equal to its flip y -> -y bit for bit has a
+# mirror-symmetric solution, and the solver iterates the active nodes in
+# the rows iy >= (n-1)/2 only, copying each update onto the mirror images.
+# ---------------------------------------------------------------------------
+
+
+def _bits_mirrored(g, values):
+    rows = np.ascontiguousarray(values).view(np.int64).reshape(-1, g.n, g.n)
+    return np.array_equal(rows, rows[:, ::-1])
+
+
+def _newton_systems(monkeypatch):
+    """The system of every Newton run of the solves that follow."""
+    import todakit.toda as toda
+
+    systems = []
+    real = toda._newton
+
+    def recorded(sys, *args):
+        systems.append(sys)
+        return real(sys, *args)
+
+    monkeypatch.setattr(toda, "_newton", recorded)
+    return systems
+
+
+@pytest.mark.parametrize("boundary", ["model_poincare", "weight_flat",
+                                      "exhaustion"])
+@pytest.mark.parametrize("n", [33, 34])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_halved_solution_is_bit_symmetric(monkeypatch, r, n, boundary):
+    # odd n keeps the axis row, even n folds row n/2 onto its neighbour:
+    # either way every Newton run iterates the upper half of its active
+    # set, and w and v0 equal their flip bit for bit
+    from todakit.io import RELOAD_RESIDUAL_TOL
+
+    systems = _newton_systems(monkeypatch)
+    g = build_grid("cartesian", n, 0.9)
+    weight = make_weight("poly", r, coeffs=[-0.1, 1])
+    sol = solve_toda(weight, g, SolverConfig(boundary=boundary))
+    assert sol.residual_sup <= 1e-10
+    for sys in systems:
+        upper = 2 * (sys.idx // n) >= n - 1
+        assert np.array_equal(sys.nodes, sys.idx[upper])
+        assert sys.k < len(sys.idx) and sys.weight.sum() == len(sys.idx)
+    assert _bits_mirrored(g, sol.w_array())
+    assert _bits_mirrored(g, sol.v0.values)
+    full = max(float(np.abs(f.values).max())
+               for f in toda_residual(sol.w, weight))
+    assert abs(full - sol.residual_sup) <= RELOAD_RESIDUAL_TOL
+
+
+def test_asymmetric_weight_solves_unfolded(monkeypatch):
+    # q = z - 0.3i has |q(conj z)| != |q(z)|: every Newton run iterates the
+    # whole active set, and the solution is not mirror-symmetric
+    systems = _newton_systems(monkeypatch)
+    g = build_grid("cartesian", 33, 0.9)
+    sol = solve_toda(make_weight("poly", 3, coeffs=[-0.3j, 1]), g)
+    (sys,) = systems
+    assert sys.k == len(sys.idx) == g.interior.sum()
+    assert sol.residual_sup <= 1e-10
+    assert not _bits_mirrored(g, sol.w_array())
+
+
+def test_one_ulp_from_symmetric_solves_unfolded(monkeypatch):
+    # a grid weight one ulp off a mirror-symmetric density at one node is
+    # solved unfolded, and agrees with the halved solve of the symmetric
+    # density to 1e-12
+    systems = _newton_systems(monkeypatch)
+    g = build_grid("cartesian", 65, 0.9)
+    q = evaluate_density(make_weight("poly", 3, coeffs=[-0.1, 1]), g).values
+    node = int(np.flatnonzero(g.interior)[100])
+    off = q.copy()
+    off[node] = np.nextafter(off[node], np.inf)
+    sols = [solve_toda(make_weight("grid", 3, samples=samples), g)
+            for samples in (q, off)]
+    assert [sys.k < len(sys.idx) for sys in systems] == [True, False]
+    assert np.abs(sols[0].w_array() - sols[1].w_array()).max() <= 1e-12
+
+
+def test_halved_plan_rejects_an_asymmetric_solve():
+    # a plan that halves cannot take a density or a start that is not
+    # mirror-symmetric; a plan that does not halve solves a symmetric
+    # density unfolded
+    import todakit.toda as toda
+
+    g = build_grid("cartesian", 17, 0.9)
+    halved = toda._plan(g, 3, "model_poincare", True)
+    with pytest.raises(ConfigurationError, match="mirror-symmetric"):
+        solve_toda(make_weight("poly", 3, coeffs=[-0.3j, 1]), g, plan=halved)
+    w = model_log_densities(g, 3)
+    w[:, g.interior] += 0.1 * g.y[g.interior]
+    with pytest.raises(ConfigurationError, match="mirror-symmetric"):
+        solve_toda(make_weight("poly", 3, coeffs=[0, 1]), g,
+                   SolverConfig(provided_w=tuple(_fields(g, w))), plan=halved)
+    sol = solve_toda(make_weight("poly", 3, coeffs=[0, 1]), g,
+                     plan=toda._plan(g, 3, "model_poincare"))
+    assert sol.residual_sup <= 1e-10
+
+
+def _mirrored_state(g, r, m, seed):
+    # `_random_state` with its noise averaged with its flip, so that u and
+    # q (q = z + 0.3 has real coefficients) are mirror-symmetric bit for bit
+    u, q = _random_state(g, r, m, seed)
+    u = 0.5 * (u + u.reshape(m, g.n, g.n)[:, ::-1].reshape(m, -1))
+    return u, q
+
+
+def _halved_pair(g, r, active):
+    import todakit.toda as toda
+
+    return (toda._System(g, r, active, mirror=True),
+            toda._System(g, r, active, mirror=True, halve=True))
+
+
+def _masks(g):
+    cut = 0.75 - 0.5 * g.h
+    return {"disc": g.interior, "exhaustion": g.interior & (g.r2 < cut * cut)}
+
+
+@pytest.mark.parametrize("mask", ["disc", "exhaustion"])
+@pytest.mark.parametrize("n", [33, 34])
+@pytest.mark.parametrize("r", [2, 3, 4, 8])
+def test_halved_jacobian_is_the_folded_full_jacobian(r, n, mask):
+    # at a mirror-symmetric state the halved product is R^T J R x, for J
+    # the full active set's Jacobian and R the expansion onto the mirror
+    # images, and the halved Laplacian is R^T L_A R built independently
+    g = build_grid("cartesian", n, 0.9)
+    full, half = _halved_pair(g, r, _masks(g)[mask])
+    u, q = _mirrored_state(g, r, full.m, r)
+    x = np.random.default_rng(r + n).standard_normal((half.m, half.k))
+    y = full.matvec(full.pointwise(u, q), half.expand(x).ravel())
+    folded = np.stack([np.bincount(half.space, row, minlength=half.k)
+                       for row in y.reshape(full.m, -1)])
+    got = half.matvec(half.pointwise(u, q), x.ravel()).reshape(half.m, -1)
+    assert np.linalg.norm(got - folded) <= 1e-13 * np.linalg.norm(folded)
+    ref = _sliced_block(g, half.nodes, np.zeros(half.k), halved=True)
+    assert (ref != half.lap_active).nnz == 0
+
+
+@pytest.mark.parametrize("mask", ["disc", "exhaustion"])
+@pytest.mark.parametrize("n", [33, 34])
+@pytest.mark.parametrize("r", [2, 3, 4, 8])
+def test_halved_reduced_solve_matches_dense_solve(monkeypatch, r, n, mask):
+    # each halved block, whose couplings are doubled (and on odd n the
+    # axis row's own), is solved exactly by its red-black reduced system
+    g = build_grid("cartesian", n, 0.9)
+    _, half = _halved_pair(g, r, _masks(g)[mask])
+    reduced = _reduced_blocks(monkeypatch)
+    half.preconditioner(*_mirrored_state(g, r, half.m, r))
+    assert len(reduced) == half.m
+    b = np.random.default_rng(r + 1).standard_normal(half.k)
+    for _, c, factor in reduced:
+        ref = np.linalg.solve(half.block(c).toarray(), b)
+        assert np.linalg.norm(factor.solve(b) - ref) <= \
+            1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", [33, 34, 129])
+@pytest.mark.parametrize("r", [3, 4])
+def test_halved_step_matches_full_step(r, n):
+    # the halved Newton step, expanded onto the mirror images, is the full
+    # system's step at a mirror-symmetric state: both CG solves at
+    # rtol = 1e-12, preconditioned by their own factors (V-cycles at
+    # n = 129), agree to 1e-9
+    import todakit.toda as toda
+
+    g = build_grid("cartesian", n, 0.9)
+    steps = []
+    for sys in _halved_pair(g, r, g.interior):
+        u, q = _mirrored_state(g, r, sys.m, r)
+        delta, info = toda._newton_step(
+            sys, sys.pointwise(u, q), sys.preconditioner(u, q),
+            sys.restrict(sys.residual(u, q)), 1e-12)
+        assert info == 0
+        steps.append(sys.expand(delta))
+    full, half = steps
+    assert np.abs(half - full).max() <= 1e-9 * np.abs(full).max()
 
 
 def _poly_roots(*roots):

@@ -101,6 +101,32 @@ def test_jacobian_check_probes_the_applied_matvec(monkeypatch):
     assert rep.passed is False
 
 
+def test_jacobian_check_probes_the_halved_system(monkeypatch):
+    # a halved Laplacian that is W times L_A on the upper rows, without
+    # the axis row's doubled coupling to the next, is not R^T L_A R: the
+    # check, which probes the halved system for this mirror-symmetric
+    # density, fails; an asymmetric density is not probed halved
+    from scipy.sparse import diags
+
+    import todakit.toda as toda
+
+    real = toda._System._halve
+
+    def undoubled(self):
+        lap = self.lap_active
+        real(self)
+        self.lap_active = (diags(self.weight)
+                           @ lap[self.half][:, self.half]).tocsr()
+
+    monkeypatch.setattr(toda._System, "_halve", undoubled)
+    g = build_grid("cartesian", 33, 0.9)
+    rep = check_jacobian(make_weight("poly", 3, coeffs=[0, 1]), g)
+    assert rep.passed is False
+    assert "halved" in rep.notes and "full" in rep.notes
+    rep = check_jacobian(make_weight("poly", 3, coeffs=[-0.3j, 1]), g)
+    assert rep.passed and "halved" not in rep.notes
+
+
 def test_jacobian_check_evaluates_density_once(monkeypatch):
     # the products and finite-difference residuals of the full and the
     # mirror-folded system share one density
