@@ -29,23 +29,23 @@ FROZEN = {
     "profile.svg":
         "44c5ac35b05a527cf78c1f4022cc7baa4513f57977216602ff46409e9c33e68a",
     "report.json":
-        "8e5d7cb35ed289f37b49a65e13b42a397ccd2d2abff7254c72b6d4ead0436cbf",
+        "82f8582b92480155904d0835c051b190eee90714c225f5eb7dfb01a4ddeb09e5",
     "sol-cart.json":
-        "5b920dbfdbbf8b948be09d7405463fe524218b79a83f42347cf0464bcaf1275b",
+        "27be1313320d7f8401073a15355c630eb069a4c982bc291762534c2699268693",
     "sol-radial.json":
         "4260ab640031ebb9ea27ce50ba5c5979ad28b3ca8db3b6783f969915a730ec17",
     "sweep.csv":
-        "68a33cc9f9fb62a3a8eb7f7c1fa8344dae5e537f269e8fe28bfff1e75cbc7d4b",
+        "141e2933b657b6a1329c158512e737c50be32595e566724a19c409fa62c8a306",
     "sweep.svg":
         "9e6d1cf96aa540f8fe012e42262e48addfc312c5ac88d35022470f11dbf80356",
     "thermo-b-1-flat.csv":
-        "e7f0ca4124b12bf13cdb8fe17e5aa0c57893e9d29c3b43d937af2f66e3bc8658",
+        "a828345b916e2063f60c1d74f07730c0ed1b4df54394100428734456cf8e41cf",
     "thermo-b-1-poincare.csv":
-        "5e61b2d482ceeb550829f6710763e9ee5b2a4300f2c50b4dad15ed5eada7a1e3",
+        "4dae5883c1e622ef8ee21585fdf691da28371a0d8e2f1968c81454c076a26a00",
     "thermo-b1-flat.csv":
-        "11589435708c53f0f070901f2986f17b8925460ca2a893047aa23c19500bb934",
+        "25780c60607165d8b8abfe4cad10de3981577344a2e879bfe46338e258820772",
     "thermo-b1-poincare.csv":
-        "838064fab39852daac620219800fca81d364647d3a7f209d9666456fca0fc5fd",
+        "35c71e0129ed2e578d07275d9179214b78fd3d3acb34ad21654976b47ae22f4c",
     "thermo-radial.csv":
         "575ec2790003e2124cb572feedb02961bf9845e7969ca93a3d9fb4841869d503",
 }
