@@ -6,8 +6,11 @@
 # imports scipy.integrate only for the model constants; these
 # commands run that import against the installed releases (in CI, each
 # leg's pins).  The r = 4 solve iterates the mirror-folded half of the
-# fields, loading it for thermo rechecks the residual of all r - 1
-# equations, and its thermo CSV is drawn as a heatmap.  The radial chain
+# fields on the upper half-disc (q = z is mirror-symmetric in y), loading
+# it for thermo rechecks the residual of all r - 1 equations on the whole
+# grid, and its thermo CSV is drawn as a heatmap.  The q = z - 0.3i solve
+# is not mirror-symmetric, so it iterates the whole disc, and thermo
+# rechecks its reload too.  The radial chain
 # runs the banded LU Newton step, the reload recheck and the radial
 # profile plot of its thermo CSV, and the radial r = 4, q = z, t = 1e5
 # solve on n = 257 must converge: preconditioned GMRES took 18 steps and
@@ -50,6 +53,8 @@ python -m todakit model --r 4 --beta 1
 python -m todakit solve --weight '{"kind": "poly", "r": 4, "coeffs": [[0, 0], [1, 0]]}' --grid '{"mode": "cartesian", "n": 33, "rho_max": 0.9}' --out "$RUNNER_TEMP/sol-r4.json"
 python -m todakit thermo --solution "$RUNNER_TEMP/sol-r4.json" --beta 1 --out "$RUNNER_TEMP/thermo-r4.csv"
 python -m todakit plot "$RUNNER_TEMP/thermo-r4.csv" --out "$RUNNER_TEMP/heatmap-r4.svg"
+python -m todakit solve --weight '{"kind": "poly", "r": 3, "coeffs": [[0, -0.3], [1, 0]]}' --grid '{"mode": "cartesian", "n": 33, "rho_max": 0.9}' --out "$RUNNER_TEMP/sol-unfolded.json"
+python -m todakit thermo --solution "$RUNNER_TEMP/sol-unfolded.json" --beta 1 --out "$RUNNER_TEMP/thermo-unfolded.csv"
 python -m todakit solve --weight '{"kind": "poly", "r": 3, "coeffs": [[0, 0], [1, 0]]}' --grid '{"mode": "radial", "n": 129, "rho_max": 0.9}' --out "$RUNNER_TEMP/sol-radial.json"
 python -m todakit thermo --solution "$RUNNER_TEMP/sol-radial.json" --beta 1 --out "$RUNNER_TEMP/thermo-radial.csv"
 python -m todakit plot "$RUNNER_TEMP/thermo-radial.csv" --column S --out "$RUNNER_TEMP/profile.svg"
